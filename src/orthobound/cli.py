@@ -224,20 +224,16 @@ def cmd_minnorm(args) -> int:
     return 0
 
 
-def _verify_lines(space, a, b, real_mode, trials, seed, tol_value) -> List[str]:
+def _verify_lines(space, a, b, real_mode, trials, seed, tol_value) -> Tuple[List[str], bool]:
+    """The report lines of one verify run, and whether every check passed."""
     tol = core.Tolerances(rel_eps=tol_value)
     reports = verify.verify_all(space, a, b, trials=trials, tol=tol, seed=seed, real=real_mode)
     settings = {"trials": trials, "seed": seed, "tol": tol_value}
-    lines = []
-    for rep in reports:
-        d = rep.to_dict()
-        if rep.check_name == "bound_dominance":
-            d["bound"] = core.ostrowski_bound(space, a, b)
-        if rep.check_name == "min_norm_optimality" and not rep.skipped:
-            d["value"] = core.min_norm_solution(space, a, b, tol)[1]
-        d["settings"] = settings
-        lines.append(dumps_stable(d))
-    return lines
+    lines = [
+        dumps_stable(dict(rep.to_dict(), harness_format=verify.HARNESS_FORMAT, settings=settings))
+        for rep in reports
+    ]
+    return lines, all(rep.passed for rep in reports)
 
 
 def cmd_verify(args) -> int:
@@ -252,13 +248,10 @@ def cmd_verify(args) -> int:
     if args.replay:
         return _cmd_verify_replay(args, space, a, b, real_mode)
 
-    lines = _verify_lines(space, a, b, real_mode, args.trials, args.seed, args.tol)
-    failed = False
+    lines, passed = _verify_lines(space, a, b, real_mode, args.trials, args.seed, args.tol)
     for line in lines:
         print(line)
-        if '"passed": false' in line:
-            failed = True
-    if failed:
+    if not passed:
         if not args.quiet:
             print("verification FAILED", file=sys.stderr)
         return 5
@@ -276,14 +269,22 @@ def _cmd_verify_replay(args, space, a, b, real_mode) -> int:
     if not stored:
         raise InstanceError("--replay", "file holds no reports")
     try:
-        settings = json.loads(stored[0]).get("settings", {})
+        first = json.loads(stored[0])
+        written_by = first.get("harness_format")
+        settings = first.get("settings", {})
         trials = int(settings["trials"])
         seed = int(settings["seed"])
         tol_value = float(settings["tol"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InstanceError("--replay", f"malformed report line: {exc}") from exc
+    if written_by != verify.HARNESS_FORMAT:
+        raise InstanceError(
+            "--replay",
+            f"file was written by an older sampler (harness_format {written_by!r}, "
+            f"this version writes {verify.HARNESS_FORMAT}); regenerate it with 'orthobound verify'",
+        )
 
-    fresh = _verify_lines(space, a, b, real_mode, trials, seed, tol_value)
+    fresh, _ = _verify_lines(space, a, b, real_mode, trials, seed, tol_value)
     ok = len(stored) == len(fresh) and all(s == f for s, f in zip(stored, fresh))
     for line in fresh:
         print(line)

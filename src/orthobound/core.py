@@ -76,17 +76,42 @@ def as_vector(space: SpaceDescriptor, u, name: str = "vector") -> np.ndarray:
     return v
 
 
+def _inner_rows(w: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise <u_i, v_i> over the last axis; a 1-D operand broadcasts."""
+    return np.sum(w * u * np.conj(v), axis=-1)
+
+
+def _norm_sq_rows(w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row-wise squared norms over the last axis."""
+    return np.sum(w * np.abs(u) ** 2, axis=-1)
+
+
+def _project_rows(w: np.ndarray, z: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Rows of z minus their components along c (one vector, or one per row)."""
+    coef = _inner_rows(w, z, c) / _norm_sq_rows(w, c)
+    return z - coef[..., None] * c
+
+
+def _deflated_schwarz_rows(w, z, c, d) -> Tuple[np.ndarray, np.ndarray]:
+    """Row-wise (lhs, rhs) of the deflated Schwarz inequality; see deflated_schwarz."""
+    nc = _norm_sq_rows(w, c)
+    izc = _inner_rows(w, z, c)
+    idc = _inner_rows(w, d, c)
+    lhs = (_norm_sq_rows(w, z) * nc - np.abs(izc) ** 2) * (_norm_sq_rows(w, d) * nc - np.abs(idc) ** 2)
+    rhs = np.abs(_inner_rows(w, z, d) * nc - izc * np.conj(idc)) ** 2
+    return lhs, rhs
+
+
 def inner(space: SpaceDescriptor, u, v) -> complex:
     """Weighted inner product, linear in u and conjugate-linear in v."""
     uu = as_vector(space, u, "u")
     vv = as_vector(space, v, "v")
-    return complex(np.sum(space.weights * uu * np.conj(vv)))
+    return complex(_inner_rows(space.weights, uu, vv))
 
 
 def norm_sq(space: SpaceDescriptor, u) -> float:
     """Squared norm; always a nonnegative real."""
-    uu = as_vector(space, u, "u")
-    return float(np.sum(space.weights * np.abs(uu) ** 2))
+    return float(_norm_sq_rows(space.weights, as_vector(space, u, "u")))
 
 
 def gram2(space: SpaceDescriptor, a, b) -> GramSummary:
@@ -101,9 +126,10 @@ def gram2(space: SpaceDescriptor, a, b) -> GramSummary:
 
 
 def schwarz_gap(space: SpaceDescriptor, u, v) -> float:
-    """||u||^2 ||v||^2 - |<u,v>|^2; nonnegative up to rounding, zero iff
-    u and v are proportional."""
-    return norm_sq(space, u) * norm_sq(space, v) - abs(inner(space, u, v)) ** 2
+    """||u||^2 ||v||^2 - |<u,v>|^2, the Gram determinant of gram2 (so clamped
+    at 0 when rounding or underflow drives it negative); zero iff u and v are
+    proportional."""
+    return gram2(space, u, v).det
 
 
 def ostrowski_bound(space: SpaceDescriptor, a, b) -> float:
@@ -160,10 +186,9 @@ def project_out(space: SpaceDescriptor, z, c) -> np.ndarray:
     """Component of z orthogonal to c: ``z - (<z,c> / ||c||^2) * c``."""
     zz = as_vector(space, z, "z")
     cc = as_vector(space, c, "c")
-    nc = norm_sq(space, cc)
-    if nc == 0.0:
+    if norm_sq(space, cc) == 0.0:
         raise ZeroVector("zero vector c")
-    return zz - (inner(space, zz, cc) / nc) * cc
+    return _project_rows(space.weights, zz, cc)
 
 
 def deflated_schwarz(space: SpaceDescriptor, z, c, d) -> Tuple[float, float]:
@@ -178,14 +203,7 @@ def deflated_schwarz(space: SpaceDescriptor, z, c, d) -> Tuple[float, float]:
     zz = as_vector(space, z, "z")
     cc = as_vector(space, c, "c")
     dd = as_vector(space, d, "d")
-    nc = norm_sq(space, cc)
-    if nc == 0.0:
+    if norm_sq(space, cc) == 0.0:
         raise ZeroVector("zero vector c")
-    nz = norm_sq(space, zz)
-    nd = norm_sq(space, dd)
-    izc = inner(space, zz, cc)
-    idc = inner(space, dd, cc)
-    izd = inner(space, zz, dd)
-    lhs = (nz * nc - abs(izc) ** 2) * (nd * nc - abs(idc) ** 2)
-    rhs = abs(izd * nc - izc * np.conj(idc)) ** 2
-    return lhs, rhs
+    lhs, rhs = _deflated_schwarz_rows(space.weights, zz, cc, dd)
+    return float(lhs), float(rhs)

@@ -9,6 +9,7 @@ input scales.  Identical inputs and seed produce bitwise-identical reports.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -22,6 +23,12 @@ from .spaces import SpaceDescriptor
 # Squared-norm floor below which a projected draw counts as degenerate.
 _DEGENERATE_NORM_SQ = 1e-20
 _MAX_RETRIES = 100
+# The sampling checks run their trials in consecutive row blocks of at most
+# this many complex elements (1 MiB per array), so memory stays flat in trials.
+_BLOCK_ELEMS = 1 << 16
+# Written into every `verify` report line.  The draw order fixes the per-seed
+# output, so changing it bumps this and older replay files are refused.
+HARNESS_FORMAT = 2
 
 # verify_all emits reports in exactly this order.
 CHECK_ORDER = (
@@ -43,6 +50,8 @@ class VerificationReport:
     witness: Optional[np.ndarray] = None
     skipped: bool = False
     note: str = ""
+    bound: Optional[float] = None
+    value: Optional[float] = None
 
     def to_dict(self) -> dict:
         d = {
@@ -57,14 +66,50 @@ class VerificationReport:
             d["witness"] = [[float(z.real), float(z.imag)] for z in self.witness]
         if self.note:
             d["note"] = self.note
+        if self.bound is not None:
+            d["bound"] = self.bound
+        if self.value is not None:
+            d["value"] = self.value
         return d
 
 
 def _draw(rng: np.random.Generator, shape, real: bool) -> np.ndarray:
-    z = rng.standard_normal(shape).astype(np.complex128)
+    """Standard-normal real parts, then (complex mode) imaginary parts."""
+    z = np.zeros(shape, dtype=np.complex128)
+    z.real = rng.standard_normal(shape)
     if not real:
-        z += 1j * rng.standard_normal(shape)
+        z.imag = rng.standard_normal(shape)
     return z
+
+
+def _block_rows(trials: int, dim: int):
+    """Row counts of the consecutive blocks that cover `trials` trials."""
+    rows = max(1, _BLOCK_ELEMS // dim)
+    return [min(rows, trials - start) for start in range(0, trials, rows)]
+
+
+def _usable_draws(space: SpaceDescriptor, rng: np.random.Generator, n: int, real: bool, a=None):
+    """(n, dim) draws, projected against a when one is given, and their squared
+    norms.  Rows under the degenerate floor are redrawn, up to the retry cap."""
+    out = np.empty((n, space.dim), dtype=np.complex128)
+    nsq = np.empty(n)
+    bad = np.ones(n, dtype=bool)
+    for _ in range(_MAX_RETRIES):
+        u = _draw(rng, (int(bad.sum()), space.dim), real)
+        if a is not None:
+            u = core._project_rows(space.weights, u, a)
+        out[bad] = u
+        nsq[bad] = core._norm_sq_rows(space.weights, u)
+        bad = nsq < _DEGENERATE_NORM_SQ
+        if not np.any(bad):
+            return out, nsq
+    raise DegenerateSample(f"no usable draw in {_MAX_RETRIES} attempts (dim too small or pathological a)")
+
+
+def _feasible_batch(space: SpaceDescriptor, a, rng: np.random.Generator, n: int, real: bool):
+    """(n, dim) matrix of unit rows orthogonal to a."""
+    out, nsq = _usable_draws(space, rng, n, real, a)
+    return out / np.sqrt(nsq)[:, None]
 
 
 def sample_feasible(
@@ -83,38 +128,7 @@ def sample_feasible(
     aa = core.as_vector(space, a, "a")
     if core.norm_sq(space, aa) == 0.0:
         raise ZeroVector("zero vector a")
-    rng = np.random.default_rng(seed)
-    for _ in range(_MAX_RETRIES):
-        u = core.project_out(space, _draw(rng, space.dim, real), aa)
-        nu = core.norm_sq(space, u)
-        if nu >= _DEGENERATE_NORM_SQ:
-            return u / np.sqrt(nu)
-    raise DegenerateSample(
-        f"no usable draw in {_MAX_RETRIES} attempts (dim too small or pathological a)"
-    )
-
-
-def _feasible_batch(
-    space: SpaceDescriptor, a: np.ndarray, rng: np.random.Generator, trials: int, real: bool
-) -> np.ndarray:
-    """(trials, dim) matrix of unit rows orthogonal to a; vectorized."""
-    w = space.weights
-    na = core.norm_sq(space, a)
-    wa = w * np.conj(a)
-    out = _draw(rng, (trials, space.dim), real)
-    out -= np.outer((out @ wa) / na, a)
-    nsq = np.abs(out) ** 2 @ w
-    for _ in range(_MAX_RETRIES):
-        bad = nsq < _DEGENERATE_NORM_SQ
-        if not np.any(bad):
-            break
-        redrawn = _draw(rng, (int(bad.sum()), space.dim), real)
-        redrawn -= np.outer((redrawn @ wa) / na, a)
-        out[bad] = redrawn
-        nsq[bad] = np.abs(redrawn) ** 2 @ w
-    else:
-        raise DegenerateSample(f"degenerate draws persisted for {_MAX_RETRIES} rounds")
-    return out / np.sqrt(nsq)[:, None]
+    return _feasible_batch(space, aa, np.random.default_rng(seed), 1, real)[0]
 
 
 def verify_bound(
@@ -136,27 +150,27 @@ def verify_bound(
     bound = core.ostrowski_bound(space, aa, bb)
     g = core.gram2(space, aa, bb)
 
-    rows = []
-    if g.det > tol.dependence_eps * g.norm_a_sq * g.norm_b_sq:
-        rows.append(core.extremizer(space, aa, bb, tol)[None, :])
-    if trials > 0:
-        rng = np.random.default_rng(seed)
-        rows.append(_feasible_batch(space, aa, rng, trials, real))
-
     tolerance = tol.rel_eps * (1.0 + bound)
-    if not rows:
-        return VerificationReport("bound_dominance", 0, 0.0, tolerance, True)
-    xs = np.vstack(rows)
-    attained = np.abs(xs @ (space.weights * np.conj(bb))) ** 2
-    violations = np.maximum(attained - bound, 0.0)
-    worst = int(np.argmax(violations))
+    blocks = []
+    if g.det > tol.dependence_eps * g.norm_a_sq * g.norm_b_sq:
+        blocks.append(core.extremizer(space, aa, bb, tol)[None, :])
+    rng = np.random.default_rng(seed)
+    samples = (_feasible_batch(space, aa, rng, n, real) for n in _block_rows(trials, space.dim))
+    count, worst, witness = 0, 0.0, None
+    for xs in itertools.chain(blocks, samples):
+        violations = np.maximum(np.abs(core._inner_rows(space.weights, xs, bb)) ** 2 - bound, 0.0)
+        k = int(np.argmax(violations))
+        if witness is None or violations[k] > worst:
+            worst, witness = violations[k], xs[k].copy()
+        count += len(xs)
     return VerificationReport(
         check_name="bound_dominance",
-        trials=xs.shape[0],
-        worst_violation=float(violations[worst]),
+        trials=count,
+        worst_violation=float(worst),
         tolerance=tolerance,
-        passed=bool(violations[worst] <= tolerance),
-        witness=xs[worst].copy(),
+        passed=bool(worst <= tolerance),
+        witness=witness,
+        bound=bound,
     )
 
 
@@ -189,20 +203,20 @@ def verify_min_norm(
     worst = max(res_orth, res_one, res_value)
     witness = x.copy()
 
-    if trials > 0:
-        rng = np.random.default_rng(seed)
-        # deflating b against a first keeps the two projections independent;
-        # projecting against raw b would undo part of the a projection
-        b_perp = core.project_out(space, bb, aa)
-        for _ in range(trials):
-            w = core.project_out(space, _draw(rng, space.dim, real), aa)
-            w = core.project_out(space, w, b_perp)
-            w = core.project_out(space, w, aa)
-            nw = core.norm_sq(space, w)
-            undercut = (nx - core.norm_sq(space, x + w)) / (1.0 + nx + nw)
-            if undercut > worst:
-                worst = undercut
-                witness = x + w
+    w = space.weights
+    rng = np.random.default_rng(seed)
+    # deflating b against a first keeps the two projections independent;
+    # projecting against raw b would undo part of the a projection
+    b_perp = core.project_out(space, bb, aa)
+    for n in _block_rows(trials, space.dim):
+        ws = _draw(rng, (n, space.dim), real)
+        for c in (aa, b_perp, aa):
+            ws = core._project_rows(w, ws, c)
+        competitors = x + ws
+        undercut = (nx - core._norm_sq_rows(w, competitors)) / (1.0 + nx + core._norm_sq_rows(w, ws))
+        k = int(np.argmax(undercut))
+        if undercut[k] > worst:
+            worst, witness = undercut[k], competitors[k].copy()
     return VerificationReport(
         check_name="min_norm_optimality",
         trials=trials + 1,
@@ -210,6 +224,7 @@ def verify_min_norm(
         tolerance=tol.rel_eps,
         passed=bool(worst <= tol.rel_eps),
         witness=witness,
+        value=value,
     )
 
 
@@ -232,32 +247,27 @@ def verify_deflated(
         return VerificationReport(
             "deflated_schwarz", 0, 0.0, tol.rel_eps, True, note="no trials requested"
         )
+    w = space.weights
     rng = np.random.default_rng(seed)
     worst = 0.0
     witness = None
-    for _ in range(trials):
-        z = _draw(rng, space.dim, real)
-        c = _draw(rng, space.dim, real)
-        for _ in range(_MAX_RETRIES):
-            if core.norm_sq(space, c) >= _DEGENERATE_NORM_SQ:
-                break
-            c = _draw(rng, space.dim, real)
-        else:
-            raise DegenerateSample("could not draw a usable c")
-        d = _draw(rng, space.dim, real)
-
-        lhs, rhs = core.deflated_schwarz(space, z, c, d)
-        v = max(rhs - lhs, 0.0) / (1.0 + lhs)
-        if v > worst:
-            worst, witness = v, z
-
+    for n in _block_rows(trials, space.dim):
+        z = _draw(rng, (n, space.dim), real)
+        c, _ = _usable_draws(space, rng, n, real)
+        d = _draw(rng, (n, space.dim), real)
+        lhs, rhs = core._deflated_schwarz_rows(w, z, c, d)
         # Equality case: z in span{c, component of d orthogonal to c}.
-        mu, beta = _draw(rng, 2, real)
-        z_eq = mu * c + beta * core.project_out(space, d, c)
-        lhs_e, rhs_e = core.deflated_schwarz(space, z_eq, c, d)
-        v = abs(lhs_e - rhs_e) / (10.0 * (1.0 + lhs_e))
-        if v > worst:
-            worst, witness = v, z_eq
+        mu_beta = _draw(rng, (n, 2), real)
+        z_eq = mu_beta[:, :1] * c + mu_beta[:, 1:] * core._project_rows(w, d, c)
+        lhs_e, rhs_e = core._deflated_schwarz_rows(w, z_eq, c, d)
+        # interleaved so that argmax meets the trials in the order they ran
+        v = np.stack(
+            (np.maximum(rhs - lhs, 0.0) / (1.0 + lhs), np.abs(lhs_e - rhs_e) / (10.0 * (1.0 + lhs_e))),
+            axis=1,
+        ).ravel()
+        k = int(np.argmax(v))
+        if v[k] > worst:
+            worst, witness = v[k], (z_eq if k % 2 else z)[k // 2].copy()
     return VerificationReport(
         check_name="deflated_schwarz",
         trials=trials,

@@ -215,6 +215,18 @@ def test_cmd_verify_corrupted_replay_exits_5(tmp_path, capsys):
     assert "mismatch" in err
 
 
+def test_cmd_verify_replay_of_older_format_exits_2(tmp_path, capsys):
+    inst = write_instance(tmp_path, DENSE_REAL)
+    _, out, _ = run(capsys, ["verify", inst, "--trials", "50"])
+    assert all(json.loads(ln)["harness_format"] == 2 for ln in out.splitlines())
+    replay = tmp_path / "replay.jsonl"
+    for older in (out.replace(', "harness_format": 2', ""), out.replace('"harness_format": 2', '"harness_format": 1')):
+        replay.write_text(older)
+        code, _, err = run(capsys, ["verify", inst, "--replay", str(replay)])
+        assert code == 2
+        assert "older sampler" in err and "regenerate" in err
+
+
 def test_cmd_verify_deterministic_output(tmp_path, capsys):
     inst = write_instance(tmp_path, DENSE_REAL)
     _, out1, _ = run(capsys, ["verify", inst, "--trials", "50"])

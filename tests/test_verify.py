@@ -3,6 +3,7 @@ import pytest
 
 from orthobound import (
     CHECK_ORDER,
+    DegenerateSample,
     Tolerances,
     ZeroVector,
     inner,
@@ -17,6 +18,7 @@ from orthobound import (
     verify_deflated,
     verify_min_norm,
 )
+from orthobound import core, verify
 
 TOL = Tolerances()
 
@@ -170,3 +172,104 @@ def test_verify_quadrature_bound_near_analytic():
     assert bound == pytest.approx(1.0 / 12.0, abs=2e-4)
     reports = verify_all(s, f, g, trials=100, seed=3, real=True)
     assert all(r.passed for r in reports)
+
+
+# --- blocked sampling ----------------------------------------------------------
+
+
+def _pair_1024():
+    from orthobound import trapezoid_rule
+
+    rng = np.random.default_rng(21)
+    a, b = (rng.standard_normal(1024) + 1j * rng.standard_normal(1024) for _ in range(2))
+    return trapezoid_rule(1024, 0.0, 1.0), a, b
+
+
+@pytest.mark.parametrize("trials", [130, 1])
+def test_blocked_checks_cover_every_trial(trials):
+    # at dim 1024 a block holds 64 rows: 130 trials run as 64 + 64 + 2
+    s, a, b = _pair_1024()
+    assert sum(verify._block_rows(trials, s.dim)) == trials
+    assert verify._block_rows(130, s.dim) == [64, 64, 2]
+    rep = verify_bound(s, a, b, trials=trials, seed=2)
+    assert rep.passed and rep.trials == trials + 1
+    rep = verify_min_norm(s, a, b, trials=trials, seed=3)
+    assert rep.passed and rep.trials == trials + 1
+    rep = verify_deflated(s, trials=trials, seed=4)
+    assert rep.passed and rep.trials == trials
+
+
+def test_blocked_checks_deterministic():
+    s, a, b = _pair_1024()
+    for run in (
+        lambda: verify_min_norm(s, a, b, trials=130, seed=8),
+        lambda: verify_deflated(s, trials=130, seed=8),
+    ):
+        r1, r2 = run(), run()
+        assert r1.worst_violation == r2.worst_violation
+        np.testing.assert_array_equal(r1.witness, r2.witness)
+
+
+def test_min_norm_check_finds_planted_undercut(monkeypatch):
+    """A 'solution' shifted by w0 orthogonal to a and b is feasible but not
+    optimal; the batched competitors must find an undercut, with the same
+    worst trial as a per-trial loop over the same draws built on the
+    summation oracle."""
+    from oracles import inner_by_summation, norm_sq_by_summation
+
+    s = make_dense(4)
+    a = np.array([1.0, 1.0, 1.0, 1.0], dtype=np.complex128)
+    b = np.array([1.0, 2.0, 3.0, 4.0], dtype=np.complex128)
+    w0 = 3.0 * np.array([1.0, -1.0, -1.0, 1.0])  # orthogonal to a and b
+    x_star, _ = min_norm_solution(s, a, b)
+    shifted = x_star + w0
+    value = norm_sq(s, shifted)
+    monkeypatch.setattr(core, "min_norm_solution", lambda *args, **kw: (shifted.copy(), value))
+
+    rep = verify_min_norm(s, a, b, trials=200, seed=5)
+    assert not rep.passed
+    assert norm_sq(s, rep.witness) < value
+
+    def project(z, c):
+        return z - inner_by_summation(s.weights, z, c) / norm_sq_by_summation(s.weights, c) * c
+
+    b_perp = project(b, a)
+    undercuts, competitors = [], []
+    for w in verify._draw(np.random.default_rng(5), (200, 4), False):
+        w = project(project(project(w, a), b_perp), a)
+        competitors.append(shifted + w)
+        undercuts.append(
+            (value - norm_sq_by_summation(s.weights, shifted + w))
+            / (1.0 + value + norm_sq_by_summation(s.weights, w))
+        )
+    k = int(np.argmax(undercuts))
+    assert rep.worst_violation == pytest.approx(undercuts[k], rel=1e-9)
+    np.testing.assert_allclose(rep.witness, competitors[k], rtol=1e-12, atol=1e-12)
+
+
+def test_row_kernels_match_summation_oracle():
+    from oracles import inner_by_summation, norm_sq_by_summation
+
+    rng = np.random.default_rng(31)
+    s = make_weighted(rng.uniform(0.5, 2.0, 6))
+    z, c, d = (rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6)) for _ in range(3))
+    lhs, rhs = core._deflated_schwarz_rows(s.weights, z, c, d)
+    projected = core._project_rows(s.weights, z, c)
+
+    def ip(u, v):
+        return inner_by_summation(s.weights, u, v)
+
+    for i in range(5):
+        nz, nc, nd = (norm_sq_by_summation(s.weights, u) for u in (z[i], c[i], d[i]))
+        ref_lhs = (nz * nc - abs(ip(z[i], c[i])) ** 2) * (nd * nc - abs(ip(d[i], c[i])) ** 2)
+        ref_rhs = abs(ip(z[i], d[i]) * nc - ip(z[i], c[i]) * ip(c[i], d[i])) ** 2
+        assert lhs[i] == pytest.approx(ref_lhs, rel=1e-12)
+        assert rhs[i] == pytest.approx(ref_rhs, rel=1e-12)
+        ref_proj = z[i] - ip(z[i], c[i]) / nc * c[i]
+        np.testing.assert_allclose(projected[i], ref_proj, rtol=1e-12, atol=1e-12)
+
+
+def test_sample_feasible_degenerate_space_raises():
+    # a-perp is {0} in dimension 1, so every draw projects to zero
+    with pytest.raises(DegenerateSample):
+        sample_feasible(make_dense(1), [1.0], seed=0)
