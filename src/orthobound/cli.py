@@ -35,10 +35,6 @@ from . import core, verify
 from .errors import DependentVectors, OrthoboundError, ZeroVector
 from .spaces import SpaceDescriptor, make_dense, make_weighted
 
-DEFAULT_TRIALS = 1000
-DEFAULT_SEED = 1
-DEFAULT_TOL = 1e-9
-
 
 class InstanceError(OrthoboundError):
     """Instance file failed to parse or validate; names the offending field."""
@@ -178,7 +174,7 @@ def _emit_vector(x: np.ndarray, real_mode: bool):
 def cmd_bound(args) -> int:
     space, a, b, real_mode = load_instance(args.instance)
     g = core.gram2(space, a, b)
-    bound = core.ostrowski_bound(space, a, b)
+    bound = core._bound(g)
     gram = {
         "norm_a_sq": g.norm_a_sq,
         "norm_b_sq": g.norm_b_sq,
@@ -191,17 +187,17 @@ def cmd_bound(args) -> int:
 
 def cmd_extremize(args) -> int:
     space, a, b, real_mode = load_instance(args.instance)
-    x = core.extremizer(space, a, b)
-    bound = core.ostrowski_bound(space, a, b)
-    attained = abs(core.inner(space, x, b)) ** 2
+    a, b, g = core._pair(space, a, b)
+    x = core._extremizer(a, b, g, core.DEFAULT_TOL)
+    w = space.weights
     print(
         dumps_stable(
             {
                 "x": _emit_vector(x, real_mode),
-                "attained": attained,
-                "bound": bound,
-                "residual_orth": abs(core.inner(space, x, a)),
-                "residual_norm": abs(np.sqrt(core.norm_sq(space, x)) - 1.0),
+                "attained": abs(complex(core._inner_rows(w, x, b))) ** 2,
+                "bound": core._bound(g),
+                "residual_orth": abs(complex(core._inner_rows(w, x, a))),
+                "residual_norm": abs(np.sqrt(float(core._norm_sq_rows(w, x))) - 1.0),
             }
         )
     )
@@ -210,14 +206,16 @@ def cmd_extremize(args) -> int:
 
 def cmd_minnorm(args) -> int:
     space, a, b, real_mode = load_instance(args.instance)
-    x, value = core.min_norm_solution(space, a, b)
+    a, b, g = core._pair(space, a, b)
+    x, value = core._min_norm(a, b, g, core.DEFAULT_TOL)
+    w = space.weights
     print(
         dumps_stable(
             {
                 "x": _emit_vector(x, real_mode),
                 "value": value,
-                "residual_orth": abs(core.inner(space, x, a)),
-                "residual_one": abs(core.inner(space, x, b) - 1.0),
+                "residual_orth": abs(complex(core._inner_rows(w, x, a))),
+                "residual_one": abs(complex(core._inner_rows(w, x, b)) - 1.0),
             }
         )
     )
@@ -315,9 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("instance", help="path to the instance JSON file")
         p.add_argument("--quiet", action="store_true", help="suppress stderr diagnostics")
         if name == "verify":
-            p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-            p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+            p.add_argument("--trials", type=int, default=verify.DEFAULT_TRIALS)
+            p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+            p.add_argument("--tol", type=float, default=core.DEFAULT_TOL.rel_eps)
             p.add_argument("--replay", default=None, help="previous verify output to re-check")
         p.set_defaults(fn=fn)
     return parser
@@ -338,9 +336,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         return args.fn(args)
-    except InstanceError as exc:
-        diag(f"input error: {exc}")
-        return 2
     except ZeroVector as exc:
         diag(str(exc))
         return 3

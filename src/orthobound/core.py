@@ -86,20 +86,78 @@ def _norm_sq_rows(w: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.sum(w * np.abs(u) ** 2, axis=-1)
 
 
-def _project_rows(w: np.ndarray, z: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Rows of z minus their components along c (one vector, or one per row)."""
-    coef = _inner_rows(w, z, c) / _norm_sq_rows(w, c)
+def _project_rows(w: np.ndarray, z: np.ndarray, c: np.ndarray, nc=None) -> np.ndarray:
+    """Rows of z minus their components along c (one vector, or one per row);
+    nc, when given, holds the squared norm(s) of c."""
+    if nc is None:
+        nc = _norm_sq_rows(w, c)
+    coef = _inner_rows(w, z, c) / nc
     return z - coef[..., None] * c
 
 
 def _deflated_schwarz_rows(w, z, c, d) -> Tuple[np.ndarray, np.ndarray]:
     """Row-wise (lhs, rhs) of the deflated Schwarz inequality; see deflated_schwarz."""
     nc = _norm_sq_rows(w, c)
-    izc = _inner_rows(w, z, c)
-    idc = _inner_rows(w, d, c)
-    lhs = (_norm_sq_rows(w, z) * nc - np.abs(izc) ** 2) * (_norm_sq_rows(w, d) * nc - np.abs(idc) ** 2)
-    rhs = np.abs(_inner_rows(w, z, d) * nc - izc * np.conj(idc)) ** 2
-    return lhs, rhs
+    return _deflated_sides(w, _project_rows(w, z, c, nc), _project_rows(w, d, c, nc), nc)
+
+
+def _deflated_sides(w, zp, dp, nc) -> Tuple[np.ndarray, np.ndarray]:
+    """(lhs, rhs) from the components zp, dp of z and d orthogonal to c and
+    the squared norm(s) nc of c."""
+    nc2 = nc * nc
+    return nc2 * _norm_sq_rows(w, zp) * _norm_sq_rows(w, dp), nc2 * np.abs(_inner_rows(w, zp, dp)) ** 2
+
+
+def _gram(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> GramSummary:
+    """Gram data of validated vectors, with det clamped at 0."""
+    na = float(_norm_sq_rows(w, a))
+    nb = float(_norm_sq_rows(w, b))
+    iab = complex(_inner_rows(w, a, b))
+    return GramSummary(na, nb, iab, max(na * nb - abs(iab) ** 2, 0.0))
+
+
+def _pair(space: SpaceDescriptor, a, b) -> Tuple[np.ndarray, np.ndarray, GramSummary]:
+    """Validate a and b once each and build their Gram data."""
+    aa = as_vector(space, a, "a")
+    bb = as_vector(space, b, "b")
+    return aa, bb, _gram(space.weights, aa, bb)
+
+
+def _require_nonzero(nsq, name: str) -> None:
+    if nsq == 0.0:
+        raise ZeroVector(f"zero vector {name}")
+
+
+def _dependent(g: GramSummary, tol: Tolerances) -> bool:
+    """The dependence rule: det at or below dependence_eps * ||a||^2 ||b||^2."""
+    return g.det <= tol.dependence_eps * g.norm_a_sq * g.norm_b_sq
+
+
+def _require_independent(g: GramSummary, tol: Tolerances) -> None:
+    _require_nonzero(g.norm_a_sq, "a")
+    if _dependent(g, tol):
+        raise DependentVectors(
+            "a and b are numerically linearly dependent "
+            f"(det={g.det:.3e}, threshold={tol.dependence_eps:.1e} * ||a||^2 ||b||^2)"
+        )
+
+
+def _bound(g: GramSummary) -> float:
+    _require_nonzero(g.norm_a_sq, "a")
+    return g.det / g.norm_a_sq
+
+
+def _extremizer(a: np.ndarray, b: np.ndarray, g: GramSummary, tol: Tolerances) -> np.ndarray:
+    _require_independent(g, tol)
+    resid = b - (np.conj(g.inner_ab) / g.norm_a_sq) * a
+    nu = np.sqrt(g.norm_a_sq / g.det)
+    return nu * resid
+
+
+def _min_norm(a: np.ndarray, b: np.ndarray, g: GramSummary, tol: Tolerances) -> Tuple[np.ndarray, float]:
+    _require_independent(g, tol)
+    x = (g.norm_a_sq * b - np.conj(g.inner_ab) * a) / g.det
+    return x, g.norm_a_sq / g.det
 
 
 def inner(space: SpaceDescriptor, u, v) -> complex:
@@ -116,37 +174,19 @@ def norm_sq(space: SpaceDescriptor, u) -> float:
 
 def gram2(space: SpaceDescriptor, a, b) -> GramSummary:
     """Gram data of the pair (a, b)."""
-    na = norm_sq(space, a)
-    nb = norm_sq(space, b)
-    iab = inner(space, a, b)
-    det = na * nb - abs(iab) ** 2
-    if det < 0.0:
-        det = 0.0
-    return GramSummary(na, nb, iab, det)
+    return _pair(space, a, b)[2]
 
 
 def schwarz_gap(space: SpaceDescriptor, u, v) -> float:
     """||u||^2 ||v||^2 - |<u,v>|^2, the Gram determinant of gram2 (so clamped
     at 0 when rounding or underflow drives it negative); zero iff u and v are
     proportional."""
-    return gram2(space, u, v).det
+    return _gram(space.weights, as_vector(space, u, "u"), as_vector(space, v, "v")).det
 
 
 def ostrowski_bound(space: SpaceDescriptor, a, b) -> float:
     """Supremum of |<x,b>|^2 over unit x with <x,a> = 0."""
-    g = gram2(space, a, b)
-    if g.norm_a_sq == 0.0:
-        raise ZeroVector("zero vector a")
-    return g.det / g.norm_a_sq
-
-def _require_independent(g: GramSummary, tol: Tolerances) -> None:
-    if g.norm_a_sq == 0.0:
-        raise ZeroVector("zero vector a")
-    if g.det <= tol.dependence_eps * g.norm_a_sq * g.norm_b_sq:
-        raise DependentVectors(
-            "a and b are numerically linearly dependent "
-            f"(det={g.det:.3e}, threshold={tol.dependence_eps:.1e} * ||a||^2 ||b||^2)"
-        )
+    return _bound(_pair(space, a, b)[2])
 
 
 def extremizer(space: SpaceDescriptor, a, b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -156,13 +196,7 @@ def extremizer(space: SpaceDescriptor, a, b, tol: Tolerances = DEFAULT_TOL) -> n
     ``nu = ||a|| / sqrt(det)`` taken real and positive, which makes the
     output deterministic (any unit-modulus rotation is equally extremal).
     """
-    aa = as_vector(space, a, "a")
-    bb = as_vector(space, b, "b")
-    g = gram2(space, aa, bb)
-    _require_independent(g, tol)
-    resid = bb - (np.conj(g.inner_ab) / g.norm_a_sq) * aa
-    nu = np.sqrt(g.norm_a_sq / g.det)
-    return nu * resid
+    return _extremizer(*_pair(space, a, b), tol)
 
 
 def min_norm_solution(
@@ -174,21 +208,16 @@ def min_norm_solution(
     value ``||a||^2 / det``; both constraints hold by direct expansion of
     the Gram data, over the reals and the complexes alike.
     """
-    aa = as_vector(space, a, "a")
-    bb = as_vector(space, b, "b")
-    g = gram2(space, aa, bb)
-    _require_independent(g, tol)
-    x = (g.norm_a_sq * bb - np.conj(g.inner_ab) * aa) / g.det
-    return x, g.norm_a_sq / g.det
+    return _min_norm(*_pair(space, a, b), tol)
 
 
 def project_out(space: SpaceDescriptor, z, c) -> np.ndarray:
     """Component of z orthogonal to c: ``z - (<z,c> / ||c||^2) * c``."""
     zz = as_vector(space, z, "z")
     cc = as_vector(space, c, "c")
-    if norm_sq(space, cc) == 0.0:
-        raise ZeroVector("zero vector c")
-    return _project_rows(space.weights, zz, cc)
+    nc = _norm_sq_rows(space.weights, cc)
+    _require_nonzero(nc, "c")
+    return _project_rows(space.weights, zz, cc, nc)
 
 
 def deflated_schwarz(space: SpaceDescriptor, z, c, d) -> Tuple[float, float]:
@@ -198,12 +227,13 @@ def deflated_schwarz(space: SpaceDescriptor, z, c, d) -> Tuple[float, float]:
     ``lhs = (||z||^2 ||c||^2 - |<z,c>|^2) * (||d||^2 ||c||^2 - |<d,c>|^2)``
     and ``rhs = |<z,d> ||c||^2 - <z,c> <c,d>|^2``.  The contract is
     ``lhs >= rhs`` up to rounding; equality holds when z is a combination
-    of c and the component of d orthogonal to c.
+    of c and the component of d orthogonal to c.  Both sides are computed
+    as ``||c||^4 ||z'||^2 ||d'||^2`` and ``||c||^4 |<z',d'>|^2`` on the
+    components z', d' of z and d orthogonal to c, which avoids cancellation.
     """
     zz = as_vector(space, z, "z")
     cc = as_vector(space, c, "c")
     dd = as_vector(space, d, "d")
-    if norm_sq(space, cc) == 0.0:
-        raise ZeroVector("zero vector c")
+    _require_nonzero(_norm_sq_rows(space.weights, cc), "c")
     lhs, rhs = _deflated_schwarz_rows(space.weights, zz, cc, dd)
     return float(lhs), float(rhs)

@@ -49,9 +49,9 @@ class SpaceDescriptor:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 1 or w.size < 1:
             raise InvalidDimension("weights must be a nonempty 1-D array")
-        for i, wi in enumerate(w):
-            if not np.isfinite(wi) or wi <= 0.0:
-                raise NonPositiveWeight(i, float(wi))
+        bad = np.flatnonzero(~(np.isfinite(w) & (w > 0.0)))
+        if bad.size:
+            raise NonPositiveWeight(int(bad[0]), float(w[bad[0]]))
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         if self.kind == QUADRATURE:
@@ -83,10 +83,7 @@ def make_dense(dim: int) -> SpaceDescriptor:
 
 def make_weighted(weights) -> SpaceDescriptor:
     """Coordinate space with the given strictly positive weights."""
-    w = np.atleast_1d(np.asarray(weights, dtype=np.float64))
-    if w.size == 0:
-        raise InvalidDimension("weights must be nonempty")
-    return SpaceDescriptor(WEIGHTED, w)
+    return SpaceDescriptor(WEIGHTED, np.atleast_1d(np.asarray(weights, dtype=np.float64)))
 
 
 def trapezoid_rule(n: int, lo: float, hi: float) -> SpaceDescriptor:

@@ -17,8 +17,12 @@ import numpy as np
 
 from . import core
 from .core import DEFAULT_TOL, Tolerances
-from .errors import DegenerateSample, DependentVectors, ZeroVector
+from .errors import DegenerateSample
 from .spaces import SpaceDescriptor
+
+# Defaults of verify_all, which the `verify` subcommand shares.
+DEFAULT_TRIALS = 1000
+DEFAULT_SEED = 1
 
 # Squared-norm floor below which a projected draw counts as degenerate.
 _DEGENERATE_NORM_SQ = 1e-20
@@ -71,6 +75,15 @@ class VerificationReport:
         if self.value is not None:
             d["value"] = self.value
         return d
+
+
+def _report(check: str, trials: int, worst, tolerance: float, **fields) -> VerificationReport:
+    """Report of a check that passes when its worst scaled violation is within tolerance."""
+    return VerificationReport(check, trials, float(worst), tolerance, bool(worst <= tolerance), **fields)
+
+
+def _skipped(check: str, tol: Tolerances, note: str) -> VerificationReport:
+    return VerificationReport(check, 0, 0.0, tol.rel_eps, True, skipped=True, note=note)
 
 
 def _draw(rng: np.random.Generator, shape, real: bool) -> np.ndarray:
@@ -126,8 +139,7 @@ def sample_feasible(
     the projection lands too close to zero, up to a fixed retry cap.
     """
     aa = core.as_vector(space, a, "a")
-    if core.norm_sq(space, aa) == 0.0:
-        raise ZeroVector("zero vector a")
+    core._require_nonzero(core._norm_sq_rows(space.weights, aa), "a")
     return _feasible_batch(space, aa, np.random.default_rng(seed), 1, real)[0]
 
 
@@ -137,7 +149,7 @@ def verify_bound(
     b,
     trials: int,
     tol: Tolerances = DEFAULT_TOL,
-    seed: int = 1,
+    seed: int = DEFAULT_SEED,
     real: bool = False,
 ) -> VerificationReport:
     """Check |<x,b>|^2 <= bound over random feasible x.
@@ -145,15 +157,16 @@ def verify_bound(
     The extremizer, when it exists, is evaluated as trial 0 so attainment
     is witnessed alongside dominance.
     """
-    aa = core.as_vector(space, a, "a")
-    bb = core.as_vector(space, b, "b")
-    bound = core.ostrowski_bound(space, aa, bb)
-    g = core.gram2(space, aa, bb)
+    return _verify_bound(space, core._pair(space, a, b), trials, tol, seed, real)
 
+
+def _verify_bound(space, pair, trials, tol, seed, real) -> VerificationReport:
+    aa, bb, g = pair
+    bound = core._bound(g)
     tolerance = tol.rel_eps * (1.0 + bound)
     blocks = []
-    if g.det > tol.dependence_eps * g.norm_a_sq * g.norm_b_sq:
-        blocks.append(core.extremizer(space, aa, bb, tol)[None, :])
+    if not core._dependent(g, tol):
+        blocks.append(core._extremizer(aa, bb, g, tol)[None, :])
     rng = np.random.default_rng(seed)
     samples = (_feasible_batch(space, aa, rng, n, real) for n in _block_rows(trials, space.dim))
     count, worst, witness = 0, 0.0, None
@@ -163,15 +176,7 @@ def verify_bound(
         if witness is None or violations[k] > worst:
             worst, witness = violations[k], xs[k].copy()
         count += len(xs)
-    return VerificationReport(
-        check_name="bound_dominance",
-        trials=count,
-        worst_violation=float(worst),
-        tolerance=tolerance,
-        passed=bool(worst <= tolerance),
-        witness=witness,
-        bound=bound,
-    )
+    return _report("bound_dominance", count, worst, tolerance, witness=witness, bound=bound)
 
 
 def verify_min_norm(
@@ -180,7 +185,7 @@ def verify_min_norm(
     b,
     trials: int,
     tol: Tolerances = DEFAULT_TOL,
-    seed: int = 1,
+    seed: int = DEFAULT_SEED,
     real: bool = False,
 ) -> VerificationReport:
     """Check the min-norm solution's constraints and its optimality.
@@ -190,24 +195,27 @@ def verify_min_norm(
     rounding; x* + w stays feasible, so no competitor may have smaller
     squared norm beyond rounding slack.
     """
-    aa = core.as_vector(space, a, "a")
-    bb = core.as_vector(space, b, "b")
-    x, value = core.min_norm_solution(space, aa, bb, tol)
-    na = core.norm_sq(space, aa)
-    nb = core.norm_sq(space, bb)
-    nx = core.norm_sq(space, x)
+    return _verify_min_norm(space, core._pair(space, a, b), trials, tol, seed, real)
 
-    res_orth = abs(core.inner(space, x, aa)) / (1.0 + np.sqrt(nx * na))
-    res_one = abs(core.inner(space, x, bb) - 1.0) / (1.0 + np.sqrt(nx * nb))
+
+def _verify_min_norm(space, pair, trials, tol, seed, real) -> VerificationReport:
+    aa, bb, g = pair
+    # the public solver is what this check verifies, so it is called as such
+    x, value = core.min_norm_solution(space, aa, bb, tol)
+    w = space.weights
+    na, nb = g.norm_a_sq, g.norm_b_sq
+    nx = float(core._norm_sq_rows(w, x))
+
+    res_orth = abs(complex(core._inner_rows(w, x, aa))) / (1.0 + np.sqrt(nx * na))
+    res_one = abs(complex(core._inner_rows(w, x, bb)) - 1.0) / (1.0 + np.sqrt(nx * nb))
     res_value = abs(nx - value) / (1.0 + value)
     worst = max(res_orth, res_one, res_value)
     witness = x.copy()
 
-    w = space.weights
     rng = np.random.default_rng(seed)
     # deflating b against a first keeps the two projections independent;
     # projecting against raw b would undo part of the a projection
-    b_perp = core.project_out(space, bb, aa)
+    b_perp = core._project_rows(w, bb, aa)
     for n in _block_rows(trials, space.dim):
         ws = _draw(rng, (n, space.dim), real)
         for c in (aa, b_perp, aa):
@@ -217,22 +225,14 @@ def verify_min_norm(
         k = int(np.argmax(undercut))
         if undercut[k] > worst:
             worst, witness = undercut[k], competitors[k].copy()
-    return VerificationReport(
-        check_name="min_norm_optimality",
-        trials=trials + 1,
-        worst_violation=float(worst),
-        tolerance=tol.rel_eps,
-        passed=bool(worst <= tol.rel_eps),
-        witness=witness,
-        value=value,
-    )
+    return _report("min_norm_optimality", trials + 1, worst, tol.rel_eps, witness=witness, value=value)
 
 
 def verify_deflated(
     space: SpaceDescriptor,
     trials: int,
     tol: Tolerances = DEFAULT_TOL,
-    seed: int = 1,
+    seed: int = DEFAULT_SEED,
     real: bool = False,
 ) -> VerificationReport:
     """Check the deflated Schwarz inequality and its equality case.
@@ -244,22 +244,21 @@ def verify_deflated(
     report figure at 1/10 weight to keep one tolerance.
     """
     if trials <= 0:
-        return VerificationReport(
-            "deflated_schwarz", 0, 0.0, tol.rel_eps, True, note="no trials requested"
-        )
+        return _report("deflated_schwarz", 0, 0.0, tol.rel_eps, note="no trials requested")
     w = space.weights
     rng = np.random.default_rng(seed)
     worst = 0.0
     witness = None
     for n in _block_rows(trials, space.dim):
         z = _draw(rng, (n, space.dim), real)
-        c, _ = _usable_draws(space, rng, n, real)
+        c, nc = _usable_draws(space, rng, n, real)
         d = _draw(rng, (n, space.dim), real)
-        lhs, rhs = core._deflated_schwarz_rows(w, z, c, d)
         # Equality case: z in span{c, component of d orthogonal to c}.
         mu_beta = _draw(rng, (n, 2), real)
-        z_eq = mu_beta[:, :1] * c + mu_beta[:, 1:] * core._project_rows(w, d, c)
-        lhs_e, rhs_e = core._deflated_schwarz_rows(w, z_eq, c, d)
+        d_perp = core._project_rows(w, d, c, nc)
+        z_eq = mu_beta[:, :1] * c + mu_beta[:, 1:] * d_perp
+        lhs, rhs = core._deflated_sides(w, core._project_rows(w, z, c, nc), d_perp, nc)
+        lhs_e, rhs_e = core._deflated_sides(w, core._project_rows(w, z_eq, c, nc), d_perp, nc)
         # interleaved so that argmax meets the trials in the order they ran
         v = np.stack(
             (np.maximum(rhs - lhs, 0.0) / (1.0 + lhs), np.abs(lhs_e - rhs_e) / (10.0 * (1.0 + lhs_e))),
@@ -268,87 +267,60 @@ def verify_deflated(
         k = int(np.argmax(v))
         if v[k] > worst:
             worst, witness = v[k], (z_eq if k % 2 else z)[k // 2].copy()
-    return VerificationReport(
-        check_name="deflated_schwarz",
-        trials=trials,
-        worst_violation=float(worst),
-        tolerance=tol.rel_eps,
-        passed=bool(worst <= tol.rel_eps),
-        witness=witness,
+    return _report(
+        "deflated_schwarz", trials, worst, tol.rel_eps, witness=witness,
         note="equality-case slack is 10x rel_eps, folded in at 1/10 weight",
     )
 
 
-def _verify_scale_covariance(space, a, b, tol: Tolerances, real: bool) -> VerificationReport:
+def _verify_scale_covariance(space, pair, tol: Tolerances, real: bool) -> VerificationReport:
     """bound(s*a, b) = bound(a, b) and bound(a, t*b) = |t|^2 bound(a, b)."""
-    bound = core.ostrowski_bound(space, a, b)
+    aa, bb, g = pair
+    bound = core._bound(g)
     scalars = [2.0, -3.0, 0.5]
     if not real:
         scalars += [1j, 1.0 + 2.0j]
     worst = 0.0
-    witness = core.as_vector(space, a, "a")
+    witness = aa
     # determinant rounding scales with ||a||^2 ||b||^2, so the bound's
     # rounding scales with ||b||^2 even when the bound itself is tiny
-    scale = 1.0 + bound + core.norm_sq(space, b)
+    scale = 1.0 + bound + g.norm_b_sq
     for s in scalars:
-        va = abs(core.ostrowski_bound(space, s * np.asarray(a, dtype=np.complex128), b) - bound)
-        vb = abs(
-            core.ostrowski_bound(space, a, s * np.asarray(b, dtype=np.complex128))
-            - abs(s) ** 2 * bound
-        )
+        # a scaled copy can overflow; as_vector reports that as NonFiniteInput
+        sa = core.as_vector(space, s * aa, "a")
+        va = abs(core._bound(core._gram(space.weights, sa, bb)) - bound)
+        sb = core.as_vector(space, s * bb, "b")
+        vb = abs(core._bound(core._gram(space.weights, aa, sb)) - abs(s) ** 2 * bound)
         v = max(va, vb / (abs(s) ** 2)) / scale
         if v > worst:
             worst = v
-            witness = s * np.asarray(a, dtype=np.complex128)
-    return VerificationReport(
-        check_name="scale_covariance",
-        trials=len(scalars),
-        worst_violation=float(worst),
-        tolerance=tol.rel_eps,
-        passed=bool(worst <= tol.rel_eps),
-        witness=witness,
-    )
+            witness = sa
+    return _report("scale_covariance", len(scalars), worst, tol.rel_eps, witness=witness)
 
 
-def _verify_real_consistency(space, a, b, tol: Tolerances) -> VerificationReport:
+def _verify_real_consistency(space, pair, tol: Tolerances) -> VerificationReport:
     """On real inputs the extremizer must equal the explicit real formula
     (b_k ||a||^2 - a_k <a,b>) / (||a|| sqrt(det)) with the + sign."""
-    aa = core.as_vector(space, a, "a")
-    bb = core.as_vector(space, b, "b")
+    aa, bb, g = pair
     if np.max(np.abs(aa.imag)) != 0.0 or np.max(np.abs(bb.imag)) != 0.0:
-        return VerificationReport(
-            "real_consistency", 0, 0.0, tol.rel_eps, True,
-            skipped=True, note="complex inputs",
-        )
-    g = core.gram2(space, aa, bb)
-    try:
-        x = core.extremizer(space, aa, bb, tol)
-    except DependentVectors:
-        return VerificationReport(
-            "real_consistency", 0, 0.0, tol.rel_eps, True,
-            skipped=True, note="dependent vectors",
-        )
+        return _skipped("real_consistency", tol, "complex inputs")
+    if core._dependent(g, tol):
+        return _skipped("real_consistency", tol, "dependent vectors")
+    x = core._extremizer(aa, bb, g, tol)
     explicit = (bb.real * g.norm_a_sq - aa.real * g.inner_ab.real) / (
         np.sqrt(g.norm_a_sq) * np.sqrt(g.det)
     )
-    worst = float(np.max(np.abs(x - explicit)) / (1.0 + np.max(np.abs(explicit))))
-    return VerificationReport(
-        check_name="real_consistency",
-        trials=1,
-        worst_violation=worst,
-        tolerance=tol.rel_eps,
-        passed=bool(worst <= tol.rel_eps),
-        witness=x,
-    )
+    worst = np.max(np.abs(x - explicit)) / (1.0 + np.max(np.abs(explicit)))
+    return _report("real_consistency", 1, worst, tol.rel_eps, witness=x)
 
 
 def verify_all(
     space: SpaceDescriptor,
     a,
     b,
-    trials: int = 1000,
+    trials: int = DEFAULT_TRIALS,
     tol: Tolerances = DEFAULT_TOL,
-    seed: int = 1,
+    seed: int = DEFAULT_SEED,
     real: bool = False,
 ) -> List[VerificationReport]:
     """Run every check, in the fixed order given by CHECK_ORDER.
@@ -357,17 +329,13 @@ def verify_all(
     problem, complex inputs for the real-consistency check) come back as
     skipped entries rather than errors.
     """
-    reports = [verify_bound(space, a, b, trials, tol, seed, real)]
-    try:
-        reports.append(verify_min_norm(space, a, b, trials, tol, seed + 1, real))
-    except DependentVectors:
-        reports.append(
-            VerificationReport(
-                "min_norm_optimality", 0, 0.0, tol.rel_eps, True,
-                skipped=True, note="dependent vectors",
-            )
-        )
+    pair = core._pair(space, a, b)
+    reports = [_verify_bound(space, pair, trials, tol, seed, real)]
+    if core._dependent(pair[2], tol):
+        reports.append(_skipped("min_norm_optimality", tol, "dependent vectors"))
+    else:
+        reports.append(_verify_min_norm(space, pair, trials, tol, seed + 1, real))
     reports.append(verify_deflated(space, trials, tol, seed + 2, real))
-    reports.append(_verify_scale_covariance(space, a, b, tol, real))
-    reports.append(_verify_real_consistency(space, a, b, tol))
+    reports.append(_verify_scale_covariance(space, pair, tol, real))
+    reports.append(_verify_real_consistency(space, pair, tol))
     return reports

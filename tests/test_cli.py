@@ -232,3 +232,44 @@ def test_cmd_verify_deterministic_output(tmp_path, capsys):
     _, out1, _ = run(capsys, ["verify", inst, "--trials", "50"])
     _, out2, _ = run(capsys, ["verify", inst, "--trials", "50"])
     assert out1 == out2
+
+
+WEIGHTED_COMPLEX = {
+    "space": {"kind": "weighted", "weights": [0.5, 2.0, 1.25, 3.0]},
+    "a": [[1, -0.5], [0.25, 2], [-1.5, 0], [0.75, 0.5]],
+    "b": [[2, 1], [-0.5, 0.25], [1, -1], [0.125, 3]],
+    "mode": "complex",
+}
+
+# Exact stdout of the pair subcommands, pinned so that a refactor cannot
+# change a digit unnoticed.
+GOLDEN_STDOUT = {
+    ("dense_real", "bound"):
+        '{"bound": 2, "gram": {"norm_a_sq": 3, "norm_b_sq": 14, "inner_ab": 6, "det": 6}}\n',
+    ("dense_real", "extremize"):
+        '{"x": [-0.70710678118654757, 0, 0.70710678118654757], "attained": 2.0000000000000009, '
+        '"bound": 2, "residual_orth": 0, "residual_norm": 0}\n',
+    ("dense_real", "minnorm"):
+        '{"x": [-0.5, 0, 0.5], "value": 0.5, "residual_orth": 0, "residual_one": 0}\n',
+    ("weighted_complex", "bound"):
+        '{"bound": 21.735700334821427, "gram": {"norm_a_sq": 13.999999999999998, '
+        '"norm_b_sq": 32.671875, "inner_ab": [4.40625, -11.5625], "det": 304.29980468749994}}\n',
+    ("weighted_complex", "extremize"):
+        '{"x": [[0.27290407632647057, 0.071098693569264682], [0.23017304332272059, -0.12567950883455883], '
+        '[0.31575480410053924, 0.051229361696372572], [0.064754870742377443, 0.47686396494941174]], '
+        '"attained": 21.735700334821431, "bound": 21.735700334821427, '
+        '"residual_orth": 2.4825341532472731e-16, "residual_norm": 0}\n',
+    ("weighted_complex", "minnorm"):
+        '{"x": [[0.058536021796966008, 0.015250174099735879], [0.049370513120862131, -0.02695737845912909], '
+        '[0.067727204166840513, 0.010988340933816435], [0.01388946832989413, 0.10228399598206692]], '
+        '"value": 0.046007259236913636, "residual_orth": 1.3877787807814457e-16, '
+        '"residual_one": 2.2221394694025363e-16}\n',
+}
+
+
+@pytest.mark.parametrize("instance, command", sorted(GOLDEN_STDOUT))
+def test_pair_subcommands_golden_stdout(tmp_path, capsys, instance, command):
+    doc = {"dense_real": DENSE_REAL, "weighted_complex": WEIGHTED_COMPLEX}[instance]
+    code, out, _ = run(capsys, [command, write_instance(tmp_path, doc)])
+    assert code == 0
+    assert out == GOLDEN_STDOUT[instance, command]

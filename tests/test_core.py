@@ -292,3 +292,23 @@ def test_deflated_schwarz_random_inequality():
         z, c, d = (rng.standard_normal(6) + 1j * rng.standard_normal(6) for _ in range(3))
         lhs, rhs = deflated_schwarz(s, z, c, d)
         assert lhs >= rhs - 1e-9 * (1 + lhs)
+
+
+def test_deflated_schwarz_equality_nearly_parallel_to_c():
+    # z = mu*c + 2e-4*mu*d_perp: the expanded ||z||^2||c||^2 - |<z,c>|^2
+    # cancels here, the deflated form does not
+    rng = np.random.default_rng(2024)
+    for _ in range(2000):
+        s = make_weighted(rng.uniform(0.5, 2.0, 16))
+        c, d = (rng.standard_normal(16) + 1j * rng.standard_normal(16) for _ in range(2))
+        mu = complex(rng.standard_normal(), rng.standard_normal())
+        z = mu * c + 2e-4 * mu * project_out(s, d, c)
+        lhs, rhs = deflated_schwarz(s, z, c, d)
+        assert abs(lhs - rhs) <= 1e-12 * lhs
+
+
+@pytest.mark.parametrize("fn", [gram2, ostrowski_bound, extremizer, min_norm_solution])
+def test_pair_entry_points_validate_each_argument_once(fn, as_vector_calls):
+    s = make_weighted([1.0, 2.0, 0.5])
+    fn(s, [1, 2, 3], [1, -1, 2j])
+    assert as_vector_calls == ["a", "b"]

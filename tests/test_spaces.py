@@ -55,6 +55,13 @@ def test_make_weighted_rejects_nan():
         make_weighted([1.0, float("nan")])
 
 
+def test_make_weighted_reports_first_bad_weight():
+    # NaN fails the positivity test too, so it is reported before a later negative
+    with pytest.raises(NonPositiveWeight) as exc:
+        make_weighted([1.0, float("nan"), -1.0])
+    assert exc.value.index == 1 and np.isnan(exc.value.value)
+
+
 def test_make_weighted_tiny_weight_accepted():
     # valid but a conditioning hazard; see README
     s = make_weighted([1e-300, 1.0])

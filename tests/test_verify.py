@@ -273,3 +273,12 @@ def test_sample_feasible_degenerate_space_raises():
     # a-perp is {0} in dimension 1, so every draw projects to zero
     with pytest.raises(DegenerateSample):
         sample_feasible(make_dense(1), [1.0], seed=0)
+
+
+def test_verify_all_validates_few_times(as_vector_calls):
+    s = make_weighted([1.0, 2.0, 0.5, 3.0])
+    verify_all(s, [1, 2, 3, 4], [1, -1, 2, 0.5j], trials=50)
+    # a and b once at the boundary, once more by the public min-norm solver
+    # under test, and once for each of the 2 x 5 scaled copies of the
+    # scale-covariance check (a scaled copy can overflow)
+    assert len(as_vector_calls) <= 14
