@@ -25,6 +25,7 @@ from .errors import (
     DegenerateSample,
     DependentVectors,
     DimensionMismatch,
+    GramOverflow,
     InvalidDimension,
     InvalidInterval,
     NonFiniteInput,
@@ -57,6 +58,7 @@ __all__ = [
     "DegenerateSample",
     "DependentVectors",
     "DimensionMismatch",
+    "GramOverflow",
     "GramSummary",
     "InvalidDimension",
     "InvalidInterval",

@@ -17,12 +17,13 @@ inequality and zero exactly when a and b are proportional.  From it come:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from .errors import DependentVectors, DimensionMismatch, NonFiniteInput, ZeroVector
+from .errors import DependentVectors, DimensionMismatch, GramOverflow, NonFiniteInput, ZeroVector
 from .spaces import SpaceDescriptor
 
 
@@ -76,44 +77,69 @@ def as_vector(space: SpaceDescriptor, u, name: str = "vector") -> np.ndarray:
     return v
 
 
-def _inner_rows(w: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise <u_i, v_i> over the last axis; a 1-D operand broadcasts."""
-    return np.sum(w * u * np.conj(v), axis=-1)
+def _inner_rows(w: np.ndarray, u: np.ndarray, v: np.ndarray, t=None, cv=None) -> np.ndarray:
+    """Row-wise <u_i, v_i> over the last axis; v may be one vector for all rows.
+    t and cv, buffers shaped like u, take the products and conj(v) when given."""
+    t = np.multiply(w, u, out=t)
+    # numpy multiplies one complex element in place without FMA, so a lone
+    # product goes to a fresh array to keep the bits of t * conj(v)
+    products = np.multiply(t, np.conj(v, out=cv), out=t if t.size > 1 else None)
+    # np.add.reduce is np.sum without its Python wrapper, which costs more
+    # than the arithmetic on short rows
+    return np.add.reduce(products, axis=-1)
 
 
-def _norm_sq_rows(w: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Row-wise squared norms over the last axis."""
-    return np.sum(w * np.abs(u) ** 2, axis=-1)
+def _norm_sq_rows(w: np.ndarray, u: np.ndarray, r=None) -> np.ndarray:
+    """Row-wise squared norms over the last axis; r, a float buffer shaped
+    like u, takes the squared moduli when given."""
+    r = np.abs(u, out=r)
+    np.square(r, out=r)
+    return np.add.reduce(np.multiply(w, r, out=r), axis=-1)
 
 
-def _project_rows(w: np.ndarray, z: np.ndarray, c: np.ndarray, nc=None) -> np.ndarray:
+def _project_rows(
+    w: np.ndarray, z: np.ndarray, c: np.ndarray, nc=None, out=None, t=None, cv=None
+) -> np.ndarray:
     """Rows of z minus their components along c (one vector, or one per row);
-    nc, when given, holds the squared norm(s) of c."""
+    nc, when given, holds the squared norm(s) of c.  out, t and cv are
+    buffers shaped like z, as in _inner_rows; out may be z or t, t not z."""
     if nc is None:
         nc = _norm_sq_rows(w, c)
-    coef = _inner_rows(w, z, c) / nc
-    return z - coef[..., None] * c
+    coef = _inner_rows(w, z, c, t=t, cv=cv) / nc
+    return np.subtract(z, np.multiply(coef[..., None], c, out=t), out=out)
 
 
 def _deflated_schwarz_rows(w, z, c, d) -> Tuple[np.ndarray, np.ndarray]:
     """Row-wise (lhs, rhs) of the deflated Schwarz inequality; see deflated_schwarz."""
     nc = _norm_sq_rows(w, c)
-    return _deflated_sides(w, _project_rows(w, z, c, nc), _project_rows(w, d, c, nc), nc)
+    dp = _project_rows(w, d, c, nc)
+    return _deflated_sides(w, _project_rows(w, z, c, nc), dp, nc, _norm_sq_rows(w, dp))
 
 
-def _deflated_sides(w, zp, dp, nc) -> Tuple[np.ndarray, np.ndarray]:
+def _deflated_sides(w, zp, dp, nc, ndp, r=None, t=None, cv=None) -> Tuple[np.ndarray, np.ndarray]:
     """(lhs, rhs) from the components zp, dp of z and d orthogonal to c and
-    the squared norm(s) nc of c."""
+    the squared norms nc of c and ndp of dp.  The buffers are as in
+    _inner_rows and _norm_sq_rows; t may be zp, which is then overwritten."""
     nc2 = nc * nc
-    return nc2 * _norm_sq_rows(w, zp) * _norm_sq_rows(w, dp), nc2 * np.abs(_inner_rows(w, zp, dp)) ** 2
+    lhs = nc2 * _norm_sq_rows(w, zp, r=r) * ndp
+    return lhs, nc2 * np.abs(_inner_rows(w, zp, dp, t=t, cv=cv)) ** 2
 
 
 def _gram(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> GramSummary:
-    """Gram data of validated vectors, with det clamped at 0."""
+    """Gram data of validated vectors, with det clamped at 0.  Raises
+    GramOverflow when ||a||^2, ||b||^2, their product or |<a,b>|^2 is not finite."""
     na = float(_norm_sq_rows(w, a))
     nb = float(_norm_sq_rows(w, b))
     iab = complex(_inner_rows(w, a, b))
-    return GramSummary(na, nb, iab, max(na * nb - abs(iab) ** 2, 0.0))
+    try:
+        iab2 = abs(iab) ** 2
+    except OverflowError:  # Python floats raise where numpy would give inf
+        iab2 = math.inf
+    if not math.isfinite(na * nb + iab2):  # both terms are nonnegative
+        raise GramOverflow(
+            f"the Gram data of the pair overflows float64 (||a||^2={na:.3e}, ||b||^2={nb:.3e})"
+        )
+    return GramSummary(na, nb, iab, max(na * nb - iab2, 0.0))
 
 
 def _pair(space: SpaceDescriptor, a, b) -> Tuple[np.ndarray, np.ndarray, GramSummary]:

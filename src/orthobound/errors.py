@@ -21,6 +21,10 @@ class DependentVectors(OrthoboundError):
     """The two given vectors are (numerically) linearly dependent."""
 
 
+class GramOverflow(OrthoboundError):
+    """The squared norms or the inner product of a pair do not fit in float64."""
+
+
 class InvalidDimension(OrthoboundError):
     """Requested dimension is outside the valid range."""
 

@@ -10,6 +10,7 @@ input scales.  Identical inputs and seed produce bitwise-identical reports.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import core
 from .core import DEFAULT_TOL, Tolerances
-from .errors import DegenerateSample
+from .errors import DegenerateSample, GramOverflow
 from .spaces import SpaceDescriptor
 
 # Defaults of verify_all, which the `verify` subcommand shares.
@@ -27,9 +28,13 @@ DEFAULT_SEED = 1
 # Squared-norm floor below which a projected draw counts as degenerate.
 _DEGENERATE_NORM_SQ = 1e-20
 _MAX_RETRIES = 100
-# The sampling checks run their trials in consecutive row blocks of at most
-# this many complex elements (1 MiB per array), so memory stays flat in trials.
+# The sampling checks draw their trials in consecutive row blocks of at most
+# _BLOCK_ELEMS complex elements (1 MiB per array), so memory stays flat in
+# trials, and run the arithmetic on row chunks of at most _CHUNK_ELEMS, in
+# buffers each check allocates once per call: freed temporaries of block size
+# go back to the OS and fault in again on the next call.
 _BLOCK_ELEMS = 1 << 16
+_CHUNK_ELEMS = 1 << 14
 # Written into every `verify` report line.  The draw order fixes the per-seed
 # output, so changing it bumps this and older replay files are refused.
 HARNESS_FORMAT = 2
@@ -86,12 +91,12 @@ def _skipped(check: str, tol: Tolerances, note: str) -> VerificationReport:
     return VerificationReport(check, 0, 0.0, tol.rel_eps, True, skipped=True, note=note)
 
 
-def _draw(rng: np.random.Generator, shape, real: bool) -> np.ndarray:
-    """Standard-normal real parts, then (complex mode) imaginary parts."""
-    z = np.zeros(shape, dtype=np.complex128)
-    z.real = rng.standard_normal(shape)
-    if not real:
-        z.imag = rng.standard_normal(shape)
+def _draw(rng: np.random.Generator, shape, real: bool, out=None, f=None) -> np.ndarray:
+    """Standard-normal real parts, then (complex mode) imaginary parts; drawn
+    into out through the float buffer f when these are given."""
+    z = np.empty(shape, dtype=np.complex128) if out is None else out
+    z.real = rng.standard_normal(shape, out=f)
+    z.imag = 0.0 if real else rng.standard_normal(shape, out=f)
     return z
 
 
@@ -101,28 +106,48 @@ def _block_rows(trials: int, dim: int):
     return [min(rows, trials - start) for start in range(0, trials, rows)]
 
 
-def _usable_draws(space: SpaceDescriptor, rng: np.random.Generator, n: int, real: bool, a=None):
-    """(n, dim) draws, projected against a when one is given, and their squared
-    norms.  Rows under the degenerate floor are redrawn, up to the retry cap."""
-    out = np.empty((n, space.dim), dtype=np.complex128)
-    nsq = np.empty(n)
-    bad = np.ones(n, dtype=bool)
+def _buffers(trials: int, dim: int, blocks: int, chunks: int):
+    """A check's per-call buffers: `blocks` complex blocks and the float block
+    drawn through, then `chunks` complex row chunks and a float one."""
+    rows = _block_rows(max(trials, 1), dim)[0]
+    crows = min(rows, max(1, _CHUNK_ELEMS // dim))
+    shapes = [(rows, complex)] * blocks + [(rows, float)] + [(crows, complex)] * chunks + [(crows, float)]
+    return [np.empty((n, dim), dtype) for n, dtype in shapes]
+
+
+def _chunks(n: int, scratch):
+    """(rows, views) per row chunk of an n-row block: its slice of the block
+    and the chunk buffers in scratch cut to its length."""
+    for start in range(0, n, len(scratch[0])):
+        rows = slice(start, min(start + len(scratch[0]), n))
+        yield rows, [buf[: rows.stop - start] for buf in scratch]
+
+
+def _usable_draws(space: SpaceDescriptor, rng, u, nsq, real: bool, f, t, r, a=None) -> None:
+    """Fill the block u with draws (through f), projected against a when one is
+    given, and nsq with their squared norms, on chunk buffers t and r.  Rows
+    under the degenerate floor are redrawn, up to the retry cap."""
+    v, vsq, bad = u, nsq, None
     for _ in range(_MAX_RETRIES):
-        u = _draw(rng, (int(bad.sum()), space.dim), real)
-        if a is not None:
-            u = core._project_rows(space.weights, u, a)
-        out[bad] = u
-        nsq[bad] = core._norm_sq_rows(space.weights, u)
+        _draw(rng, v.shape, real, v, f if bad is None else None)
+        for rows, (tc, rc) in _chunks(len(v), (t, r)):
+            if a is not None:
+                core._project_rows(space.weights, v[rows], a, out=v[rows], t=tc)
+            vsq[rows] = core._norm_sq_rows(space.weights, v[rows], r=rc)
+        if bad is not None:
+            u[bad], nsq[bad] = v, vsq
         bad = nsq < _DEGENERATE_NORM_SQ
         if not np.any(bad):
-            return out, nsq
+            return
+        v, vsq = np.empty((int(bad.sum()), space.dim), dtype=np.complex128), np.empty(int(bad.sum()))
     raise DegenerateSample(f"no usable draw in {_MAX_RETRIES} attempts (dim too small or pathological a)")
 
 
-def _feasible_batch(space: SpaceDescriptor, a, rng: np.random.Generator, n: int, real: bool):
-    """(n, dim) matrix of unit rows orthogonal to a."""
-    out, nsq = _usable_draws(space, rng, n, real, a)
-    return out / np.sqrt(nsq)[:, None]
+def _feasible_batch(space: SpaceDescriptor, a, rng, real: bool, u, f, t, r) -> np.ndarray:
+    """Fill the block u with unit rows orthogonal to a."""
+    nsq = np.empty(len(u))
+    _usable_draws(space, rng, u, nsq, real, f, t, r, a)
+    return np.divide(u, np.sqrt(nsq)[:, None], out=u)
 
 
 def sample_feasible(
@@ -140,7 +165,7 @@ def sample_feasible(
     """
     aa = core.as_vector(space, a, "a")
     core._require_nonzero(core._norm_sq_rows(space.weights, aa), "a")
-    return _feasible_batch(space, aa, np.random.default_rng(seed), 1, real)[0]
+    return _feasible_batch(space, aa, np.random.default_rng(seed), real, *_buffers(1, space.dim, 1, 1))[0]
 
 
 def verify_bound(
@@ -168,10 +193,17 @@ def _verify_bound(space, pair, trials, tol, seed, real) -> VerificationReport:
     if not core._dependent(g, tol):
         blocks.append(core._extremizer(aa, bb, g, tol)[None, :])
     rng = np.random.default_rng(seed)
-    samples = (_feasible_batch(space, aa, rng, n, real) for n in _block_rows(trials, space.dim))
+    block, f, t, r = _buffers(trials, space.dim, 1, 1)
+    samples = (
+        _feasible_batch(space, aa, rng, real, block[:n], f[:n], t, r) for n in _block_rows(trials, space.dim)
+    )
+    violations_buf = np.empty(len(block))
     count, worst, witness = 0, 0.0, None
     for xs in itertools.chain(blocks, samples):
-        violations = np.maximum(np.abs(core._inner_rows(space.weights, xs, bb)) ** 2 - bound, 0.0)
+        violations = violations_buf[: len(xs)]
+        for rows, (tc,) in _chunks(len(xs), (t,)):
+            attained = np.abs(core._inner_rows(space.weights, xs[rows], bb, t=tc)) ** 2
+            violations[rows] = np.maximum(attained - bound, 0.0)
         k = int(np.argmax(violations))
         if witness is None or violations[k] > worst:
             worst, witness = violations[k], xs[k].copy()
@@ -216,15 +248,20 @@ def _verify_min_norm(space, pair, trials, tol, seed, real) -> VerificationReport
     # deflating b against a first keeps the two projections independent;
     # projecting against raw b would undo part of the a projection
     b_perp = core._project_rows(w, bb, aa)
+    directions = [(c, core._norm_sq_rows(w, c)) for c in (aa, b_perp, aa)]
+    block, f, t, r = _buffers(trials, space.dim, 1, 1)
+    undercut_buf = np.empty(len(block))
     for n in _block_rows(trials, space.dim):
-        ws = _draw(rng, (n, space.dim), real)
-        for c in (aa, b_perp, aa):
-            ws = core._project_rows(w, ws, c)
-        competitors = x + ws
-        undercut = (nx - core._norm_sq_rows(w, competitors)) / (1.0 + nx + core._norm_sq_rows(w, ws))
+        ws, undercut = _draw(rng, (n, space.dim), real, block[:n], f[:n]), undercut_buf[:n]
+        for rows, (tc, rc) in _chunks(n, (t, r)):
+            for c, nc in directions:
+                core._project_rows(w, ws[rows], c, nc, out=ws[rows], t=tc)
+            # tc holds the competitors x + ws
+            n_comp = core._norm_sq_rows(w, np.add(x, ws[rows], out=tc), r=rc)
+            undercut[rows] = (nx - n_comp) / (1.0 + nx + core._norm_sq_rows(w, ws[rows], r=rc))
         k = int(np.argmax(undercut))
         if undercut[k] > worst:
-            worst, witness = undercut[k], competitors[k].copy()
+            worst, witness = undercut[k], x + ws[k]
     return _report("min_norm_optimality", trials + 1, worst, tol.rel_eps, witness=witness, value=value)
 
 
@@ -247,26 +284,36 @@ def verify_deflated(
         return _report("deflated_schwarz", 0, 0.0, tol.rel_eps, note="no trials requested")
     w = space.weights
     rng = np.random.default_rng(seed)
+    z_buf, c_buf, d_buf, f, t1, t2, t3, r = _buffers(trials, space.dim, 3, 3)
+    nc_buf, v_buf = np.empty(len(z_buf)), np.empty((len(z_buf), 2))
     worst = 0.0
     witness = None
     for n in _block_rows(trials, space.dim):
-        z = _draw(rng, (n, space.dim), real)
-        c, nc = _usable_draws(space, rng, n, real)
-        d = _draw(rng, (n, space.dim), real)
-        # Equality case: z in span{c, component of d orthogonal to c}.
+        z = _draw(rng, (n, space.dim), real, z_buf[:n], f[:n])
+        c, nc = c_buf[:n], nc_buf[:n]
+        _usable_draws(space, rng, c, nc, real, f[:n], t1, r)
+        d = _draw(rng, (n, space.dim), real, d_buf[:n], f[:n])
         mu_beta = _draw(rng, (n, 2), real)
-        d_perp = core._project_rows(w, d, c, nc)
-        z_eq = mu_beta[:, :1] * c + mu_beta[:, 1:] * d_perp
-        lhs, rhs = core._deflated_sides(w, core._project_rows(w, z, c, nc), d_perp, nc)
-        lhs_e, rhs_e = core._deflated_sides(w, core._project_rows(w, z_eq, c, nc), d_perp, nc)
-        # interleaved so that argmax meets the trials in the order they ran
-        v = np.stack(
-            (np.maximum(rhs - lhs, 0.0) / (1.0 + lhs), np.abs(lhs_e - rhs_e) / (10.0 * (1.0 + lhs_e))),
-            axis=1,
-        ).ravel()
-        k = int(np.argmax(v))
-        if v[k] > worst:
-            worst, witness = v[k], (z_eq if k % 2 else z)[k // 2].copy()
+        # v[i] holds trial i's two scaled violations, so that argmax over the
+        # raveled v meets the trials in the order they ran
+        v = v_buf[:n]
+        for rows, (t1c, t2c, t3c, rc) in _chunks(n, (t1, t2, t3, r)):
+            cs, ncs = c[rows], nc[rows]
+            # d becomes its component d_perp orthogonal to c
+            dp = core._project_rows(w, d[rows], cs, ncs, out=d[rows], t=t1c, cv=t2c)
+            ndp = core._norm_sq_rows(w, dp, r=rc)
+            # Equality case: z in span{c, component of d orthogonal to c}.
+            z_eq = np.multiply(mu_beta[rows, :1], cs, out=t1c)
+            z_eq += np.multiply(mu_beta[rows, 1:], dp, out=t2c)
+            zp_eq = core._project_rows(w, z_eq, cs, ncs, out=t1c, t=t2c, cv=t3c)
+            lhs_e, rhs_e = core._deflated_sides(w, zp_eq, dp, ncs, ndp, r=rc, t=t1c, cv=t2c)
+            zp = core._project_rows(w, z[rows], cs, ncs, out=t1c, t=t1c, cv=t2c)
+            lhs, rhs = core._deflated_sides(w, zp, dp, ncs, ndp, r=rc, t=t1c, cv=t2c)
+            v[rows, 0] = np.maximum(rhs - lhs, 0.0) / (1.0 + lhs)
+            v[rows, 1] = np.abs(lhs_e - rhs_e) / (10.0 * (1.0 + lhs_e))
+        i, eq = divmod(int(np.argmax(v)), 2)
+        if v[i, eq] > worst:
+            worst, witness = v[i, eq], mu_beta[i, :1] * c[i] + mu_beta[i, 1:] * d[i] if eq else z[i].copy()
     return _report(
         "deflated_schwarz", trials, worst, tol.rel_eps, witness=witness,
         note="equality-case slack is 10x rel_eps, folded in at 1/10 weight",
@@ -286,11 +333,12 @@ def _verify_scale_covariance(space, pair, tol: Tolerances, real: bool) -> Verifi
     # rounding scales with ||b||^2 even when the bound itself is tiny
     scale = 1.0 + bound + g.norm_b_sq
     for s in scalars:
-        # a scaled copy can overflow; as_vector reports that as NonFiniteInput
-        sa = core.as_vector(space, s * aa, "a")
-        va = abs(core._bound(core._gram(space.weights, sa, bb)) - bound)
-        sb = core.as_vector(space, s * bb, "b")
-        vb = abs(core._bound(core._gram(space.weights, aa, sb)) - abs(s) ** 2 * bound)
+        sa = s * aa
+        try:
+            va = abs(core._bound(core._gram(space.weights, sa, bb)) - bound)
+            vb = abs(core._bound(core._gram(space.weights, aa, s * bb)) - abs(s) ** 2 * bound)
+        except GramOverflow as exc:
+            raise GramOverflow(f"scale covariance check, scale {s}: {exc}") from exc
         v = max(va, vb / (abs(s) ** 2)) / scale
         if v > worst:
             worst = v
@@ -330,12 +378,30 @@ def verify_all(
     skipped entries rather than errors.
     """
     pair = core._pair(space, a, b)
-    reports = [_verify_bound(space, pair, trials, tol, seed, real)]
-    if core._dependent(pair[2], tol):
-        reports.append(_skipped("min_norm_optimality", tol, "dependent vectors"))
-    else:
-        reports.append(_verify_min_norm(space, pair, trials, tol, seed + 1, real))
-    reports.append(verify_deflated(space, trials, tol, seed + 2, real))
+    # The deflated check shares nothing with the other two, and numpy releases
+    # the GIL while it draws and computes, so it runs on a second thread.
+    deflated = []  # its report, or the exception it raised
+
+    def run_deflated():
+        try:
+            deflated.append(verify_deflated(space, trials, tol, seed + 2, real))
+        except BaseException as exc:  # re-raised below, after the other checks
+            deflated.append(exc)
+
+    worker = threading.Thread(target=run_deflated)
+    worker.start()
+    try:
+        reports = [_verify_bound(space, pair, trials, tol, seed, real)]
+        if core._dependent(pair[2], tol):
+            reports.append(_skipped("min_norm_optimality", tol, "dependent vectors"))
+        else:
+            reports.append(_verify_min_norm(space, pair, trials, tol, seed + 1, real))
+    finally:
+        worker.join()
+    report = deflated.pop()
+    if isinstance(report, BaseException):
+        raise report
+    reports.append(report)
     reports.append(_verify_scale_covariance(space, pair, tol, real))
     reports.append(_verify_real_consistency(space, pair, tol))
     return reports

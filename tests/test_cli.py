@@ -273,3 +273,108 @@ def test_pair_subcommands_golden_stdout(tmp_path, capsys, instance, command):
     code, out, _ = run(capsys, [command, write_instance(tmp_path, doc)])
     assert code == 0
     assert out == GOLDEN_STDOUT[instance, command]
+
+
+# Exact stdout of `verify --trials 200`, one entry per report line, captured
+# before the deflated check moved to a second thread and the arithmetic to
+# row chunks; neither may change a byte.
+GOLDEN_VERIFY_LINES = {
+    "dense_real": [
+        '{"check": "bound_dominance", "trials": 201, "worst_violation": 8.8817841970012523e-16, '
+        '"tolerance": 3.0000000000000004e-09, "passed": true, "skipped": false, '
+        '"witness": [[-0.70710678118654757, 0], [0, 0], [0.70710678118654757, 0]], "bound": 2, '
+        '"harness_format": 2, "settings": {"trials": 200, "seed": 1, '
+        '"tol": 1.0000000000000001e-09}}',
+        '{"check": "min_norm_optimality", "trials": 201, "worst_violation": 0, '
+        '"tolerance": 1.0000000000000001e-09, "passed": true, "skipped": false, "witness": [[-0.5, '
+        '0], [0, 0], [0.5, 0]], "value": 0.5, "harness_format": 2, "settings": {"trials": 200, '
+        '"seed": 1, "tol": 1.0000000000000001e-09}}',
+        '{"check": "deflated_schwarz", "trials": 200, "worst_violation": 5.126719873585216e-17, '
+        '"tolerance": 1.0000000000000001e-09, "passed": true, "skipped": false, '
+        '"witness": [[-0.13943512295807425, 0], [1.0779060038581814, -0], [-0.34559549383386307, '
+        '0]], "note": "equality-case slack is 10x rel_eps, folded in at 1/10 weight", '
+        '"harness_format": 2, "settings": {"trials": 200, "seed": 1, '
+        '"tol": 1.0000000000000001e-09}}',
+        '{"check": "scale_covariance", "trials": 3, "worst_violation": 0, '
+        '"tolerance": 1.0000000000000001e-09, "passed": true, "skipped": false, "witness": [[1, '
+        '0], [1, 0], [1, 0]], "harness_format": 2, "settings": {"trials": 200, "seed": 1, '
+        '"tol": 1.0000000000000001e-09}}',
+        '{"check": "real_consistency", "trials": 1, "worst_violation": 0, '
+        '"tolerance": 1.0000000000000001e-09, "passed": true, "skipped": false, '
+        '"witness": [[-0.70710678118654757, 0], [0, 0], [0.70710678118654757, 0]], '
+        '"harness_format": 2, "settings": {"trials": 200, "seed": 1, '
+        '"tol": 1.0000000000000001e-09}}',
+    ],
+    "weighted_complex": [
+        '{"check": "bound_dominance", "trials": 201, "worst_violation": 3.5527136788005009e-15, '
+        '"tolerance": 2.273570033482143e-08, "passed": true, "skipped": false, '
+        '"witness": [[0.27290407632647057, 0.071098693569264682], [0.23017304332272059, '
+        '-0.12567950883455883], [0.31575480410053924, 0.051229361696372572], '
+        '[0.064754870742377443, 0.47686396494941174]], "bound": 21.735700334821427, '
+        '"harness_format": 2, "settings": {"trials": 200, "seed": 1, '
+        '"tol": 1.0000000000000001e-09}}',
+        '{"check": "min_norm_optimality", "trials": 201, '
+        '"worst_violation": 9.9825337854478655e-17, "tolerance": 1.0000000000000001e-09, '
+        '"passed": true, "skipped": false, "witness": [[0.058536021796966008, '
+        '0.015250174099735879], [0.049370513120862131, -0.02695737845912909], '
+        '[0.067727204166840513, 0.010988340933816435], [0.01388946832989413, '
+        '0.10228399598206692]], "value": 0.046007259236913636, "harness_format": 2, '
+        '"settings": {"trials": 200, "seed": 1, "tol": 1.0000000000000001e-09}}',
+        '{"check": "deflated_schwarz", "trials": 200, "worst_violation": 8.985930412329975e-17, '
+        '"tolerance": 1.0000000000000001e-09, "passed": true, "skipped": false, '
+        '"witness": [[-2.8678141822498495, -2.3503560234335836], [-1.9535963262908382, '
+        '6.4840342190262366], [1.5981086815480816, 4.3063834152722391], [2.2301136023817638, '
+        '1.1165768185224683]], "note": "equality-case slack is 10x rel_eps, '
+        'folded in at 1/10 weight", "harness_format": 2, "settings": {"trials": 200, "seed": 1, '
+        '"tol": 1.0000000000000001e-09}}',
+        '{"check": "scale_covariance", "trials": 5, "worst_violation": 2.0518284193924727e-16, '
+        '"tolerance": 1.0000000000000001e-09, "passed": true, "skipped": false, "witness": [[2, '
+        '1.5], [-3.75, 2.5], [-1.5, -3], [-0.25, 2]], "harness_format": 2, '
+        '"settings": {"trials": 200, "seed": 1, "tol": 1.0000000000000001e-09}}',
+        '{"check": "real_consistency", "trials": 0, "worst_violation": 0, '
+        '"tolerance": 1.0000000000000001e-09, "passed": true, "skipped": true, '
+        '"note": "complex inputs", "harness_format": 2, "settings": {"trials": 200, "seed": 1, '
+        '"tol": 1.0000000000000001e-09}}',
+    ],
+}
+
+
+@pytest.mark.parametrize("instance", sorted(GOLDEN_VERIFY_LINES))
+def test_verify_golden_stdout(tmp_path, capsys, instance):
+    doc = {"dense_real": DENSE_REAL, "weighted_complex": WEIGHTED_COMPLEX}[instance]
+    inst = write_instance(tmp_path, doc)
+    expected = "".join(line + "\n" for line in GOLDEN_VERIFY_LINES[instance])
+    code, out, _ = run(capsys, ["verify", inst, "--trials", "200"])
+    assert code == 0
+    assert out == expected
+    # a replay file holding those bytes still reproduces
+    replay = tmp_path / "replay.jsonl"
+    replay.write_text(expected)
+    code, _, _ = run(capsys, ["verify", inst, "--replay", str(replay)])
+    assert code == 0
+
+
+# Finite pairs whose Gram data does not fit in float64: a typed error (exit 2),
+# never a traceback, `nan`/`inf` JSON, or a claim that the input is not finite.
+OVERFLOW_REPROS = {
+    "bound-inner-product": ("bound", [1e308, 1], [0.5, 1]),
+    "bound-norms": ("bound", [1e200, 0], [0, 1e200]),
+    "bound-norm-product": ("bound", [1e100, 0], [0, 1e110]),
+    "verify-norm-a": ("verify", [7e307, 0.5], [0, 1]),
+    # ||b||^2 = 1e308 fits, but the scale-covariance check's copy 2*b does not
+    "verify-scaled-copy": ("verify", [1, 0], [0, 1e154]),
+}
+
+
+# numpy warns as the squared norms overflow; the typed error is what is tested
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("repro", sorted(OVERFLOW_REPROS))
+def test_gram_overflow_is_a_typed_error(tmp_path, capsys, repro):
+    command, a, b = OVERFLOW_REPROS[repro]
+    doc = {"space": {"kind": "dense", "dim": 2}, "a": a, "b": b, "mode": "real"}
+    extra = ["--trials", "10"] if command == "verify" else []
+    code, out, err = run(capsys, [command, write_instance(tmp_path, doc)] + extra)
+    assert code == 2
+    assert out == ""
+    assert "overflows float64" in err
+    assert "NaN or Inf" not in err

@@ -4,7 +4,9 @@ import pytest
 from orthobound import (
     DependentVectors,
     DimensionMismatch,
+    GramOverflow,
     NonFiniteInput,
+    OrthoboundError,
     Tolerances,
     ZeroVector,
     deflated_schwarz,
@@ -312,3 +314,13 @@ def test_pair_entry_points_validate_each_argument_once(fn, as_vector_calls):
     s = make_weighted([1.0, 2.0, 0.5])
     fn(s, [1, 2, 3], [1, -1, 2j])
     assert as_vector_calls == ["a", "b"]
+
+
+# numpy warns as the squared norms overflow; the typed error is what is tested
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("fn", [gram2, ostrowski_bound, extremizer, min_norm_solution])
+@pytest.mark.parametrize("a, b", [([1e308, 1], [0.5, 1]), ([1e200, 0], [0, 1e200]), ([1e100, 0], [0, 1e110])])
+def test_gram_overflow_raises_typed_error(fn, a, b):
+    assert issubclass(GramOverflow, OrthoboundError)
+    with pytest.raises(GramOverflow, match="overflows float64"):
+        fn(make_dense(2), a, b)

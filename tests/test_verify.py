@@ -282,3 +282,76 @@ def test_verify_all_validates_few_times(as_vector_calls):
     # under test, and once for each of the 2 x 5 scaled copies of the
     # scale-covariance check (a scaled copy can overflow)
     assert len(as_vector_calls) <= 14
+
+
+# --- the deflated check on a second thread ------------------------------------
+
+
+def test_verify_all_golden_dim_1024():
+    """verify_all at dim 1024, trials 130 (blocks of 64 + 64 + 2 rows), pinned
+    by a digest of its exact report bytes, captured before the deflated check
+    moved to a second thread and the arithmetic to row chunks."""
+    import hashlib
+
+    from orthobound.cli import dumps_stable
+
+    s, a, b = _pair_1024()
+    reports = verify_all(s, a, b, trials=130, seed=5)
+    text = "\n".join(dumps_stable(r.to_dict()) for r in reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4b98ba755822394e47e5ed9d6a2da5e2fa7a2802a0ecb76c488fbdcdca65aa34"
+    )
+
+
+def test_verify_all_leaves_no_thread_behind():
+    import threading
+
+    before = threading.active_count()
+    verify_all(make_dense(16), np.arange(16.0), np.ones(16), trials=200, seed=3)
+    assert threading.active_count() == before
+    with pytest.raises(DegenerateSample):
+        verify_all(make_dense(1), [1.0], [2.0], trials=5)
+    assert threading.active_count() == before
+
+
+def test_verify_all_joins_the_worker_when_the_main_checks_raise(monkeypatch):
+    import threading
+
+    def failing_bound(*args):
+        raise ValueError("planted bound failure")
+
+    monkeypatch.setattr(verify, "_verify_bound", failing_bound)
+    before = threading.active_count()
+    s, a, b = _pair_1024()
+    with pytest.raises(ValueError, match="planted bound failure"):
+        verify_all(s, a, b, trials=1000)
+    assert threading.active_count() == before
+
+
+def test_verify_all_reraises_a_worker_error(monkeypatch):
+    def failing_deflated(*args, **kwargs):
+        raise RuntimeError("planted deflated failure")
+
+    monkeypatch.setattr(verify, "verify_deflated", failing_deflated)
+    with pytest.raises(RuntimeError, match="planted deflated failure"):
+        verify_all(make_dense(4), [1, 2, 3, 4], [1, -1, 2, 0.5j], trials=50)
+    # the sequential order would raise the bound check's error first
+    monkeypatch.setattr(verify, "_verify_bound", lambda *args: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        verify_all(make_dense(4), [1, 2, 3, 4], [1, -1, 2, 0.5j], trials=50)
+
+
+def test_verify_all_dim1_degenerate_sample_unchanged():
+    # a-perp is {0} in dimension 1: the bound check cannot draw, while the
+    # deflated check on the other thread runs fine
+    with pytest.raises(DegenerateSample) as info:
+        verify_all(make_dense(1), [1.0], [2.0], trials=10)
+    assert str(info.value) == "no usable draw in 100 attempts (dim too small or pathological a)"
+
+
+def test_verify_all_validates_only_at_the_boundary(as_vector_calls):
+    # the scale-covariance copies go straight to the Gram kernel, whose
+    # overflow guard catches what validating them caught; the second a, b
+    # are the public min-norm solver under test
+    verify_all(make_weighted([1.0, 2.0, 0.5, 3.0]), [1, 2, 3, 4], [1, -1, 2, 0.5j], trials=50)
+    assert as_vector_calls == ["a", "b", "a", "b"]
