@@ -335,7 +335,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(msg, file=sys.stderr)
 
     try:
-        return args.fn(args)
+        # a Gram overflow is reported as GramOverflow, so numpy's warning is noise
+        with np.errstate(over="ignore"):
+            return args.fn(args)
     except ZeroVector as exc:
         diag(str(exc))
         return 3

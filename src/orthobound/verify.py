@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -30,11 +30,9 @@ _DEGENERATE_NORM_SQ = 1e-20
 _MAX_RETRIES = 100
 # The sampling checks draw their trials in consecutive row blocks of at most
 # _BLOCK_ELEMS complex elements (1 MiB per array), so memory stays flat in
-# trials, and run the arithmetic on row chunks of at most _CHUNK_ELEMS, in
-# buffers each check allocates once per call: freed temporaries of block size
-# go back to the OS and fault in again on the next call.
+# trials, and score each block in buffers they allocate once per call: freed
+# temporaries of block size go back to the OS and fault in again on the next call.
 _BLOCK_ELEMS = 1 << 16
-_CHUNK_ELEMS = 1 << 14
 # Written into every `verify` report line.  The draw order fixes the per-seed
 # output, so changing it bumps this and older replay files are refused.
 HARNESS_FORMAT = 2
@@ -106,34 +104,23 @@ def _block_rows(trials: int, dim: int):
     return [min(rows, trials - start) for start in range(0, trials, rows)]
 
 
-def _buffers(trials: int, dim: int, blocks: int, chunks: int):
-    """A check's per-call buffers: `blocks` complex blocks and the float block
-    drawn through, then `chunks` complex row chunks and a float one."""
+def _buffers(trials: int, dim: int, blocks: int):
+    """A check's per-call buffers: `blocks` complex blocks, then the float
+    block that draws go through and that squared moduli reuse."""
     rows = _block_rows(max(trials, 1), dim)[0]
-    crows = min(rows, max(1, _CHUNK_ELEMS // dim))
-    shapes = [(rows, complex)] * blocks + [(rows, float)] + [(crows, complex)] * chunks + [(crows, float)]
-    return [np.empty((n, dim), dtype) for n, dtype in shapes]
+    return [np.empty((rows, dim), complex) for _ in range(blocks)] + [np.empty((rows, dim))]
 
 
-def _chunks(n: int, scratch):
-    """(rows, views) per row chunk of an n-row block: its slice of the block
-    and the chunk buffers in scratch cut to its length."""
-    for start in range(0, n, len(scratch[0])):
-        rows = slice(start, min(start + len(scratch[0]), n))
-        yield rows, [buf[: rows.stop - start] for buf in scratch]
-
-
-def _usable_draws(space: SpaceDescriptor, rng, u, nsq, real: bool, f, t, r, a=None) -> None:
+def _usable_draws(space: SpaceDescriptor, rng, u, nsq, real: bool, t, f, a=None) -> None:
     """Fill the block u with draws (through f), projected against a when one is
-    given, and nsq with their squared norms, on chunk buffers t and r.  Rows
+    given, and nsq with their squared norms, on the buffers t and f.  Rows
     under the degenerate floor are redrawn, up to the retry cap."""
     v, vsq, bad = u, nsq, None
     for _ in range(_MAX_RETRIES):
         _draw(rng, v.shape, real, v, f if bad is None else None)
-        for rows, (tc, rc) in _chunks(len(v), (t, r)):
-            if a is not None:
-                core._project_rows(space.weights, v[rows], a, out=v[rows], t=tc)
-            vsq[rows] = core._norm_sq_rows(space.weights, v[rows], r=rc)
+        if a is not None:
+            core._project_rows(space.weights, v, a, out=v, t=t[: len(v)])
+        vsq[:] = core._norm_sq_rows(space.weights, v, r=f[: len(v)])
         if bad is not None:
             u[bad], nsq[bad] = v, vsq
         bad = nsq < _DEGENERATE_NORM_SQ
@@ -143,10 +130,10 @@ def _usable_draws(space: SpaceDescriptor, rng, u, nsq, real: bool, f, t, r, a=No
     raise DegenerateSample(f"no usable draw in {_MAX_RETRIES} attempts (dim too small or pathological a)")
 
 
-def _feasible_batch(space: SpaceDescriptor, a, rng, real: bool, u, f, t, r) -> np.ndarray:
+def _feasible_batch(space: SpaceDescriptor, a, rng, real: bool, u, t, f) -> np.ndarray:
     """Fill the block u with unit rows orthogonal to a."""
     nsq = np.empty(len(u))
-    _usable_draws(space, rng, u, nsq, real, f, t, r, a)
+    _usable_draws(space, rng, u, nsq, real, t, f, a)
     return np.divide(u, np.sqrt(nsq)[:, None], out=u)
 
 
@@ -155,7 +142,6 @@ def sample_feasible(
     a,
     seed: int,
     real: bool = False,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> np.ndarray:
     """One random unit vector orthogonal to a.
 
@@ -165,7 +151,7 @@ def sample_feasible(
     """
     aa = core.as_vector(space, a, "a")
     core._require_nonzero(core._norm_sq_rows(space.weights, aa), "a")
-    return _feasible_batch(space, aa, np.random.default_rng(seed), real, *_buffers(1, space.dim, 1, 1))[0]
+    return _feasible_batch(space, aa, np.random.default_rng(seed), real, *_buffers(1, space.dim, 2))[0]
 
 
 def verify_bound(
@@ -193,17 +179,14 @@ def _verify_bound(space, pair, trials, tol, seed, real) -> VerificationReport:
     if not core._dependent(g, tol):
         blocks.append(core._extremizer(aa, bb, g, tol)[None, :])
     rng = np.random.default_rng(seed)
-    block, f, t, r = _buffers(trials, space.dim, 1, 1)
+    block, t, f = _buffers(trials, space.dim, 2)
     samples = (
-        _feasible_batch(space, aa, rng, real, block[:n], f[:n], t, r) for n in _block_rows(trials, space.dim)
+        _feasible_batch(space, aa, rng, real, block[:n], t[:n], f[:n]) for n in _block_rows(trials, space.dim)
     )
-    violations_buf = np.empty(len(block))
     count, worst, witness = 0, 0.0, None
     for xs in itertools.chain(blocks, samples):
-        violations = violations_buf[: len(xs)]
-        for rows, (tc,) in _chunks(len(xs), (t,)):
-            attained = np.abs(core._inner_rows(space.weights, xs[rows], bb, t=tc)) ** 2
-            violations[rows] = np.maximum(attained - bound, 0.0)
+        attained = np.abs(core._inner_rows(space.weights, xs, bb, t=t[: len(xs)])) ** 2
+        violations = np.maximum(attained - bound, 0.0)
         k = int(np.argmax(violations))
         if witness is None or violations[k] > worst:
             worst, witness = violations[k], xs[k].copy()
@@ -249,16 +232,14 @@ def _verify_min_norm(space, pair, trials, tol, seed, real) -> VerificationReport
     # projecting against raw b would undo part of the a projection
     b_perp = core._project_rows(w, bb, aa)
     directions = [(c, core._norm_sq_rows(w, c)) for c in (aa, b_perp, aa)]
-    block, f, t, r = _buffers(trials, space.dim, 1, 1)
-    undercut_buf = np.empty(len(block))
+    block, t, f = _buffers(trials, space.dim, 2)
     for n in _block_rows(trials, space.dim):
-        ws, undercut = _draw(rng, (n, space.dim), real, block[:n], f[:n]), undercut_buf[:n]
-        for rows, (tc, rc) in _chunks(n, (t, r)):
-            for c, nc in directions:
-                core._project_rows(w, ws[rows], c, nc, out=ws[rows], t=tc)
-            # tc holds the competitors x + ws
-            n_comp = core._norm_sq_rows(w, np.add(x, ws[rows], out=tc), r=rc)
-            undercut[rows] = (nx - n_comp) / (1.0 + nx + core._norm_sq_rows(w, ws[rows], r=rc))
+        ws = _draw(rng, (n, space.dim), real, block[:n], f[:n])
+        for c, nc in directions:
+            core._project_rows(w, ws, c, nc, out=ws, t=t[:n])
+        # t holds the competitors x + ws
+        n_comp = core._norm_sq_rows(w, np.add(x, ws, out=t[:n]), r=f[:n])
+        undercut = (nx - n_comp) / (1.0 + nx + core._norm_sq_rows(w, ws, r=f[:n]))
         k = int(np.argmax(undercut))
         if undercut[k] > worst:
             worst, witness = undercut[k], x + ws[k]
@@ -284,33 +265,31 @@ def verify_deflated(
         return _report("deflated_schwarz", 0, 0.0, tol.rel_eps, note="no trials requested")
     w = space.weights
     rng = np.random.default_rng(seed)
-    z_buf, c_buf, d_buf, f, t1, t2, t3, r = _buffers(trials, space.dim, 3, 3)
-    nc_buf, v_buf = np.empty(len(z_buf)), np.empty((len(z_buf), 2))
+    z_buf, c_buf, d_buf, t1_buf, t2_buf, t3_buf, f = _buffers(trials, space.dim, 6)
     worst = 0.0
     witness = None
     for n in _block_rows(trials, space.dim):
-        z = _draw(rng, (n, space.dim), real, z_buf[:n], f[:n])
-        c, nc = c_buf[:n], nc_buf[:n]
-        _usable_draws(space, rng, c, nc, real, f[:n], t1, r)
-        d = _draw(rng, (n, space.dim), real, d_buf[:n], f[:n])
+        t1, t2, t3, r = t1_buf[:n], t2_buf[:n], t3_buf[:n], f[:n]
+        z = _draw(rng, (n, space.dim), real, z_buf[:n], r)
+        c, nc = c_buf[:n], np.empty(n)
+        _usable_draws(space, rng, c, nc, real, t1, r)
+        d = _draw(rng, (n, space.dim), real, d_buf[:n], r)
         mu_beta = _draw(rng, (n, 2), real)
+        # d becomes its component d_perp orthogonal to c
+        dp = core._project_rows(w, d, c, nc, out=d, t=t1, cv=t2)
+        ndp = core._norm_sq_rows(w, dp, r=r)
+        # Equality case: z in span{c, component of d orthogonal to c}.
+        z_eq = np.multiply(mu_beta[:, :1], c, out=t1)
+        z_eq += np.multiply(mu_beta[:, 1:], dp, out=t2)
+        zp_eq = core._project_rows(w, z_eq, c, nc, out=t1, t=t2, cv=t3)
+        lhs_e, rhs_e = core._deflated_sides(w, zp_eq, dp, nc, ndp, r=r, t=t1, cv=t2)
+        zp = core._project_rows(w, z, c, nc, out=t1, t=t1, cv=t2)
+        lhs, rhs = core._deflated_sides(w, zp, dp, nc, ndp, r=r, t=t1, cv=t2)
         # v[i] holds trial i's two scaled violations, so that argmax over the
         # raveled v meets the trials in the order they ran
-        v = v_buf[:n]
-        for rows, (t1c, t2c, t3c, rc) in _chunks(n, (t1, t2, t3, r)):
-            cs, ncs = c[rows], nc[rows]
-            # d becomes its component d_perp orthogonal to c
-            dp = core._project_rows(w, d[rows], cs, ncs, out=d[rows], t=t1c, cv=t2c)
-            ndp = core._norm_sq_rows(w, dp, r=rc)
-            # Equality case: z in span{c, component of d orthogonal to c}.
-            z_eq = np.multiply(mu_beta[rows, :1], cs, out=t1c)
-            z_eq += np.multiply(mu_beta[rows, 1:], dp, out=t2c)
-            zp_eq = core._project_rows(w, z_eq, cs, ncs, out=t1c, t=t2c, cv=t3c)
-            lhs_e, rhs_e = core._deflated_sides(w, zp_eq, dp, ncs, ndp, r=rc, t=t1c, cv=t2c)
-            zp = core._project_rows(w, z[rows], cs, ncs, out=t1c, t=t1c, cv=t2c)
-            lhs, rhs = core._deflated_sides(w, zp, dp, ncs, ndp, r=rc, t=t1c, cv=t2c)
-            v[rows, 0] = np.maximum(rhs - lhs, 0.0) / (1.0 + lhs)
-            v[rows, 1] = np.abs(lhs_e - rhs_e) / (10.0 * (1.0 + lhs_e))
+        v = np.column_stack(
+            (np.maximum(rhs - lhs, 0.0) / (1.0 + lhs), np.abs(lhs_e - rhs_e) / (10.0 * (1.0 + lhs_e)))
+        )
         i, eq = divmod(int(np.argmax(v)), 2)
         if v[i, eq] > worst:
             worst, witness = v[i, eq], mu_beta[i, :1] * c[i] + mu_beta[i, 1:] * d[i] if eq else z[i].copy()

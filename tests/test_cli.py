@@ -366,8 +366,6 @@ OVERFLOW_REPROS = {
 }
 
 
-# numpy warns as the squared norms overflow; the typed error is what is tested
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("repro", sorted(OVERFLOW_REPROS))
 def test_gram_overflow_is_a_typed_error(tmp_path, capsys, repro):
     command, a, b = OVERFLOW_REPROS[repro]

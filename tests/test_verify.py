@@ -210,6 +210,23 @@ def test_blocked_checks_deterministic():
         np.testing.assert_array_equal(r1.witness, r2.witness)
 
 
+def test_verify_all_memory_stays_flat_in_trials():
+    import tracemalloc
+
+    s, a, b = _pair_1024()
+    peaks = []
+    for trials in (130, 4000):
+        tracemalloc.start()
+        try:
+            verify_all(s, a, b, trials=trials, seed=6)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    mib = 1 << 20
+    assert abs(peaks[1] - peaks[0]) < mib
+    assert max(peaks) < 12 * mib
+
+
 def test_min_norm_check_finds_planted_undercut(monkeypatch):
     """A 'solution' shifted by w0 orthogonal to a and b is feasible but not
     optimal; the batched competitors must find an undercut, with the same
