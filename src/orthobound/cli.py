@@ -1,26 +1,5 @@
-"""Command-line front end.
-
-Usage:
-    orthobound bound|extremize|minnorm|verify <instance.json>
-               [--trials N] [--seed S] [--tol T] [--replay FILE] [--quiet]
-
-An instance file is one JSON document:
-
-    {"space": {"kind": "dense", "dim": 3},
-     "a": [1, 1, 1],
-     "b": [1, 2, 3],
-     "mode": "real"}
-
-Space kinds: "dense" (needs "dim"), "weighted" (needs "weights"),
-"quadrature" (needs "nodes" and "weights").  In complex mode, vector
-entries are [re, im] pairs; plain numbers are also accepted.  Real mode
-rejects any nonzero imaginary part.
-
-Results go to stdout as JSON with fixed key order and 17-significant-digit
-floats, so identical inputs and flags give byte-identical output.
-Diagnostics go to stderr.  Exit codes: 0 success, 2 input error,
-3 zero vector, 4 dependent vectors, 5 verification failure.
-"""
+"""Command-line front end: ``orthobound bound|extremize|minnorm|verify <instance.json>``.
+README's CLI section documents the flags, the instance format and the exit codes."""
 
 from __future__ import annotations
 
@@ -53,7 +32,8 @@ def _fmt_float(x: float) -> str:
 
 
 def dumps_stable(obj) -> str:
-    """JSON with insertion key order and 17-significant-digit floats."""
+    """JSON with insertion key order and 17-significant-digit floats.  Raises
+    OrthoboundError on a non-finite float, which JSON cannot represent."""
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -61,6 +41,8 @@ def dumps_stable(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not np.isfinite(obj):
+            raise OrthoboundError(f"the result holds {float(obj)!r}, which JSON cannot represent")
         return _fmt_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
@@ -94,7 +76,7 @@ def _parse_vector(doc, field: str, real_mode: bool) -> np.ndarray:
     out = np.empty(len(doc), dtype=np.complex128)
     for i, entry in enumerate(doc):
         out[i] = _parse_scalar(entry, f"{field}[{i}]", real_mode)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise InstanceError(field, "entries must be finite")
     return out
 
@@ -335,8 +317,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(msg, file=sys.stderr)
 
     try:
-        # a Gram overflow is reported as GramOverflow, so numpy's warning is noise
-        with np.errstate(over="ignore"):
+        # GramOverflow and dumps_stable's refusal of inf and nan stand for numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore"):
             return args.fn(args)
     except ZeroVector as exc:
         diag(str(exc))

@@ -72,9 +72,28 @@ def as_vector(space: SpaceDescriptor, u, name: str = "vector") -> np.ndarray:
         raise DimensionMismatch(
             f"{name} has length {v.size}, space has dimension {space.dim}"
         )
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NonFiniteInput(f"{name} contains NaN or Inf")
     return v
+
+
+# pair kernels handle vectors longer than this in pieces of at most this many
+# elements (256 KiB complex), so that no call allocates a full-length temporary
+_PIECE = 1 << 14
+
+
+def _pairwise(kernel, per: int, w: np.ndarray, *vs: np.ndarray):
+    """kernel(w, *vs), reduced over pieces of at most _PIECE elements.  Each
+    summand of the kernel's sum is per doubles (1 float, 2 complex); the pieces
+    split where numpy's pairwise summation splits a sum of more than 128
+    doubles, so the result equals the whole-vector kernel bit for bit."""
+    n = w.size
+    if n <= _PIECE or per * n <= 128:
+        return kernel(w, *vs)
+    h = per * n // 2
+    k = (h - h % 8) // per
+    lo = _pairwise(kernel, per, w[:k], *(v[:k] for v in vs))
+    return lo + _pairwise(kernel, per, w[k:], *(v[k:] for v in vs))
 
 
 def _inner_rows(w: np.ndarray, u: np.ndarray, v: np.ndarray, t=None, cv=None) -> np.ndarray:
@@ -109,13 +128,6 @@ def _project_rows(
     return np.subtract(z, np.multiply(coef[..., None], c, out=t), out=out)
 
 
-def _deflated_schwarz_rows(w, z, c, d) -> Tuple[np.ndarray, np.ndarray]:
-    """Row-wise (lhs, rhs) of the deflated Schwarz inequality; see deflated_schwarz."""
-    nc = _norm_sq_rows(w, c)
-    dp = _project_rows(w, d, c, nc)
-    return _deflated_sides(w, _project_rows(w, z, c, nc), dp, nc, _norm_sq_rows(w, dp))
-
-
 def _deflated_sides(w, zp, dp, nc, ndp, r=None, t=None, cv=None) -> Tuple[np.ndarray, np.ndarray]:
     """(lhs, rhs) from the components zp, dp of z and d orthogonal to c and
     the squared norms nc of c and ndp of dp.  The buffers are as in
@@ -128,9 +140,9 @@ def _deflated_sides(w, zp, dp, nc, ndp, r=None, t=None, cv=None) -> Tuple[np.nda
 def _gram(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> GramSummary:
     """Gram data of validated vectors, with det clamped at 0.  Raises
     GramOverflow when ||a||^2, ||b||^2, their product or |<a,b>|^2 is not finite."""
-    na = float(_norm_sq_rows(w, a))
-    nb = float(_norm_sq_rows(w, b))
-    iab = complex(_inner_rows(w, a, b))
+    na = float(_pairwise(_norm_sq_rows, 1, w, a))
+    nb = float(_pairwise(_norm_sq_rows, 1, w, b))
+    iab = complex(_pairwise(_inner_rows, 2, w, a, b))
     try:
         iab2 = abs(iab) ** 2
     except OverflowError:  # Python floats raise where numpy would give inf
@@ -175,14 +187,27 @@ def _bound(g: GramSummary) -> float:
 
 def _extremizer(a: np.ndarray, b: np.ndarray, g: GramSummary, tol: Tolerances) -> np.ndarray:
     _require_independent(g, tol)
-    resid = b - (np.conj(g.inner_ab) / g.norm_a_sq) * a
+    coef = np.conj(g.inner_ab) / g.norm_a_sq
     nu = np.sqrt(g.norm_a_sq / g.det)
-    return nu * resid
+    if b.size <= _PIECE:
+        return nu * (b - coef * a)
+    x, s = np.empty_like(b), np.empty(_PIECE, b.dtype)
+    for i in range(0, b.size, _PIECE):
+        p, t = slice(i, i + _PIECE), s[: b.size - i]
+        np.multiply(nu, np.subtract(b[p], np.multiply(coef, a[p], out=t), out=t), out=x[p])
+    return x
 
 
 def _min_norm(a: np.ndarray, b: np.ndarray, g: GramSummary, tol: Tolerances) -> Tuple[np.ndarray, float]:
     _require_independent(g, tol)
-    x = (g.norm_a_sq * b - np.conj(g.inner_ab) * a) / g.det
+    coef = np.conj(g.inner_ab)
+    if b.size <= _PIECE:
+        return (g.norm_a_sq * b - coef * a) / g.det, g.norm_a_sq / g.det
+    x, s = np.empty_like(b), np.empty(_PIECE, b.dtype)
+    for i in range(0, b.size, _PIECE):
+        p, t = slice(i, i + _PIECE), s[: b.size - i]
+        np.subtract(np.multiply(g.norm_a_sq, b[p], out=x[p]), np.multiply(coef, a[p], out=t), out=t)
+        np.divide(t, g.det, out=x[p])
     return x, g.norm_a_sq / g.det
 
 
@@ -190,12 +215,12 @@ def inner(space: SpaceDescriptor, u, v) -> complex:
     """Weighted inner product, linear in u and conjugate-linear in v."""
     uu = as_vector(space, u, "u")
     vv = as_vector(space, v, "v")
-    return complex(_inner_rows(space.weights, uu, vv))
+    return complex(_pairwise(_inner_rows, 2, space.weights, uu, vv))
 
 
 def norm_sq(space: SpaceDescriptor, u) -> float:
     """Squared norm; always a nonnegative real."""
-    return float(_norm_sq_rows(space.weights, as_vector(space, u, "u")))
+    return float(_pairwise(_norm_sq_rows, 1, space.weights, as_vector(space, u, "u")))
 
 
 def gram2(space: SpaceDescriptor, a, b) -> GramSummary:
@@ -260,6 +285,9 @@ def deflated_schwarz(space: SpaceDescriptor, z, c, d) -> Tuple[float, float]:
     zz = as_vector(space, z, "z")
     cc = as_vector(space, c, "c")
     dd = as_vector(space, d, "d")
-    _require_nonzero(_norm_sq_rows(space.weights, cc), "c")
-    lhs, rhs = _deflated_schwarz_rows(space.weights, zz, cc, dd)
+    w = space.weights
+    nc = _norm_sq_rows(w, cc)
+    _require_nonzero(nc, "c")
+    dp = _project_rows(w, dd, cc, nc)
+    lhs, rhs = _deflated_sides(w, _project_rows(w, zz, cc, nc), dp, nc, _norm_sq_rows(w, dp))
     return float(lhs), float(rhs)

@@ -60,7 +60,7 @@ class SpaceDescriptor:
             x = np.asarray(self.nodes, dtype=np.float64)
             if x.shape != w.shape:
                 raise InvalidDimension("nodes and weights must have equal length")
-            if not np.all(np.isfinite(x)):
+            if not np.isfinite(x).all():
                 raise NonFiniteInput("quadrature nodes must be finite")
             if np.any(np.diff(x) <= 0.0):
                 raise InvalidInterval("quadrature nodes must be strictly increasing")

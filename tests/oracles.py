@@ -40,3 +40,26 @@ def min_norm_by_lagrange(weights, a, b):
     p, q = np.linalg.solve(gram, np.array([0.0, 1.0], dtype=np.complex128))
     x = p * a + q * b
     return x, norm_sq_by_summation(weights, x)
+
+
+# Whole-array forms of the pair functions on complex128 vectors: one numpy
+# expression per quantity over the full vectors.  The library reduces long
+# vectors in pieces and must reproduce these bit for bit.
+
+
+def gram_whole(w, a, b):
+    """(||a||^2, ||b||^2, <a,b>, det) with det clamped at 0."""
+    na = float(np.add.reduce(w * np.abs(a) ** 2))
+    nb = float(np.add.reduce(w * np.abs(b) ** 2))
+    iab = complex(np.add.reduce(w * a * np.conj(b)))
+    return na, nb, iab, max(na * nb - abs(iab) ** 2, 0.0)
+
+
+def extremizer_whole(w, a, b):
+    na, _, iab, det = gram_whole(w, a, b)
+    return np.sqrt(na / det) * (b - (np.conj(iab) / na) * a)
+
+
+def min_norm_whole(w, a, b):
+    na, _, iab, det = gram_whole(w, a, b)
+    return (na * b - np.conj(iab) * a) / det, na / det

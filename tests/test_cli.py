@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from orthobound import OrthoboundError
 from orthobound.cli import dumps_stable, load_instance, main
 
 
@@ -92,6 +93,31 @@ def test_bad_weight_reported(tmp_path, capsys):
 def test_dumps_stable_formats():
     assert dumps_stable({"a": 1.0, "b": [True, None, "x"]}) == '{"a": 1, "b": [true, null, "x"]}'
     assert dumps_stable(1 / 3) == "0.33333333333333331"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_dumps_stable_refuses_non_finite_floats(value):
+    for obj in (value, np.float64(value), [1.0, [value]], {"a": {"b": value}}, {"a": [0.5, value]}):
+        with pytest.raises(OrthoboundError, match=repr(value)):
+            dumps_stable(obj)
+
+
+# ||b||^2 is subnormal and the kernel's ||a||^2 / det overflows (ROADMAP item 1):
+# the non-finite answer must not reach stdout
+SUBNORMAL_B = {
+    "space": {"kind": "dense", "dim": 2},
+    "a": [[0, 1], [3, 1]],
+    "b": [[0, 0], [0, 6.494684341851422e-161]],
+    "mode": "complex",
+}
+
+
+@pytest.mark.parametrize("command", ["extremize", "minnorm"])
+def test_non_finite_result_is_an_input_error(tmp_path, capsys, command):
+    code, out, err = run(capsys, [command, write_instance(tmp_path, SUBNORMAL_B)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ") and err.count("\n") == 1
 
 
 def test_output_round_trips_as_json(tmp_path, capsys):

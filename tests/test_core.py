@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from orthobound import (
     OrthoboundError,
     Tolerances,
     ZeroVector,
+    core,
     deflated_schwarz,
     extremizer,
     gram2,
@@ -21,7 +24,14 @@ from orthobound import (
     project_out,
     schwarz_gap,
 )
-from oracles import inner_by_summation, min_norm_by_lagrange, norm_sq_by_summation
+from oracles import (
+    extremizer_whole,
+    gram_whole,
+    inner_by_summation,
+    min_norm_by_lagrange,
+    min_norm_whole,
+    norm_sq_by_summation,
+)
 
 D2 = make_dense(2)
 D3 = make_dense(3)
@@ -324,3 +334,69 @@ def test_gram_overflow_raises_typed_error(fn, a, b):
     assert issubclass(GramOverflow, OrthoboundError)
     with pytest.raises(GramOverflow, match="overflows float64"):
         fn(make_dense(2), a, b)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_extremizer_finite_when_norm_b_sq_is_subnormal():
+    # an independent pair (||r||^2 / ||b||^2 = 1/11) whose ||b||^2 is
+    # subnormal: det keeps a few bits and ||a||^2 / det overflows
+    a = [1j, 3 + 1j]
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = extremizer(D2, a, [0, 6.494684341851422e-161j])
+    assert np.isfinite(x).all()
+    assert norm_sq(D2, x) == pytest.approx(1.0, rel=1e-9)
+    assert abs(inner(D2, x, a)) <= 1e-9
+
+
+# --- long vectors, reduced in pieces ---------------------------------------
+
+@pytest.mark.parametrize("piece", [8, 24])
+def test_pairwise_splits_where_numpy_does(monkeypatch, piece):
+    monkeypatch.setattr(core, "_PIECE", piece)
+    rng = np.random.default_rng(piece)
+    w = rng.uniform(0.5, 2.0, 600)
+    u, v = (rng.standard_normal(600) + 1j * rng.standard_normal(600) for _ in range(2))
+    for n in range(1, 601):
+        wn, un, vn = w[:n], u[:n], v[:n]
+        assert core._pairwise(core._norm_sq_rows, 1, wn, un) == core._norm_sq_rows(wn, un), n
+        assert core._pairwise(core._inner_rows, 2, wn, un, vn) == core._inner_rows(wn, un, vn), n
+
+
+def _long_pair(dim, complex_mode):
+    rng = np.random.default_rng(dim)
+    s = make_weighted(rng.uniform(0.5, 2.0, dim))
+    a, b = (
+        rng.standard_normal(dim) + (1j * rng.standard_normal(dim) if complex_mode else 0j)
+        for _ in range(2)
+    )
+    return s, a, b
+
+
+@pytest.mark.parametrize("complex_mode", [False, True])
+@pytest.mark.parametrize("dim", [core._PIECE - 1, core._PIECE + 1, 2 * core._PIECE + 3, 1 << 18])
+def test_pair_functions_match_whole_array_forms(dim, complex_mode):
+    s, a, b = _long_pair(dim, complex_mode)
+    g = gram2(s, a, b)
+    na, nb, iab, det = gram_whole(s.weights, a, b)
+    assert (g.norm_a_sq, g.norm_b_sq, g.inner_ab, g.det) == (na, nb, iab, det)
+    assert ostrowski_bound(s, a, b) == det / na
+    np.testing.assert_array_equal(extremizer(s, a, b), extremizer_whole(s.weights, a, b))
+    x, value = min_norm_solution(s, a, b)
+    x_ref, value_ref = min_norm_whole(s.weights, a, b)
+    np.testing.assert_array_equal(x, x_ref)
+    assert value == value_ref
+
+
+@pytest.mark.parametrize(
+    "fn, limit_mib", [(gram2, 1), (ostrowski_bound, 1), (extremizer, 5), (min_norm_solution, 5)]
+)
+def test_long_pair_calls_allocate_no_full_length_temporary(fn, limit_mib):
+    # one complex vector of dim 2^18 is 4 MiB; the last two return one
+    s, a, b = _long_pair(1 << 18, True)
+    tracemalloc.start()
+    try:
+        fn(s, a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mib * 2**20

@@ -270,8 +270,10 @@ def test_row_kernels_match_summation_oracle():
     rng = np.random.default_rng(31)
     s = make_weighted(rng.uniform(0.5, 2.0, 6))
     z, c, d = (rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6)) for _ in range(3))
-    lhs, rhs = core._deflated_schwarz_rows(s.weights, z, c, d)
+    nc = core._norm_sq_rows(s.weights, c)
+    dp = core._project_rows(s.weights, d, c, nc)
     projected = core._project_rows(s.weights, z, c)
+    lhs, rhs = core._deflated_sides(s.weights, projected, dp, nc, core._norm_sq_rows(s.weights, dp))
 
     def ip(u, v):
         return inner_by_summation(s.weights, u, v)
