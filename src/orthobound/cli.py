@@ -31,9 +31,10 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def dumps_stable(obj) -> str:
-    """JSON with insertion key order and 17-significant-digit floats.  Raises
-    OrthoboundError on a non-finite float, which JSON cannot represent."""
+def dumps_stable(obj, nulls: bool = False) -> str:
+    """JSON with insertion key order and 17-significant-digit floats.  A nan
+    or inf, which JSON cannot represent, is written as null if nulls is set
+    and raises OrthoboundError if not."""
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -42,14 +43,17 @@ def dumps_stable(obj) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         if not np.isfinite(obj):
+            if nulls:
+                return "null"
             raise OrthoboundError(f"the result holds {float(obj)!r}, which JSON cannot represent")
         return _fmt_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(dumps_stable(v) for v in obj) + "]"
+        return "[" + ", ".join(dumps_stable(v, nulls) for v in obj) + "]"
     if isinstance(obj, dict):
-        return "{" + ", ".join(f"{json.dumps(str(k))}: {dumps_stable(v)}" for k, v in obj.items()) + "}"
+        items = (f"{json.dumps(str(k))}: {dumps_stable(v, nulls)}" for k, v in obj.items())
+        return "{" + ", ".join(items) + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -204,16 +208,21 @@ def cmd_minnorm(args) -> int:
     return 0
 
 
-def _verify_lines(space, a, b, real_mode, trials, seed, tol_value) -> Tuple[List[str], bool]:
-    """The report lines of one verify run, and whether every check passed."""
+def _verify_lines(space, a, b, real_mode, trials, seed, tol_value) -> Tuple[List[str], bool, List[str]]:
+    """The report lines of one verify run, whether every check passed, and the
+    checks with a nan or inf figure, which fail and write the figure as null."""
     tol = core.Tolerances(rel_eps=tol_value)
     reports = verify.verify_all(space, a, b, trials=trials, tol=tol, seed=seed, real=real_mode)
     settings = {"trials": trials, "seed": seed, "tol": tol_value}
-    lines = [
-        dumps_stable(dict(rep.to_dict(), harness_format=verify.HARNESS_FORMAT, settings=settings))
-        for rep in reports
-    ]
-    return lines, all(rep.passed for rep in reports)
+    lines, non_finite = [], []
+    for rep in reports:
+        doc = dict(rep.to_dict(), harness_format=verify.HARNESS_FORMAT, settings=settings)
+        try:
+            lines.append(dumps_stable(doc))
+        except OrthoboundError:
+            non_finite.append(rep.check_name)
+            lines.append(dumps_stable(doc, nulls=True))
+    return lines, not non_finite and all(rep.passed for rep in reports), non_finite
 
 
 def cmd_verify(args) -> int:
@@ -228,11 +237,13 @@ def cmd_verify(args) -> int:
     if args.replay:
         return _cmd_verify_replay(args, space, a, b, real_mode)
 
-    lines, passed = _verify_lines(space, a, b, real_mode, args.trials, args.seed, args.tol)
+    lines, passed, non_finite = _verify_lines(space, a, b, real_mode, args.trials, args.seed, args.tol)
     for line in lines:
         print(line)
     if not passed:
         if not args.quiet:
+            for check in non_finite:
+                print(f"{check}: a figure is nan or inf, written as null", file=sys.stderr)
             print("verification FAILED", file=sys.stderr)
         return 5
     return 0
@@ -264,7 +275,7 @@ def _cmd_verify_replay(args, space, a, b, real_mode) -> int:
             f"this version writes {verify.HARNESS_FORMAT}); regenerate it with 'orthobound verify'",
         )
 
-    fresh, _ = _verify_lines(space, a, b, real_mode, trials, seed, tol_value)
+    fresh = _verify_lines(space, a, b, real_mode, trials, seed, tol_value)[0]
     ok = len(stored) == len(fresh) and all(s == f for s, f in zip(stored, fresh))
     for line in fresh:
         print(line)

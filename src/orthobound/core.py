@@ -85,10 +85,10 @@ _PIECE = 1 << 14
 def _pairwise(kernel, per: int, w: np.ndarray, *vs: np.ndarray):
     """kernel(w, *vs), reduced over pieces of at most _PIECE elements.  Each
     summand of the kernel's sum is per doubles (1 float, 2 complex); the pieces
-    split where numpy's pairwise summation splits a sum of more than 128
-    doubles, so the result equals the whole-vector kernel bit for bit."""
+    split where numpy's pairwise summation splits any sum of more than 128
+    doubles (_PIECE >= 128): the result has the whole-vector kernel's bits."""
     n = w.size
-    if n <= _PIECE or per * n <= 128:
+    if n <= _PIECE:
         return kernel(w, *vs)
     h = per * n // 2
     k = (h - h % 8) // per
@@ -189,7 +189,7 @@ def _extremizer(a: np.ndarray, b: np.ndarray, g: GramSummary, tol: Tolerances) -
     _require_independent(g, tol)
     coef = np.conj(g.inner_ab) / g.norm_a_sq
     nu = np.sqrt(g.norm_a_sq / g.det)
-    if b.size <= _PIECE:
+    if b.size <= _PIECE:  # the same bits as the loop, about 3 us a call faster
         return nu * (b - coef * a)
     x, s = np.empty_like(b), np.empty(_PIECE, b.dtype)
     for i in range(0, b.size, _PIECE):
@@ -201,7 +201,7 @@ def _extremizer(a: np.ndarray, b: np.ndarray, g: GramSummary, tol: Tolerances) -
 def _min_norm(a: np.ndarray, b: np.ndarray, g: GramSummary, tol: Tolerances) -> Tuple[np.ndarray, float]:
     _require_independent(g, tol)
     coef = np.conj(g.inner_ab)
-    if b.size <= _PIECE:
+    if b.size <= _PIECE:  # as in _extremizer
         return (g.norm_a_sq * b - coef * a) / g.det, g.norm_a_sq / g.det
     x, s = np.empty_like(b), np.empty(_PIECE, b.dtype)
     for i in range(0, b.size, _PIECE):

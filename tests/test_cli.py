@@ -100,6 +100,7 @@ def test_dumps_stable_refuses_non_finite_floats(value):
     for obj in (value, np.float64(value), [1.0, [value]], {"a": {"b": value}}, {"a": [0.5, value]}):
         with pytest.raises(OrthoboundError, match=repr(value)):
             dumps_stable(obj)
+        assert "null" in dumps_stable(obj, nulls=True)
 
 
 # ||b||^2 is subnormal and the kernel's ||a||^2 / det overflows (ROADMAP item 1):
@@ -118,6 +119,36 @@ def test_non_finite_result_is_an_input_error(tmp_path, capsys, command):
     assert code == 2
     assert out == ""
     assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+def _strict_json(line):
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(line, parse_constant=refuse)
+
+
+def test_verify_with_non_finite_figures_fails_the_check(tmp_path, capsys):
+    # the checks see the kernel's overflowing extremizer and min-norm vector:
+    # a failed check (exit 5) with the figures written as null, not bad input
+    inst = write_instance(tmp_path, SUBNORMAL_B)
+    code, out, err = run(capsys, ["verify", inst, "--trials", "50"])
+    assert code == 5
+    docs = [_strict_json(ln) for ln in out.splitlines()]
+    assert [d["check"] for d in docs] == [
+        "bound_dominance", "min_norm_optimality", "deflated_schwarz", "scale_covariance", "real_consistency"
+    ]
+    assert [d["passed"] for d in docs] == [False, False, True, True, True]
+    assert docs[0]["worst_violation"] is None and docs[1]["value"] is None
+    assert err.splitlines() == [
+        "bound_dominance: a figure is nan or inf, written as null",
+        "min_norm_optimality: a figure is nan or inf, written as null",
+        "verification FAILED",
+    ]
+    replay = tmp_path / "replay.jsonl"
+    replay.write_text(out)
+    code, out2, _ = run(capsys, ["verify", inst, "--replay", str(replay)])
+    assert (code, out2) == (0, out)
 
 
 def test_output_round_trips_as_json(tmp_path, capsys):

@@ -350,13 +350,15 @@ def test_extremizer_finite_when_norm_b_sq_is_subnormal():
 
 # --- long vectors, reduced in pieces ---------------------------------------
 
-@pytest.mark.parametrize("piece", [8, 24])
+@pytest.mark.parametrize("piece", [128, 200])
 def test_pairwise_splits_where_numpy_does(monkeypatch, piece):
+    # numpy splits any sum of more than 128 doubles, so pieces of 128 or more
+    # elements reach several split levels on these lengths
     monkeypatch.setattr(core, "_PIECE", piece)
     rng = np.random.default_rng(piece)
-    w = rng.uniform(0.5, 2.0, 600)
-    u, v = (rng.standard_normal(600) + 1j * rng.standard_normal(600) for _ in range(2))
-    for n in range(1, 601):
+    w = rng.uniform(0.5, 2.0, 1200)
+    u, v = (rng.standard_normal(1200) + 1j * rng.standard_normal(1200) for _ in range(2))
+    for n in range(1, 1201):
         wn, un, vn = w[:n], u[:n], v[:n]
         assert core._pairwise(core._norm_sq_rows, 1, wn, un) == core._norm_sq_rows(wn, un), n
         assert core._pairwise(core._inner_rows, 2, wn, un, vn) == core._inner_rows(wn, un, vn), n
@@ -373,7 +375,7 @@ def _long_pair(dim, complex_mode):
 
 
 @pytest.mark.parametrize("complex_mode", [False, True])
-@pytest.mark.parametrize("dim", [core._PIECE - 1, core._PIECE + 1, 2 * core._PIECE + 3, 1 << 18])
+@pytest.mark.parametrize("dim", [2, 17, core._PIECE - 1, core._PIECE + 1, 2 * core._PIECE + 3, 1 << 18])
 def test_pair_functions_match_whole_array_forms(dim, complex_mode):
     s, a, b = _long_pair(dim, complex_mode)
     g = gram2(s, a, b)
