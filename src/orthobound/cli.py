@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional, Tuple
 
@@ -27,28 +28,20 @@ class InstanceError(OrthoboundError):
 # stable JSON output
 
 
-def _fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def dumps_stable(obj, nulls: bool = False) -> str:
     """JSON with insertion key order and 17-significant-digit floats.  A nan
     or inf, which JSON cannot represent, is written as null if nulls is set
     and raises OrthoboundError if not."""
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
+    if isinstance(obj, (float, np.floating)):
+        if math.isfinite(obj):
+            return format(float(obj), ".17g")
+        if nulls:
+            return "null"
+        raise OrthoboundError(f"the result holds {float(obj)!r}, which JSON cannot represent")
+    if obj is None or isinstance(obj, (bool, str)):
+        return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        if not np.isfinite(obj):
-            if nulls:
-                return "null"
-            raise OrthoboundError(f"the result holds {float(obj)!r}, which JSON cannot represent")
-        return _fmt_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(dumps_stable(v, nulls) for v in obj) + "]"
     if isinstance(obj, dict):
@@ -60,28 +53,34 @@ def dumps_stable(obj, nulls: bool = False) -> str:
 # ---------------------------------------------------------------------------
 # instance parsing
 
-
-def _parse_scalar(entry, field: str, real_mode: bool) -> complex:
-    if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-        return complex(float(entry), 0.0)
-    if isinstance(entry, list) and len(entry) == 2 and all(
-        isinstance(p, (int, float)) and not isinstance(p, bool) for p in entry
-    ):
-        z = complex(float(entry[0]), float(entry[1]))
-        if real_mode and z.imag != 0.0:
-            raise InstanceError(field, "nonzero imaginary part in real mode")
-        return z
-    raise InstanceError(field, "expected a number or a [re, im] pair")
+# the entry types json.load gives numbers; bool, a subclass of int, is not one
+_NUMBER = (int, float)
 
 
-def _parse_vector(doc, field: str, real_mode: bool) -> np.ndarray:
-    if not isinstance(doc, list) or not doc:
+def _decode(doc, field: str, real_mode: Optional[bool] = None) -> np.ndarray:
+    """A nonempty JSON array of numbers as float64.  With real_mode given it is
+    a vector: entries may also be [re, im] pairs, the result is complex128, and
+    real mode refuses a nonzero imaginary part.  Names the first bad entry."""
+    if type(doc) is not list or not doc:
         raise InstanceError(field, "expected a nonempty array")
-    out = np.empty(len(doc), dtype=np.complex128)
-    for i, entry in enumerate(doc):
-        out[i] = _parse_scalar(entry, f"{field}[{i}]", real_mode)
-    if not np.isfinite(out).all():
-        raise InstanceError(field, "entries must be finite")
+    rows, want = doc, "expected a number"
+    ok = [type(e) in _NUMBER for e in rows]
+    if real_mode is not None and not all(ok):  # a vector with pairs; e stands for [e, 0]
+        rows, want = [e if type(e) is list else (e, 0) for e in doc], "expected a number or a [re, im] pair"
+        ok = [len(e) == 2 and type(e[0]) in _NUMBER and type(e[1]) in _NUMBER for e in rows]
+    n = ok.index(False) if False in ok else len(ok)
+    # the entries before the first bad one, so that an earlier error is named first
+    try:
+        out = np.array(rows[:n], dtype=np.float64)
+    except OverflowError as exc:  # an integer beyond float64
+        raise InstanceError(field, "entries must fit in float64") from exc
+    if real_mode is not None:
+        # numbers alone convert as they are; rows of [re, im] are viewed as complex
+        out = out.astype(np.complex128) if rows is doc else out.reshape(n, 2).view(np.complex128).ravel()
+        if real_mode and out.imag.any():
+            raise InstanceError(f"{field}[{np.flatnonzero(out.imag)[0]}]", "nonzero imaginary part in real mode")
+    if n < len(ok):
+        raise InstanceError(f"{field}[{n}]", want)
     return out
 
 
@@ -97,15 +96,15 @@ def _parse_space(doc) -> SpaceDescriptor:
         elif kind == "weighted":
             if "weights" not in doc:
                 raise InstanceError("space.weights", "required for weighted spaces")
-            space = make_weighted(np.asarray(doc["weights"], dtype=np.float64))
+            space = make_weighted(_decode(doc["weights"], "space.weights"))
         elif kind == "quadrature":
             for key in ("nodes", "weights"):
                 if key not in doc:
                     raise InstanceError(f"space.{key}", "required for quadrature spaces")
             space = SpaceDescriptor(
                 "quadrature",
-                np.asarray(doc["weights"], dtype=np.float64),
-                np.asarray(doc["nodes"], dtype=np.float64),
+                _decode(doc["weights"], "space.weights"),
+                _decode(doc["nodes"], "space.nodes"),
             )
         else:
             raise InstanceError("space.kind", "expected dense|weighted|quadrature")
@@ -140,7 +139,9 @@ def load_instance(path: str) -> Tuple[SpaceDescriptor, np.ndarray, np.ndarray, b
     for name in ("a", "b"):
         if name not in doc:
             raise InstanceError(name, "missing")
-        v = _parse_vector(doc[name], name, real_mode)
+        v = _decode(doc[name], name, real_mode)
+        if not np.isfinite(v).all():
+            raise InstanceError(name, "entries must be finite")
         if v.size != space.dim:
             raise InstanceError(name, f"length {v.size} does not match space dimension {space.dim}")
         vectors.append(v)
@@ -149,71 +150,63 @@ def load_instance(path: str) -> Tuple[SpaceDescriptor, np.ndarray, np.ndarray, b
 
 def _emit_vector(x: np.ndarray, real_mode: bool):
     if real_mode:
-        return [float(z.real) for z in x]
-    return [[float(z.real), float(z.imag)] for z in x]
+        return x.real.tolist()
+    return np.column_stack((x.real, x.imag)).tolist()
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_bound(args) -> int:
+def cmd_pair(args) -> int:
+    """bound, extremize or minnorm, on Gram data built once from the vectors
+    that load_instance validated."""
     space, a, b, real_mode = load_instance(args.instance)
-    g = core.gram2(space, a, b)
-    bound = core._bound(g)
-    gram = {
-        "norm_a_sq": g.norm_a_sq,
-        "norm_b_sq": g.norm_b_sq,
-        "inner_ab": g.inner_ab.real if real_mode else [g.inner_ab.real, g.inner_ab.imag],
-        "det": g.det,
-    }
-    print(dumps_stable({"bound": bound, "gram": gram}))
-    return 0
-
-
-def cmd_extremize(args) -> int:
-    space, a, b, real_mode = load_instance(args.instance)
-    a, b, g = core._pair(space, a, b)
-    x = core._extremizer(a, b, g, core.DEFAULT_TOL)
     w = space.weights
-    print(
-        dumps_stable(
-            {
-                "x": _emit_vector(x, real_mode),
-                "attained": abs(complex(core._inner_rows(w, x, b))) ** 2,
-                "bound": core._bound(g),
-                "residual_orth": abs(complex(core._inner_rows(w, x, a))),
-                "residual_norm": abs(np.sqrt(float(core._norm_sq_rows(w, x))) - 1.0),
-            }
-        )
-    )
+    g = core._gram(w, a, b)
+    if args.command == "bound":
+        # the Gram fields in GramSummary's order, the complex one as [re, im]
+        iab = g.inner_ab
+        gram = dict(vars(g), inner_ab=iab.real if real_mode else [iab.real, iab.imag])
+        doc = {"bound": core._bound(g), "gram": gram}
+    elif args.command == "extremize":
+        x = core._extremizer(a, b, g, core.DEFAULT_TOL)
+        doc = {
+            "x": _emit_vector(x, real_mode),
+            "attained": abs(complex(core._inner_rows(w, x, b))) ** 2,
+            "bound": core._bound(g),
+            "residual_orth": abs(complex(core._inner_rows(w, x, a))),
+            "residual_norm": abs(np.sqrt(float(core._norm_sq_rows(w, x))) - 1.0),
+        }
+    else:
+        x, value = core._min_norm(a, b, g, core.DEFAULT_TOL)
+        doc = {
+            "x": _emit_vector(x, real_mode),
+            "value": value,
+            "residual_orth": abs(complex(core._inner_rows(w, x, a))),
+            "residual_one": abs(complex(core._inner_rows(w, x, b)) - 1.0),
+        }
+    print(dumps_stable(doc))
     return 0
 
 
-def cmd_minnorm(args) -> int:
-    space, a, b, real_mode = load_instance(args.instance)
-    a, b, g = core._pair(space, a, b)
-    x, value = core._min_norm(a, b, g, core.DEFAULT_TOL)
-    w = space.weights
-    print(
-        dumps_stable(
-            {
-                "x": _emit_vector(x, real_mode),
-                "value": value,
-                "residual_orth": abs(complex(core._inner_rows(w, x, a))),
-                "residual_one": abs(complex(core._inner_rows(w, x, b)) - 1.0),
-            }
-        )
-    )
-    return 0
+def _tolerances(trials: int, seed: int, tol_value: float, prefix: str) -> core.Tolerances:
+    """Check the settings of a verify run, from the flags (prefix "--") or from
+    a replay file's first line, and return its tolerances."""
+    for name, value in (("trials", trials), ("seed", seed)):
+        if value < 0:
+            raise InstanceError(f"{prefix}{name}", "must be nonnegative")
+    try:
+        return core.Tolerances(rel_eps=tol_value)
+    except ValueError as exc:
+        raise InstanceError(f"{prefix}tol", str(exc)) from exc
 
 
-def _verify_lines(space, a, b, real_mode, trials, seed, tol_value) -> Tuple[List[str], bool, List[str]]:
+def _verify_lines(space, a, b, real_mode, trials, seed, tol) -> Tuple[List[str], bool, List[str]]:
     """The report lines of one verify run, whether every check passed, and the
     checks with a nan or inf figure, which fail and write the figure as null."""
-    tol = core.Tolerances(rel_eps=tol_value)
     reports = verify.verify_all(space, a, b, trials=trials, tol=tol, seed=seed, real=real_mode)
-    settings = {"trials": trials, "seed": seed, "tol": tol_value}
+    settings = {"trials": trials, "seed": seed, "tol": tol.rel_eps}
     lines, non_finite = [], []
     for rep in reports:
         doc = dict(rep.to_dict(), harness_format=verify.HARNESS_FORMAT, settings=settings)
@@ -225,35 +218,11 @@ def _verify_lines(space, a, b, real_mode, trials, seed, tol_value) -> Tuple[List
     return lines, not non_finite and all(rep.passed for rep in reports), non_finite
 
 
-def cmd_verify(args) -> int:
-    space, a, b, real_mode = load_instance(args.instance)
-    if args.trials < 0:
-        raise InstanceError("--trials", "must be nonnegative")
-    if args.seed < 0:
-        raise InstanceError("--seed", "must be nonnegative")
-    if not (0.0 < args.tol < 1.0):
-        raise InstanceError("--tol", "must lie in (0, 1)")
-
-    if args.replay:
-        return _cmd_verify_replay(args, space, a, b, real_mode)
-
-    lines, passed, non_finite = _verify_lines(space, a, b, real_mode, args.trials, args.seed, args.tol)
-    for line in lines:
-        print(line)
-    if not passed:
-        if not args.quiet:
-            for check in non_finite:
-                print(f"{check}: a figure is nan or inf, written as null", file=sys.stderr)
-            print("verification FAILED", file=sys.stderr)
-        return 5
-    return 0
-
-
-def _cmd_verify_replay(args, space, a, b, real_mode) -> int:
-    """Re-run the checks recorded in a previous verify output and compare
-    byte-for-byte; any drift (or hand-edited value) is a failure."""
+def _read_replay(path: str) -> Tuple[List[str], int, int, core.Tolerances]:
+    """The report lines of a previous verify output, and the trials, seed and
+    tolerances recorded in its first line."""
     try:
-        with open(args.replay, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             stored = [ln.rstrip("\n") for ln in fh if ln.strip()]
     except OSError as exc:
         raise InstanceError("--replay", str(exc)) from exc
@@ -266,7 +235,7 @@ def _cmd_verify_replay(args, space, a, b, real_mode) -> int:
         trials = int(settings["trials"])
         seed = int(settings["seed"])
         tol_value = float(settings["tol"])
-    except (json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InstanceError("--replay", f"malformed report line: {exc}") from exc
     if written_by != verify.HARNESS_FORMAT:
         raise InstanceError(
@@ -274,16 +243,31 @@ def _cmd_verify_replay(args, space, a, b, real_mode) -> int:
             f"file was written by an older sampler (harness_format {written_by!r}, "
             f"this version writes {verify.HARNESS_FORMAT}); regenerate it with 'orthobound verify'",
         )
+    return stored, trials, seed, _tolerances(trials, seed, tol_value, "--replay settings.")
 
-    fresh = _verify_lines(space, a, b, real_mode, trials, seed, tol_value)[0]
-    ok = len(stored) == len(fresh) and all(s == f for s, f in zip(stored, fresh))
-    for line in fresh:
+
+def cmd_verify(args) -> int:
+    space, a, b, real_mode = load_instance(args.instance)
+    tol = _tolerances(args.trials, args.seed, args.tol, "--")
+    stored, trials, seed = None, args.trials, args.seed
+    if args.replay:
+        stored, trials, seed, tol = _read_replay(args.replay)
+    lines, passed, non_finite = _verify_lines(space, a, b, real_mode, trials, seed, tol)
+    for line in lines:
         print(line)
-    if not ok:
-        if not args.quiet:
-            print("replay mismatch: stored reports do not reproduce", file=sys.stderr)
-        return 5
-    return 0
+    # a replay re-runs the recorded checks and compares byte for byte: any drift
+    # (or hand-edited value) is a failure, whether or not the checks pass
+    if stored is None and not passed:
+        notes = [f"{check}: a figure is nan or inf, written as null" for check in non_finite]
+        notes.append("verification FAILED")
+    elif stored is not None and stored != lines:
+        notes = ["replay mismatch: stored reports do not reproduce"]
+    else:
+        return 0
+    if not args.quiet:
+        for note in notes:
+            print(note, file=sys.stderr)
+    return 5
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         "over weighted inner-product spaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("bound", cmd_bound),
-        ("extremize", cmd_extremize),
-        ("minnorm", cmd_minnorm),
-        ("verify", cmd_verify),
-    ):
+    for name in ("bound", "extremize", "minnorm", "verify"):
         p = sub.add_parser(name)
         p.add_argument("instance", help="path to the instance JSON file")
         p.add_argument("--quiet", action="store_true", help="suppress stderr diagnostics")
@@ -310,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
             p.add_argument("--tol", type=float, default=core.DEFAULT_TOL.rel_eps)
             p.add_argument("--replay", default=None, help="previous verify output to re-check")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=cmd_verify if name == "verify" else cmd_pair)
     return parser
 
 

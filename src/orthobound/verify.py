@@ -10,7 +10,6 @@ input scales.  Identical inputs and seed produce bitwise-identical reports.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -215,8 +214,7 @@ def verify_min_norm(
 
 def _verify_min_norm(space, pair, trials, tol, seed, real) -> VerificationReport:
     aa, bb, g = pair
-    # the public solver is what this check verifies, so it is called as such
-    x, value = core.min_norm_solution(space, aa, bb, tol)
+    x, value = core._min_norm(aa, bb, g, tol)
     w = space.weights
     na, nb = g.norm_a_sq, g.norm_b_sq
     nx = float(core._norm_sq_rows(w, x))
@@ -356,31 +354,21 @@ def verify_all(
     problem, complex inputs for the real-consistency check) come back as
     skipped entries rather than errors.
     """
+    # imported here: concurrent.futures loads logging, which `import orthobound.cli` need not
+    from concurrent.futures import ThreadPoolExecutor
+
     pair = core._pair(space, a, b)
     # The deflated check shares nothing with the other two, and numpy releases
-    # the GIL while it draws and computes, so it runs on a second thread.
-    deflated = []  # its report, or the exception it raised
-
-    def run_deflated():
-        try:
-            deflated.append(verify_deflated(space, trials, tol, seed + 2, real))
-        except BaseException as exc:  # re-raised below, after the other checks
-            deflated.append(exc)
-
-    worker = threading.Thread(target=run_deflated)
-    worker.start()
-    try:
+    # the GIL while it draws and computes, so it runs on a second thread.  Its
+    # error, if any, is raised after the other checks; leaving the block joins it.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        deflated = pool.submit(verify_deflated, space, trials, tol, seed + 2, real)
         reports = [_verify_bound(space, pair, trials, tol, seed, real)]
         if core._dependent(pair[2], tol):
             reports.append(_skipped("min_norm_optimality", tol, "dependent vectors"))
         else:
             reports.append(_verify_min_norm(space, pair, trials, tol, seed + 1, real))
-    finally:
-        worker.join()
-    report = deflated.pop()
-    if isinstance(report, BaseException):
-        raise report
-    reports.append(report)
+        reports.append(deflated.result())
     reports.append(_verify_scale_covariance(space, pair, tol, real))
     reports.append(_verify_real_consistency(space, pair, tol))
     return reports

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -55,6 +56,55 @@ def test_real_mode_rejects_imaginary(tmp_path, capsys):
     code, _, err = run(capsys, ["bound", write_instance(tmp_path, doc)])
     assert code == 2
     assert "a[0]" in err
+
+
+def _real_pair_on(space, dim):
+    return {"space": space, "a": [1] + [0] * (dim - 1), "b": [0] * (dim - 1) + [2], "mode": "real"}
+
+
+BEYOND_FLOAT64 = 10**400
+
+# Instances the decoder refuses, with the message it gives: an integer beyond
+# float64 anywhere, weights or nodes that are not a nonempty array of numbers
+# (a string, a bool or a bare number was once converted to a weight or a
+# node), and, as a pin, an imaginary part in real mode named before a later
+# string entry.
+MALFORMED_INSTANCES = {
+    "a-beyond-float64": (dict(DENSE_REAL, a=[BEYOND_FLOAT64, 1, 1]), "a: entries must fit in float64"),
+    "b-beyond-float64": (dict(DENSE_REAL, b=[1, 2, [3, -BEYOND_FLOAT64]]), "b: entries must fit in float64"),
+    "weights-beyond-float64": (
+        _real_pair_on({"kind": "weighted", "weights": [1.0, BEYOND_FLOAT64]}, 2),
+        "space.weights: entries must fit in float64",
+    ),
+    "nodes-beyond-float64": (
+        _real_pair_on({"kind": "quadrature", "nodes": [0, BEYOND_FLOAT64], "weights": [0.5, 0.5]}, 2),
+        "space.nodes: entries must fit in float64",
+    ),
+    "weights-string": (
+        _real_pair_on({"kind": "weighted", "weights": ["1", 2]}, 2), "space.weights[0]: expected a number"
+    ),
+    "weights-bool": (
+        _real_pair_on({"kind": "weighted", "weights": [True, 2]}, 2), "space.weights[0]: expected a number"
+    ),
+    "weights-bare-number": (
+        _real_pair_on({"kind": "weighted", "weights": 2.5}, 1), "space.weights: expected a nonempty array"
+    ),
+    "nodes-strings": (
+        _real_pair_on({"kind": "quadrature", "nodes": ["0", "1"], "weights": [0.5, 0.5]}, 2),
+        "space.nodes[0]: expected a number",
+    ),
+    "a-imaginary-before-string": (
+        dict(DENSE_REAL, a=[[1, 0.5], "x", 1]), "a[0]: nonzero imaginary part in real mode"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INSTANCES))
+def test_malformed_instance_is_an_input_error(tmp_path, capsys, case):
+    doc, message = MALFORMED_INSTANCES[case]
+    code, out, err = run(capsys, ["bound", write_instance(tmp_path, doc)])
+    assert (code, out) == (2, "")
+    assert err == f"input error: {message}\n"
 
 
 def test_dimension_mismatch_names_field(tmp_path, capsys):
@@ -284,6 +334,28 @@ def test_cmd_verify_replay_of_older_format_exits_2(tmp_path, capsys):
         assert "older sampler" in err and "regenerate" in err
 
 
+# a setting as `verify --trials 20` records it, and an out-of-range value for it
+REPLAY_SETTINGS = {
+    "tol": ('"tol": 1.0000000000000001e-09', '"tol": 2.0'),
+    "seed": ('"seed": 1', '"seed": -1'),
+    "trials": ('"settings": {"trials": 20', '"settings": {"trials": -3'),
+}
+
+
+@pytest.mark.parametrize("setting", sorted(REPLAY_SETTINGS))
+def test_cmd_verify_replay_settings_are_checked(tmp_path, capsys, setting):
+    inst = write_instance(tmp_path, DENSE_REAL)
+    _, out, _ = run(capsys, ["verify", inst, "--trials", "20"])
+    first, rest = out.split("\n", 1)
+    recorded, stored = REPLAY_SETTINGS[setting]
+    assert recorded in first
+    replay = tmp_path / "replay.jsonl"
+    replay.write_text(first.replace(recorded, stored) + "\n" + rest)
+    code, out, err = run(capsys, ["verify", inst, "--replay", str(replay)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: --replay settings.{setting}: ") and err.count("\n") == 1
+
+
 def test_cmd_verify_deterministic_output(tmp_path, capsys):
     inst = write_instance(tmp_path, DENSE_REAL)
     _, out1, _ = run(capsys, ["verify", inst, "--trials", "50"])
@@ -433,3 +505,48 @@ def test_gram_overflow_is_a_typed_error(tmp_path, capsys, repro):
     assert out == ""
     assert "overflows float64" in err
     assert "NaN or Inf" not in err
+
+
+def _dim_4096_instance(kind):
+    """A dim-4096 instance from a fixed seed: a real pair on a trapezoid rule
+    over [0, 2], or a complex weighted pair whose vectors mix [re, im] pairs
+    with plain floats and integers."""
+    n = 4096
+    rng = np.random.default_rng(4096)
+    if kind == "quadrature_real":
+        nodes = np.linspace(0.0, 2.0, n)
+        weights = np.full(n, 2.0 / (n - 1))
+        weights[[0, -1]] /= 2
+        space = {"kind": "quadrature", "nodes": nodes.tolist(), "weights": weights.tolist()}
+        a, b = np.cos(3 * nodes), nodes**2 + 0.1 * rng.standard_normal(n)
+        return {"space": space, "a": a.tolist(), "b": b.tolist(), "mode": "real"}
+    space = {"kind": "weighted", "weights": rng.uniform(0.25, 4.0, n).tolist()}
+    a, b = rng.standard_normal((2, n, 2)).tolist()
+    for i in range(0, n, 7):
+        a[i], b[n - 1 - i] = a[i][0], int(10 * b[n - 1 - i][1])
+    return {"space": space, "a": a, "b": b, "mode": "complex"}
+
+
+# sha256 of the stdout of the pair subcommands at dim 4096, captured before
+# the per-entry instance parser gave way to a whole-list decoder
+DIM_4096_DIGESTS = {
+    ("quadrature_real", "bound"):
+        "3e63835c0601985daa3214ec0e973189b82e3d848a3045e18532e0567b2de9fd",
+    ("quadrature_real", "extremize"):
+        "8fd99b8b9abc91b9ddb35bd9579cd6d944b8d33330d0f8ad5c11125ac1e93f95",
+    ("quadrature_real", "minnorm"):
+        "85135ac58d231feb0d405f3865a96652c7ac3ff1891ddea5cbb5f3e9cc254250",
+    ("weighted_complex", "bound"):
+        "2fc0803503adab1a231653de27be34394088e4171e27e63df7e242ea7903640d",
+    ("weighted_complex", "extremize"):
+        "e29abbab60d46f5b8d4c256e31b4f333538aab0457710d8b4a69cbad5ee52296",
+    ("weighted_complex", "minnorm"):
+        "c3e0c52a8bb7e1148681891c143e821c1e4c4179d87faee4e1b6a70fdeaef788",
+}
+
+
+@pytest.mark.parametrize("instance, command", sorted(DIM_4096_DIGESTS))
+def test_pair_subcommands_dim_4096_digests(tmp_path, capsys, instance, command):
+    code, out, _ = run(capsys, [command, write_instance(tmp_path, _dim_4096_instance(instance))])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DIM_4096_DIGESTS[instance, command]

@@ -241,7 +241,7 @@ def test_min_norm_check_finds_planted_undercut(monkeypatch):
     x_star, _ = min_norm_solution(s, a, b)
     shifted = x_star + w0
     value = norm_sq(s, shifted)
-    monkeypatch.setattr(core, "min_norm_solution", lambda *args, **kw: (shifted.copy(), value))
+    monkeypatch.setattr(core, "_min_norm", lambda *args, **kw: (shifted.copy(), value))
 
     rep = verify_min_norm(s, a, b, trials=200, seed=5)
     assert not rep.passed
@@ -297,9 +297,6 @@ def test_sample_feasible_degenerate_space_raises():
 def test_verify_all_validates_few_times(as_vector_calls):
     s = make_weighted([1.0, 2.0, 0.5, 3.0])
     verify_all(s, [1, 2, 3, 4], [1, -1, 2, 0.5j], trials=50)
-    # a and b once at the boundary, once more by the public min-norm solver
-    # under test, and once for each of the 2 x 5 scaled copies of the
-    # scale-covariance check (a scaled copy can overflow)
     assert len(as_vector_calls) <= 14
 
 
@@ -347,6 +344,20 @@ def test_verify_all_joins_the_worker_when_the_main_checks_raise(monkeypatch):
     assert threading.active_count() == before
 
 
+def test_import_of_the_cli_leaves_concurrent_futures_unloaded():
+    # verify_all imports its executor when called: concurrent.futures loads logging
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, orthobound.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
+
+
 def test_verify_all_reraises_a_worker_error(monkeypatch):
     def failing_deflated(*args, **kwargs):
         raise RuntimeError("planted deflated failure")
@@ -370,7 +381,7 @@ def test_verify_all_dim1_degenerate_sample_unchanged():
 
 def test_verify_all_validates_only_at_the_boundary(as_vector_calls):
     # the scale-covariance copies go straight to the Gram kernel, whose
-    # overflow guard catches what validating them caught; the second a, b
-    # are the public min-norm solver under test
+    # overflow guard catches what validating them caught, and the min-norm
+    # check solves from the Gram data built at the boundary
     verify_all(make_weighted([1.0, 2.0, 0.5, 3.0]), [1, 2, 3, 4], [1, -1, 2, 0.5j], trials=50)
-    assert as_vector_calls == ["a", "b", "a", "b"]
+    assert as_vector_calls == ["a", "b"]
