@@ -13,7 +13,7 @@ import numpy as np
 
 from . import core, verify
 from .errors import DependentVectors, OrthoboundError, ZeroVector
-from .spaces import SpaceDescriptor, make_dense, make_weighted
+from .spaces import SpaceDescriptor, make_dense
 
 
 class InstanceError(OrthoboundError):
@@ -88,26 +88,22 @@ def _parse_space(doc) -> SpaceDescriptor:
     if not isinstance(doc, dict):
         raise InstanceError("space", "expected an object")
     kind = doc.get("kind")
+    # the keys each kind requires, in the order their absence is reported
+    required = {"dense": ("dim",), "weighted": ("weights",), "quadrature": ("nodes", "weights")}
+    if not isinstance(kind, str) or kind not in required:
+        raise InstanceError("space.kind", "expected dense|weighted|quadrature")
+    for key in required[kind]:
+        if key not in doc:
+            raise InstanceError(f"space.{key}", f"required for {kind} spaces")
     try:
         if kind == "dense":
-            if not isinstance(doc.get("dim"), int) or isinstance(doc.get("dim"), bool):
+            if not isinstance(doc["dim"], int) or isinstance(doc["dim"], bool):
                 raise InstanceError("space.dim", "expected a positive integer")
             space = make_dense(doc["dim"])
-        elif kind == "weighted":
-            if "weights" not in doc:
-                raise InstanceError("space.weights", "required for weighted spaces")
-            space = make_weighted(_decode(doc["weights"], "space.weights"))
-        elif kind == "quadrature":
-            for key in ("nodes", "weights"):
-                if key not in doc:
-                    raise InstanceError(f"space.{key}", "required for quadrature spaces")
-            space = SpaceDescriptor(
-                "quadrature",
-                _decode(doc["weights"], "space.weights"),
-                _decode(doc["nodes"], "space.nodes"),
-            )
         else:
-            raise InstanceError("space.kind", "expected dense|weighted|quadrature")
+            weights = _decode(doc["weights"], "space.weights")
+            nodes = _decode(doc["nodes"], "space.nodes") if kind == "quadrature" else None
+            space = SpaceDescriptor(kind, weights, nodes)
     except InstanceError:
         raise
     except (OrthoboundError, ValueError, TypeError) as exc:
@@ -118,7 +114,7 @@ def _parse_space(doc) -> SpaceDescriptor:
 
 
 def load_instance(path: str) -> Tuple[SpaceDescriptor, np.ndarray, np.ndarray, bool]:
-    """Read an instance file; returns (space, a, b, real_mode)."""
+    """Read an instance file; returns (space, a, b, real_mode), a and b not yet checked against space."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -139,12 +135,7 @@ def load_instance(path: str) -> Tuple[SpaceDescriptor, np.ndarray, np.ndarray, b
     for name in ("a", "b"):
         if name not in doc:
             raise InstanceError(name, "missing")
-        v = _decode(doc[name], name, real_mode)
-        if not np.isfinite(v).all():
-            raise InstanceError(name, "entries must be finite")
-        if v.size != space.dim:
-            raise InstanceError(name, f"length {v.size} does not match space dimension {space.dim}")
-        vectors.append(v)
+        vectors.append(_decode(doc[name], name, real_mode))
     return space, vectors[0], vectors[1], real_mode
 
 
@@ -159,11 +150,10 @@ def _emit_vector(x: np.ndarray, real_mode: bool):
 
 
 def cmd_pair(args) -> int:
-    """bound, extremize or minnorm, on Gram data built once from the vectors
-    that load_instance validated."""
+    """bound, extremize or minnorm, on the Gram data core._pair builds once."""
     space, a, b, real_mode = load_instance(args.instance)
+    a, b, g = core._pair(space, a, b)
     w = space.weights
-    g = core._gram(w, a, b)
     if args.command == "bound":
         # the Gram fields in GramSummary's order, the complex one as [re, im]
         iab = g.inner_ab

@@ -9,6 +9,7 @@ input scales.  Identical inputs and seed produce bitwise-identical reports.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 from dataclasses import dataclass
 from typing import List, Optional
@@ -173,6 +174,8 @@ def verify_bound(
 def _verify_bound(space, pair, trials, tol, seed, real) -> VerificationReport:
     aa, bb, g = pair
     bound = core._bound(g)
+    if space.dim == 1 and trials > 0:
+        return _skipped("bound_dominance", tol, "no unit vector is orthogonal to a in dimension 1")
     tolerance = tol.rel_eps * (1.0 + bound)
     blocks = []
     if not core._dependent(g, tol):
@@ -350,19 +353,21 @@ def verify_all(
 ) -> List[VerificationReport]:
     """Run every check, in the fixed order given by CHECK_ORDER.
 
-    Checks whose preconditions fail (dependent vectors for the min-norm
-    problem, complex inputs for the real-consistency check) come back as
-    skipped entries rather than errors.
+    Checks whose preconditions fail (dimension 1 for the bound check,
+    dependent vectors for the min-norm problem, complex inputs for the
+    real-consistency check) come back as skipped entries, not errors.
     """
     # imported here: concurrent.futures loads logging, which `import orthobound.cli` need not
     from concurrent.futures import ThreadPoolExecutor
 
     pair = core._pair(space, a, b)
     # The deflated check shares nothing with the other two, and numpy releases
-    # the GIL while it draws and computes, so it runs on a second thread.  Its
-    # error, if any, is raised after the other checks; leaving the block joins it.
+    # the GIL while it draws and computes, so it runs on a second thread, in a
+    # copy of the caller's context, which holds its np.errstate.  Its error, if
+    # any, is raised after the other checks; leaving the block joins it.
     with ThreadPoolExecutor(max_workers=1) as pool:
-        deflated = pool.submit(verify_deflated, space, trials, tol, seed + 2, real)
+        run = contextvars.copy_context().run
+        deflated = pool.submit(run, verify_deflated, space, trials, tol, seed + 2, real)
         reports = [_verify_bound(space, pair, trials, tol, seed, real)]
         if core._dependent(pair[2], tol):
             reports.append(_skipped("min_norm_optimality", tol, "dependent vectors"))

@@ -114,6 +114,50 @@ def test_dimension_mismatch_names_field(tmp_path, capsys):
     assert "b" in err
 
 
+# Bad vector values are refused by the library, in its own words; the CLI
+# refuses what is not the JSON shape of an instance, such as a missing key.
+DENSE_3 = '{"kind": "dense", "dim": 3}'
+LAYER_REFUSALS = {
+    # json reads the float 1e400 as inf
+    "a-inf": (DENSE_3, "[1e400, 1, 1]", "[1, 2, 3]", "a contains NaN or Inf"),
+    "b-short": (DENSE_3, "[1, 1, 1]", "[1, 2]", "b has length 2, space has dimension 3"),
+    "dense-without-dim": ('{"kind": "dense"}', "[1]", "[2]", "space.dim: required for dense spaces"),
+    # a kind that cannot be a key of the CLI's table of required keys
+    "kind-list": ('{"kind": ["dense"]}', "[1]", "[2]", "space.kind: expected dense|weighted|quadrature"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAYER_REFUSALS))
+def test_each_layer_names_what_it_refuses(tmp_path, capsys, case):
+    space, a, b, message = LAYER_REFUSALS[case]
+    path = tmp_path / "inst.json"
+    path.write_text(f'{{"space": {space}, "a": {a}, "b": {b}, "mode": "real"}}')
+    code, out, err = run(capsys, ["bound", str(path)])
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["bound", "extremize", "minnorm", "verify"])
+def test_each_vector_is_validated_once(tmp_path, capsys, as_vector_calls, command):
+    inst = write_instance(tmp_path, dict(DENSE_REAL, b=[1, 2, 4]))
+    extra = ["--trials", "20"] if command == "verify" else []
+    assert main([command, inst] + extra) == 0
+    assert as_vector_calls == ["a", "b"]
+
+
+def test_verify_worker_keeps_the_floating_point_settings(tmp_path, capsys):
+    # the deflated check's worker thread overflows on these weights; it runs
+    # under main's np.errstate, so the run ends in one typed error, with no
+    # numpy warning (an error under this suite's warning filter)
+    space = {"kind": "weighted", "weights": [5e-324, 1e308, 1]}
+    doc = {"space": space, "a": [1, 0, 1], "b": [0, 1, 2], "mode": "real"}
+    code, out, err = run(capsys, ["verify", write_instance(tmp_path, doc)])
+    assert (code, out) == (2, "")
+    assert err == (
+        "input error: scale covariance check, scale 2.0: the Gram data of the pair overflows float64 "
+        "(||a||^2=4.000e+00, ||b||^2=1.000e+308)\n"
+    )
+
+
 def test_bad_mode(tmp_path, capsys):
     doc = dict(DENSE_REAL, mode="octonion")
     code, _, err = run(capsys, ["bound", write_instance(tmp_path, doc)])

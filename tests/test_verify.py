@@ -325,8 +325,9 @@ def test_verify_all_leaves_no_thread_behind():
     before = threading.active_count()
     verify_all(make_dense(16), np.arange(16.0), np.ones(16), trials=200, seed=3)
     assert threading.active_count() == before
-    with pytest.raises(DegenerateSample):
-        verify_all(make_dense(1), [1.0], [2.0], trials=5)
+    # the bound check raises on the main thread while the worker runs
+    with pytest.raises(ZeroVector):
+        verify_all(make_dense(4), np.zeros(4), np.ones(4), trials=5)
     assert threading.active_count() == before
 
 
@@ -371,12 +372,20 @@ def test_verify_all_reraises_a_worker_error(monkeypatch):
         verify_all(make_dense(4), [1, 2, 3, 4], [1, -1, 2, 0.5j], trials=50)
 
 
-def test_verify_all_dim1_degenerate_sample_unchanged():
-    # a-perp is {0} in dimension 1: the bound check cannot draw, while the
-    # deflated check on the other thread runs fine
-    with pytest.raises(DegenerateSample) as info:
-        verify_all(make_dense(1), [1.0], [2.0], trials=10)
-    assert str(info.value) == "no usable draw in 100 attempts (dim too small or pathological a)"
+def test_verify_all_dim1_skips_the_bound_check():
+    # a-perp is {0} in dimension 1: the bound check has nothing to draw and
+    # is skipped, while the other checks run
+    reports = verify_all(make_dense(1), [1.0], [2.0], trials=10)
+    assert [r.check_name for r in reports] == list(CHECK_ORDER)
+    bound = reports[0]
+    assert bound.skipped and bound.passed and bound.trials == 0
+    assert bound.note == "no unit vector is orthogonal to a in dimension 1"
+    assert all(r.passed for r in reports)
+    assert not reports[2].skipped and reports[2].trials == 10
+    # without trials the bound check runs as before, and a zero a is refused
+    assert not verify_all(make_dense(1), [1.0], [2.0], trials=0)[0].skipped
+    with pytest.raises(ZeroVector):
+        verify_all(make_dense(1), [0.0], [2.0], trials=10)
 
 
 def test_verify_all_validates_only_at_the_boundary(as_vector_calls):
@@ -385,3 +394,28 @@ def test_verify_all_validates_only_at_the_boundary(as_vector_calls):
     # check solves from the Gram data built at the boundary
     verify_all(make_weighted([1.0, 2.0, 0.5, 3.0]), [1, 2, 3, 4], [1, -1, 2, 0.5j], trials=50)
     assert as_vector_calls == ["a", "b"]
+
+
+def test_usable_draws_redraws_only_the_degenerate_rows(monkeypatch):
+    # with weights 1e-20 most squared norms fall under the degenerate floor:
+    # seed 4 redraws 18, then 2, then 1 of the 200 rows of c, and the report
+    # is pinned by a digest captured before this test was written
+    import hashlib
+
+    from orthobound.cli import dumps_stable
+
+    draws = []
+    draw = verify._draw
+
+    def counting(rng, shape, *args, **kwargs):
+        draws.append(shape)
+        return draw(rng, shape, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "_draw", counting)
+    rep = verify_deflated(make_weighted([1e-20, 1e-20]), trials=200, seed=4)
+    # z, c, three redraws of c, d, then the equality-case coefficients
+    assert draws == [(200, 2), (200, 2), (18, 2), (2, 2), (1, 2), (200, 2), (200, 2)]
+    assert rep.passed
+    assert hashlib.sha256(dumps_stable(rep.to_dict()).encode()).hexdigest() == (
+        "5126785f57754c2894e8d3d74691ac667423bc81e2501b3de5ca4f74a51bb14c"
+    )
