@@ -43,7 +43,14 @@ def dumps_stable(obj, nulls: bool = False) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(dumps_stable(v, nulls) for v in obj) + "]"
+        body = None  # floats, or [re, im] pairs of them, in one join
+        if set(map(type, obj)) == {float}:
+            body = ", ".join(["%.17g" % v for v in obj])
+        elif all(type(p) is list and len(p) == 2 and type(p[0]) is type(p[1]) is float for p in obj):
+            body = ", ".join(["[%.17g, %.17g]" % (re, im) for re, im in obj])
+        if body is None or "n" in body:  # %.17g writes inf and nan with an n
+            body = ", ".join(dumps_stable(v, nulls) for v in obj)
+        return "[" + body + "]"
     if isinstance(obj, dict):
         items = (f"{json.dumps(str(k))}: {dumps_stable(v, nulls)}" for k, v in obj.items())
         return "{" + ", ".join(items) + "}"
@@ -140,9 +147,7 @@ def load_instance(path: str) -> Tuple[SpaceDescriptor, np.ndarray, np.ndarray, b
 
 
 def _emit_vector(x: np.ndarray, real_mode: bool):
-    if real_mode:
-        return x.real.tolist()
-    return np.column_stack((x.real, x.imag)).tolist()
+    return x.real.tolist() if real_mode else x.view(np.float64).reshape(-1, 2).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -65,15 +65,19 @@ class GramSummary:
 
 def as_vector(space: SpaceDescriptor, u, name: str = "vector") -> np.ndarray:
     """Validate an array-like against the space and return it as complex128."""
+    v = _shaped(space, u, name)
+    if not np.isfinite(v).all():
+        raise NonFiniteInput(f"{name} contains NaN or Inf")
+    return v
+
+
+def _shaped(space: SpaceDescriptor, u, name: str) -> np.ndarray:
+    """u as a complex128 vector of the space's dimension, its entries unchecked."""
     v = np.asarray(u, dtype=np.complex128)
     if v.ndim != 1:
         raise DimensionMismatch(f"{name} must be 1-D, got shape {v.shape}")
     if v.size != space.dim:
-        raise DimensionMismatch(
-            f"{name} has length {v.size}, space has dimension {space.dim}"
-        )
-    if not np.isfinite(v).all():
-        raise NonFiniteInput(f"{name} contains NaN or Inf")
+        raise DimensionMismatch(f"{name} has length {v.size}, space has dimension {space.dim}")
     return v
 
 
@@ -138,11 +142,14 @@ def _deflated_sides(w, zp, dp, nc, ndp, r=None, t=None, cv=None) -> Tuple[np.nda
 
 
 def _gram(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> GramSummary:
-    """Gram data of validated vectors, with det clamped at 0.  Raises
+    """Gram data of vectors of the space's dimension, with det clamped at 0.  Raises
     GramOverflow when ||a||^2, ||b||^2, their product or |<a,b>|^2 is not finite."""
-    na = float(_pairwise(_norm_sq_rows, 1, w, a))
-    nb = float(_pairwise(_norm_sq_rows, 1, w, b))
-    iab = complex(_pairwise(_inner_rows, 2, w, a, b))
+    if w.size <= _PIECE:  # both norms in one reduction, with the bits of two
+        na, nb = _norm_sq_rows(w, np.concatenate((a, b)).reshape(2, -1)).tolist()
+    else:
+        na, nb = (float(_pairwise(_norm_sq_rows, 1, w, v)) for v in (a, b))
+    # a NaN or Inf entry gives a non-finite norm; <a,b> is skipped then (inf * 0 warns)
+    iab = complex(_pairwise(_inner_rows, 2, w, a, b)) if math.isfinite(na + nb) else math.nan
     try:
         iab2 = abs(iab) ** 2
     except OverflowError:  # Python floats raise where numpy would give inf
@@ -155,10 +162,16 @@ def _gram(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> GramSummary:
 
 
 def _pair(space: SpaceDescriptor, a, b) -> Tuple[np.ndarray, np.ndarray, GramSummary]:
-    """Validate a and b once each and build their Gram data."""
-    aa = as_vector(space, a, "a")
-    bb = as_vector(space, b, "b")
-    return aa, bb, _gram(space.weights, aa, bb)
+    """Check a and b and build their Gram data.  A NaN or Inf entry shows as a
+    non-finite norm, so the entries are checked (as_vector on a, then b) only after a fault."""
+    try:
+        aa, bb = _shaped(space, a, "a"), _shaped(space, b, "b")
+        return aa, bb, _gram(space.weights, aa, bb)
+    except (DimensionMismatch, GramOverflow) as exc:
+        fault = exc  # raised after the checks, so that their error does not chain to it
+    as_vector(space, a, "a")
+    as_vector(space, b, "b")
+    raise fault
 
 
 def _require_nonzero(nsq, name: str) -> None:
@@ -203,11 +216,12 @@ def _min_norm(a: np.ndarray, b: np.ndarray, g: GramSummary, tol: Tolerances) -> 
     coef = np.conj(g.inner_ab)
     if b.size <= _PIECE:  # as in _extremizer
         return (g.norm_a_sq * b - coef * a) / g.det, g.norm_a_sq / g.det
-    x, s = np.empty_like(b), np.empty(_PIECE, b.dtype)
+    x, s, scale = np.empty_like(b), np.empty(_PIECE, b.dtype), 1.0 / g.det
     for i in range(0, b.size, _PIECE):
         p, t = slice(i, i + _PIECE), s[: b.size - i]
         np.subtract(np.multiply(g.norm_a_sq, b[p], out=x[p]), np.multiply(coef, a[p], out=t), out=t)
-        np.divide(t, g.det, out=x[p])
+        np.multiply(t, complex(1.0, -0.0), out=x[p])  # numpy's t / det: (re + im*0, im - re*0) * (1/det)
+        np.multiply(x[p].view(np.float64), scale, out=x[p].view(np.float64))
     return x, g.norm_a_sq / g.det
 
 

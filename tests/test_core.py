@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,7 @@ from orthobound import (
     ostrowski_bound,
     project_out,
     schwarz_gap,
+    verify_all,
 )
 from oracles import (
     extremizer_whole,
@@ -364,29 +366,83 @@ def test_pairwise_splits_where_numpy_does(monkeypatch, piece):
         assert core._pairwise(core._inner_rows, 2, wn, un, vn) == core._inner_rows(wn, un, vn), n
 
 
-def _long_pair(dim, complex_mode):
+def _long_pair(dim, mode):
+    """A weighted pair from a seed fixed by dim: real (mode False), complex
+    (True), or "integer", with entries in -2..2 and zeros of either sign."""
     rng = np.random.default_rng(dim)
     s = make_weighted(rng.uniform(0.5, 2.0, dim))
+    if mode == "integer":
+        parts = np.copysign(rng.integers(-2, 3, (2, 2 * dim)), rng.choice([-1.0, 1.0], (2, 2 * dim)))
+        a, b = parts.view(np.complex128)
+        return s, a, b
     a, b = (
-        rng.standard_normal(dim) + (1j * rng.standard_normal(dim) if complex_mode else 0j)
+        rng.standard_normal(dim) + (1j * rng.standard_normal(dim) if mode else 0j)
         for _ in range(2)
     )
     return s, a, b
 
 
-@pytest.mark.parametrize("complex_mode", [False, True])
-@pytest.mark.parametrize("dim", [2, 17, core._PIECE - 1, core._PIECE + 1, 2 * core._PIECE + 3, 1 << 18])
-def test_pair_functions_match_whole_array_forms(dim, complex_mode):
-    s, a, b = _long_pair(dim, complex_mode)
+@pytest.mark.parametrize(
+    "dim, mode",
+    [(dim, mode) for dim in (2, 17, core._PIECE - 1, core._PIECE + 1, 2 * core._PIECE + 3, 1 << 18)
+     for mode in (False, True)]
+    + [(core._PIECE + 1, "integer")],
+)
+def test_pair_functions_match_whole_array_forms(dim, mode):
+    s, a, b = _long_pair(dim, mode)
     g = gram2(s, a, b)
     na, nb, iab, det = gram_whole(s.weights, a, b)
     assert (g.norm_a_sq, g.norm_b_sq, g.inner_ab, g.det) == (na, nb, iab, det)
     assert ostrowski_bound(s, a, b) == det / na
-    np.testing.assert_array_equal(extremizer(s, a, b), extremizer_whole(s.weights, a, b))
+    # bytes, not assert_array_equal, which takes -0.0 for 0.0
+    assert extremizer(s, a, b).tobytes() == extremizer_whole(s.weights, a, b).tobytes()
     x, value = min_norm_solution(s, a, b)
     x_ref, value_ref = min_norm_whole(s.weights, a, b)
-    np.testing.assert_array_equal(x, x_ref)
+    assert x.tobytes() == x_ref.tobytes()
     assert value == value_ref
+
+
+def _pair_bytes(fn, s, a, b) -> bytes:
+    if fn is gram2:
+        g = gram2(s, a, b)
+        return np.array([g.norm_a_sq, g.norm_b_sq, g.inner_ab.real, g.inner_ab.imag, g.det]).tobytes()
+    if fn is extremizer:
+        return extremizer(s, a, b).tobytes()
+    x, value = min_norm_solution(s, a, b)
+    return x.tobytes() + np.float64(value).tobytes()
+
+
+# sha256 of _pair_bytes on _long_pair(dim, mode), captured before the pair
+# kernel stopped checking finiteness apart and stopped dividing by det
+LONG_PATH_DIGESTS = {
+    (gram2, 16385, False): "2f51c20c59d92fee521aa009c2a1b1470bfad66fa3bd87fad2258a1068adc9af",
+    (gram2, 16385, True): "b10029ebcab2e4f25d89ea20463a66795bd4c2faf836c8825cc9ad863578a7e5",
+    (gram2, 16385, "integer"): "99fe979e123d2e4cad47236ce600ee59e8ce2a2581fb67c3e85f411f25ccf50e",
+    (gram2, 262144, False): "1612ad3ac907b29b732a6ab4bc1a34df991b2b7e3835a08c66d90afe67bfc9b5",
+    (gram2, 262144, True): "0737f8513e7496a285083c873c7a6bb757563eaa7f326533f0624884d30473a0",
+    (gram2, 262144, "integer"): "3bade6e0bc56e103c91ff6937dbcdbc5999fcd259dc23e243710fd0fb1c5a345",
+    (extremizer, 16385, False): "1ccec07bdc40de4462d9d97d78d149c3c13d6a5dc2c1e2fe1a31461297d1ee61",
+    (extremizer, 16385, True): "370468e55e77216b852eae17976c36a4fefed1b11c0198604235785e5ca28ab6",
+    (extremizer, 16385, "integer"): "5178401d0c6c46dabb58c0b2e14c3b01591f93b60d0f7ad381868ca5b7462bc5",
+    (extremizer, 262144, False): "91e60d43bd83e7e674c2f566f683af519e4748cbec05fa41f9dd9ca48d27a19f",
+    (extremizer, 262144, True): "4d8bae119da2b3e6b8d5b7df7555a11dfbf32f32feb1ac5b28a9f65034851c38",
+    (extremizer, 262144, "integer"): "9f6e72d3785a43ff14ca7706a010aa517aa4cc01b04a29603359cb1592fcf352",
+    (min_norm_solution, 16385, False): "eea358769e4cedf1ef46536898e5f7cf41bd816661ef9ffd1b166c5f74b6cf7e",
+    (min_norm_solution, 16385, True): "361eae12965ed7120d1449651102bc4d24d9700fd8c2503a30dcc6db59219759",
+    (min_norm_solution, 16385, "integer"): "00c867d0551686ab8bc3590ad4a5a159b57a0ed85c172c93509debb6ff41b5b3",
+    (min_norm_solution, 262144, False): "b483ff88dceedcda681dc8c933e2ed258f23ba6e94ebee4889755ca75a70ee70",
+    (min_norm_solution, 262144, True): "dab8ac1f21277ee5953d91f947314694aa6eeb73261b458b238974c715d58162",
+    (min_norm_solution, 262144, "integer"): "5978e84f95d466a52564c362c6c8756fba6a5621dead867a8abca582f85de0d8",
+}
+
+
+@pytest.mark.parametrize(
+    "fn, dim, mode", list(LONG_PATH_DIGESTS), ids=lambda v: getattr(v, "__name__", str(v))
+)
+def test_long_path_digests(fn, dim, mode):
+    assert core._PIECE + 1 == 16385  # the digests hold the piece boundary
+    digest = hashlib.sha256(_pair_bytes(fn, *_long_pair(dim, mode))).hexdigest()
+    assert digest == LONG_PATH_DIGESTS[fn, dim, mode]
 
 
 @pytest.mark.parametrize(
@@ -402,3 +458,89 @@ def test_long_pair_calls_allocate_no_full_length_temporary(fn, limit_mib):
     finally:
         tracemalloc.stop()
     assert peak < limit_mib * 2**20
+
+
+# --- non-finite and overflowing input --------------------------------------
+
+PAIR_FNS = [gram2, ostrowski_bound, extremizer, min_norm_solution]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("fn", PAIR_FNS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.inf, np.nan)], ids=["nan", "inf", "inf-nan"])
+@pytest.mark.parametrize("where", ["a", "b", "ab"])
+@pytest.mark.parametrize("dim", [17, core._PIECE + 1])
+def test_non_finite_entry_is_named_without_a_warning(fn, bad, where, dim):
+    s, a, b = _long_pair(dim, True)
+    for name, v in (("a", a), ("b", b)):
+        if name in where:
+            v[dim // 2] = bad
+    with pytest.raises(NonFiniteInput) as exc:
+        fn(s, a, b)
+    assert str(exc.value) == f"{where[0]} contains NaN or Inf"
+
+
+@pytest.mark.parametrize("fn", PAIR_FNS)
+@pytest.mark.parametrize(
+    "a, b, error, message",
+    [
+        ([np.nan, 0, 1], [1, 2], NonFiniteInput, "a contains NaN or Inf"),
+        ([1, 2], [np.nan, 0, 1], DimensionMismatch, "a has length 2, space has dimension 3"),
+        ([[1, 0, 1]], [np.nan, 0, 1], DimensionMismatch, "a must be 1-D, got shape (1, 3)"),
+        ([1, 0, 1], [np.inf, 0], DimensionMismatch, "b has length 2, space has dimension 3"),
+        ([np.inf, 0, 1], [0, 1e-300, np.nan], NonFiniteInput, "a contains NaN or Inf"),
+        ([1, 0, 1], [0, 1, complex(0, np.inf)], NonFiniteInput, "b contains NaN or Inf"),
+        # numpy warns as ||a||^2 overflows, once the norms are computed before
+        # the entries are checked; the error is the same
+        pytest.param([1e200, 0, 1], [0, np.nan, 1], NonFiniteInput, "b contains NaN or Inf",
+                     marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")),
+    ],
+    ids=["nan-a-short-b", "short-a-nan-b", "2d-a-nan-b", "inf-b-short", "inf-a-nan-b", "inf-b", "overflow-a-nan-b"],
+)
+def test_first_fault_is_named_in_argument_order(fn, a, b, error, message):
+    with pytest.raises(error) as exc:
+        fn(D3, a, b)
+    assert str(exc.value) == message
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("fn", PAIR_FNS)
+@pytest.mark.parametrize(
+    "a, b, norms",
+    [
+        ([1e308, 1], [0.5, 1], "||a||^2=inf, ||b||^2=1.250e+00"),
+        ([1e200, 0], [0, 1e200], "||a||^2=inf, ||b||^2=inf"),
+        ([1e100, 0], [0, 1e110], "||a||^2=1.000e+200, ||b||^2=1.000e+220"),
+        ([1, 0], [0, 1e155], "||a||^2=1.000e+00, ||b||^2=inf"),
+    ],
+    ids=["inner-product", "norms", "norm-product", "norm-b"],
+)
+def test_gram_overflow_message(fn, a, b, norms):
+    with pytest.raises(GramOverflow) as exc:
+        fn(D2, a, b)
+    assert str(exc.value) == f"the Gram data of the pair overflows float64 ({norms})"
+
+
+# _gram also serves the scaled copies of the scale-covariance check: it reports
+# an Inf entry as overflow, leaves naming the input to the pair functions, and
+# skips <a,b>, where inf * 0 would warn of an invalid value
+def test_gram_reports_an_inf_entry_as_overflow():
+    with pytest.raises(GramOverflow, match=r"\(\|\|a\|\|\^2=inf, \|\|b\|\|\^2=1.000e\+00\)"):
+        core._gram(D2.weights, np.array([-np.inf, 1.5 + 0j]), np.array([0j, 1]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "a, b, message",
+    [
+        # the pair's own ||a||^2 overflows, before any scaled copy is built
+        ([7e307, 0.5], [0, 1], "the Gram data of the pair overflows float64 (||a||^2=inf, ||b||^2=1.000e+00)"),
+        ([1, 0], [0, 1e154], "scale covariance check, scale 2.0: the Gram data of the pair overflows float64 "
+         "(||a||^2=4.000e+00, ||b||^2=1.000e+308)"),
+    ],
+    ids=["own-norm", "scaled-copy"],
+)
+def test_verify_overflow_names_the_scale_not_the_input(a, b, message):
+    with pytest.raises(GramOverflow) as exc:
+        verify_all(D2, a, b, trials=10, real=True)
+    assert str(exc.value) == message
