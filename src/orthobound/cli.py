@@ -20,7 +20,6 @@ class InstanceError(OrthoboundError):
     """Instance file failed to parse or validate; names the offending field."""
 
     def __init__(self, field: str, msg: str):
-        self.field = field
         super().__init__(f"{field}: {msg}")
 
 
@@ -91,7 +90,9 @@ def _decode(doc, field: str, real_mode: Optional[bool] = None) -> np.ndarray:
     return out
 
 
-def _parse_space(doc) -> SpaceDescriptor:
+def _parse_space(doc, a) -> SpaceDescriptor:
+    """The space of an instance whose vector a is the JSON value given; a dense
+    dim that differs from the length of an array a is refused before any allocation."""
     if not isinstance(doc, dict):
         raise InstanceError("space", "expected an object")
     kind = doc.get("kind")
@@ -102,18 +103,18 @@ def _parse_space(doc) -> SpaceDescriptor:
     for key in required[kind]:
         if key not in doc:
             raise InstanceError(f"space.{key}", f"required for {kind} spaces")
-    try:
-        if kind == "dense":
-            if not isinstance(doc["dim"], int) or isinstance(doc["dim"], bool):
-                raise InstanceError("space.dim", "expected a positive integer")
-            space = make_dense(doc["dim"])
-        else:
-            weights = _decode(doc["weights"], "space.weights")
-            nodes = _decode(doc["nodes"], "space.nodes") if kind == "quadrature" else None
-            space = SpaceDescriptor(kind, weights, nodes)
-    except InstanceError:
-        raise
-    except (OrthoboundError, ValueError, TypeError) as exc:
+    if kind == "dense":
+        dim = doc["dim"]
+        if type(dim) is not int:  # json gives bool, an int subclass, for true and false
+            raise InstanceError("space.dim", "expected a positive integer")
+        if type(a) is list and len(a) != dim:
+            raise InstanceError("space.dim", f"inconsistent with length {len(a)} of a")
+    else:
+        weights = _decode(doc["weights"], "space.weights")
+        nodes = _decode(doc["nodes"], "space.nodes") if kind == "quadrature" else None
+    try:  # numpy raises ValueError for a size beyond its limit
+        space = make_dense(dim) if kind == "dense" else SpaceDescriptor(kind, weights, nodes)
+    except (OrthoboundError, ValueError) as exc:
         raise InstanceError("space", str(exc)) from exc
     if "dim" in doc and doc["dim"] != space.dim:
         raise InstanceError("space.dim", f"inconsistent with weights length {space.dim}")
@@ -137,7 +138,7 @@ def load_instance(path: str) -> Tuple[SpaceDescriptor, np.ndarray, np.ndarray, b
     real_mode = mode == "real"
     if "space" not in doc:
         raise InstanceError("space", "missing")
-    space = _parse_space(doc["space"])
+    space = _parse_space(doc["space"], doc.get("a"))
     vectors = []
     for name in ("a", "b"):
         if name not in doc:
@@ -224,13 +225,13 @@ def _read_replay(path: str) -> Tuple[List[str], int, int, core.Tolerances]:
     if not stored:
         raise InstanceError("--replay", "file holds no reports")
     try:
-        first = json.loads(stored[0])
+        first = json.loads(stored[0])  # its JSONDecodeError is a ValueError
         written_by = first.get("harness_format")
         settings = first.get("settings", {})
         trials = int(settings["trials"])
         seed = int(settings["seed"])
         tol_value = float(settings["tol"])
-    except (json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InstanceError("--replay", f"malformed report line: {exc}") from exc
     if written_by != verify.HARNESS_FORMAT:
         raise InstanceError(

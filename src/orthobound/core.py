@@ -63,7 +63,7 @@ class GramSummary:
     det: float
 
 
-def as_vector(space: SpaceDescriptor, u, name: str = "vector") -> np.ndarray:
+def as_vector(space: SpaceDescriptor, u, name: str) -> np.ndarray:
     """Validate an array-like against the space and return it as complex128."""
     v = _shaped(space, u, name)
     if not np.isfinite(v).all():
@@ -120,14 +120,10 @@ def _norm_sq_rows(w: np.ndarray, u: np.ndarray, r=None) -> np.ndarray:
     return np.add.reduce(np.multiply(w, r, out=r), axis=-1)
 
 
-def _project_rows(
-    w: np.ndarray, z: np.ndarray, c: np.ndarray, nc=None, out=None, t=None, cv=None
-) -> np.ndarray:
-    """Rows of z minus their components along c (one vector, or one per row);
-    nc, when given, holds the squared norm(s) of c.  out, t and cv are
-    buffers shaped like z, as in _inner_rows; out may be z or t, t not z."""
-    if nc is None:
-        nc = _norm_sq_rows(w, c)
+def _project_rows(w: np.ndarray, z: np.ndarray, c: np.ndarray, nc, out=None, t=None, cv=None) -> np.ndarray:
+    """Rows of z minus their components along c (one vector, or one per row),
+    nc holding the squared norm(s) of c.  out, t and cv are buffers shaped
+    like z, as in _inner_rows; out may be z or t, t not z."""
     coef = _inner_rows(w, z, c, t=t, cv=cv) / nc
     return np.subtract(z, np.multiply(coef[..., None], c, out=t), out=out)
 

@@ -70,7 +70,7 @@ class VerificationReport:
             "skipped": self.skipped,
         }
         if self.witness is not None:
-            d["witness"] = [[float(z.real), float(z.imag)] for z in self.witness]
+            d["witness"] = np.column_stack((self.witness.real, self.witness.imag)).tolist()
         if self.note:
             d["note"] = self.note
         if self.bound is not None:
@@ -111,15 +111,15 @@ def _buffers(trials: int, dim: int, blocks: int):
     return [np.empty((rows, dim), complex) for _ in range(blocks)] + [np.empty((rows, dim))]
 
 
-def _usable_draws(space: SpaceDescriptor, rng, u, nsq, real: bool, t, f, a=None) -> None:
-    """Fill the block u with draws (through f), projected against a when one is
-    given, and nsq with their squared norms, on the buffers t and f.  Rows
-    under the degenerate floor are redrawn, up to the retry cap."""
+def _usable_draws(space: SpaceDescriptor, rng, u, nsq, real: bool, t, f, against=None) -> None:
+    """Fill the block u with draws (through f), projected against a when against
+    = (a, ||a||^2) is given, and nsq with their squared norms, on the buffers t
+    and f.  Rows under the degenerate floor are redrawn, up to the retry cap."""
     v, vsq, bad = u, nsq, None
     for _ in range(_MAX_RETRIES):
         _draw(rng, v.shape, real, v, f if bad is None else None)
-        if a is not None:
-            core._project_rows(space.weights, v, a, out=v, t=t[: len(v)])
+        if against is not None:
+            core._project_rows(space.weights, v, *against, out=v, t=t[: len(v)])
         vsq[:] = core._norm_sq_rows(space.weights, v, r=f[: len(v)])
         if bad is not None:
             u[bad], nsq[bad] = v, vsq
@@ -130,10 +130,10 @@ def _usable_draws(space: SpaceDescriptor, rng, u, nsq, real: bool, t, f, a=None)
     raise DegenerateSample(f"no usable draw in {_MAX_RETRIES} attempts (dim too small or pathological a)")
 
 
-def _feasible_batch(space: SpaceDescriptor, a, rng, real: bool, u, t, f) -> np.ndarray:
-    """Fill the block u with unit rows orthogonal to a."""
+def _feasible_batch(space: SpaceDescriptor, against, rng, real: bool, u, t, f) -> np.ndarray:
+    """Fill the block u with unit rows orthogonal to a, against = (a, ||a||^2)."""
     nsq = np.empty(len(u))
-    _usable_draws(space, rng, u, nsq, real, t, f, a)
+    _usable_draws(space, rng, u, nsq, real, t, f, against)
     return np.divide(u, np.sqrt(nsq)[:, None], out=u)
 
 
@@ -150,8 +150,9 @@ def sample_feasible(
     the projection lands too close to zero, up to a fixed retry cap.
     """
     aa = core.as_vector(space, a, "a")
-    core._require_nonzero(core._norm_sq_rows(space.weights, aa), "a")
-    return _feasible_batch(space, aa, np.random.default_rng(seed), real, *_buffers(1, space.dim, 2))[0]
+    na = core._norm_sq_rows(space.weights, aa)
+    core._require_nonzero(na, "a")
+    return _feasible_batch(space, (aa, na), np.random.default_rng(seed), real, *_buffers(1, space.dim, 2))[0]
 
 
 def verify_bound(
@@ -183,7 +184,8 @@ def _verify_bound(space, pair, trials, tol, seed, real) -> VerificationReport:
     rng = np.random.default_rng(seed)
     block, t, f = _buffers(trials, space.dim, 2)
     samples = (
-        _feasible_batch(space, aa, rng, real, block[:n], t[:n], f[:n]) for n in _block_rows(trials, space.dim)
+        _feasible_batch(space, (aa, g.norm_a_sq), rng, real, block[:n], t[:n], f[:n])
+        for n in _block_rows(trials, space.dim)
     )
     count, worst, witness = 0, 0.0, None
     for xs in itertools.chain(blocks, samples):
@@ -231,8 +233,8 @@ def _verify_min_norm(space, pair, trials, tol, seed, real) -> VerificationReport
     rng = np.random.default_rng(seed)
     # deflating b against a first keeps the two projections independent;
     # projecting against raw b would undo part of the a projection
-    b_perp = core._project_rows(w, bb, aa)
-    directions = [(c, core._norm_sq_rows(w, c)) for c in (aa, b_perp, aa)]
+    b_perp = core._project_rows(w, bb, aa, na)
+    directions = [(aa, na), (b_perp, core._norm_sq_rows(w, b_perp)), (aa, na)]
     block, t, f = _buffers(trials, space.dim, 2)
     for n in _block_rows(trials, space.dim):
         ws = _draw(rng, (n, space.dim), real, block[:n], f[:n])

@@ -68,7 +68,9 @@ BEYOND_FLOAT64 = 10**400
 # float64 anywhere, weights or nodes that are not a nonempty array of numbers
 # (a string, a bool or a bare number was once converted to a weight or a
 # node), and, as a pin, an imaginary part in real mode named before a later
-# string entry.
+# string entry.  Then what is not the JSON shape of an instance: a top level
+# or a space that is not an object, a missing key, or a dim that is not an
+# integer or does not match the weights.
 MALFORMED_INSTANCES = {
     "a-beyond-float64": (dict(DENSE_REAL, a=[BEYOND_FLOAT64, 1, 1]), "a: entries must fit in float64"),
     "b-beyond-float64": (dict(DENSE_REAL, b=[1, 2, [3, -BEYOND_FLOAT64]]), "b: entries must fit in float64"),
@@ -96,6 +98,17 @@ MALFORMED_INSTANCES = {
     "a-imaginary-before-string": (
         dict(DENSE_REAL, a=[[1, 0.5], "x", 1]), "a[0]: nonzero imaginary part in real mode"
     ),
+    "top-level-array": ([DENSE_REAL], "file: top-level value must be an object"),
+    "space-array": (dict(DENSE_REAL, space=[3]), "space: expected an object"),
+    "space-missing": ({"a": [1], "b": [2], "mode": "real"}, "space: missing"),
+    "a-missing": ({"space": {"kind": "dense", "dim": 1}, "b": [2], "mode": "real"}, "a: missing"),
+    "b-missing": ({"space": {"kind": "dense", "dim": 1}, "a": [1], "mode": "real"}, "b: missing"),
+    "dim-float": (dict(DENSE_REAL, space={"kind": "dense", "dim": 3.0}), "space.dim: expected a positive integer"),
+    "dim-bool": (_real_pair_on({"kind": "dense", "dim": True}, 1), "space.dim: expected a positive integer"),
+    "dim-against-weights": (
+        _real_pair_on({"kind": "weighted", "weights": [1, 2], "dim": 3}, 2),
+        "space.dim: inconsistent with weights length 2",
+    ),
 }
 
 
@@ -114,8 +127,11 @@ def test_dimension_mismatch_names_field(tmp_path, capsys):
     assert "b" in err
 
 
-# Bad vector values are refused by the library, in its own words; the CLI
-# refuses what is not the JSON shape of an instance, such as a missing key.
+# Bad vector and space values are refused by the library, in its own words;
+# the CLI refuses what is not the JSON shape of an instance, such as a missing
+# key, text that is not JSON, or a dense dim that differs from the length of a.
+# No refusal allocates as much as 1 MiB: a dense dim of 10^7 is refused before
+# the space's 80 MB of weights exist.
 DENSE_3 = '{"kind": "dense", "dim": 3}'
 LAYER_REFUSALS = {
     # json reads the float 1e400 as inf
@@ -124,16 +140,37 @@ LAYER_REFUSALS = {
     "dense-without-dim": ('{"kind": "dense"}', "[1]", "[2]", "space.dim: required for dense spaces"),
     # a kind that cannot be a key of the CLI's table of required keys
     "kind-list": ('{"kind": ["dense"]}', "[1]", "[2]", "space.kind: expected dense|weighted|quadrature"),
+    "a-short": (DENSE_3, "[1, 1]", "[1, 2, 3]", "space.dim: inconsistent with length 2 of a"),
+    "dense-dim-1e7": ('{"kind": "dense", "dim": 10000000}', "[1]", "[2]", "space.dim: inconsistent with length 1 of a"),
+    "invalid-json": (
+        DENSE_3, "[1, 1, 1", "[1, 2, 3]", "file: invalid JSON: Expecting ',' delimiter: line 1 column 58 (char 57)"
+    ),
+    "nodes-inf": (
+        '{"kind": "quadrature", "nodes": [0, 1e400], "weights": [1, 1]}', "[1, 0]", "[0, 1]",
+        "space: quadrature nodes must be finite",
+    ),
+    "nodes-against-weights": (
+        '{"kind": "quadrature", "nodes": [0, 1, 2], "weights": [1, 1]}', "[1, 0]", "[0, 1]",
+        "space: nodes and weights must have equal length",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(LAYER_REFUSALS))
 def test_each_layer_names_what_it_refuses(tmp_path, capsys, case):
+    import tracemalloc
+
     space, a, b, message = LAYER_REFUSALS[case]
     path = tmp_path / "inst.json"
     path.write_text(f'{{"space": {space}, "a": {a}, "b": {b}, "mode": "real"}}')
-    code, out, err = run(capsys, ["bound", str(path)])
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, ["bound", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert (code, out, err) == (2, "", f"input error: {message}\n")
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("command", ["bound", "extremize", "minnorm", "verify"])
@@ -345,6 +382,27 @@ def test_cmd_verify_bad_flag(tmp_path, capsys):
     assert code == 2
 
 
+# verify flags that are refused (exit 2): a value argparse cannot convert, in
+# argparse's words after its usage line, or one out of range, in the CLI's
+VERIFY_FLAG_FAULTS = {
+    "trials-not-int": (
+        ["--trials", "x"],
+        "usage: orthobound verify [-h] [--quiet] [--trials TRIALS] [--seed SEED] [--tol TOL] [--replay REPLAY] "
+        "instance\northobound verify: error: argument --trials: invalid int value: 'x'",
+    ),
+    "seed-negative": (["--seed", "-1"], "input error: --seed: must be nonnegative"),
+    "tol-out-of-range": (["--tol", "2.0"], "input error: --tol: rel_eps must lie in (0, 1), got 2.0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_FLAG_FAULTS))
+def test_cmd_verify_flag_faults(tmp_path, capsys, monkeypatch, case):
+    flags, message = VERIFY_FLAG_FAULTS[case]
+    monkeypatch.setenv("COLUMNS", "200")  # argparse wraps its usage line to the terminal width
+    code, out, err = run(capsys, ["verify", write_instance(tmp_path, DENSE_REAL)] + flags)
+    assert (code, out, err) == (2, "", message + "\n")
+
+
 def test_cmd_verify_replay_round_trip(tmp_path, capsys):
     inst = write_instance(tmp_path, DENSE_REAL)
     code, out, _ = run(capsys, ["verify", inst, "--trials", "50", "--seed", "7"])
@@ -378,11 +436,22 @@ def test_cmd_verify_replay_of_older_format_exits_2(tmp_path, capsys):
         assert "older sampler" in err and "regenerate" in err
 
 
-# a setting as `verify --trials 20` records it, and an out-of-range value for it
+# Replay files that are refused, with the message after "--replay": the output
+# of `verify --trials 20` with a text as recorded in its first line replaced
+# by the stored one (an out-of-range setting, or a first line that is not a
+# report object), a file that holds no report (stored None: only blank
+# lines), and a path that cannot be read (recorded None: a directory).
 REPLAY_SETTINGS = {
-    "tol": ('"tol": 1.0000000000000001e-09', '"tol": 2.0'),
-    "seed": ('"seed": 1', '"seed": -1'),
-    "trials": ('"settings": {"trials": 20', '"settings": {"trials": -3'),
+    "tol": ('"tol": 1.0000000000000001e-09', '"tol": 2.0', " settings.tol: rel_eps must lie in (0, 1), got 2.0"),
+    "seed": ('"seed": 1', '"seed": -1', " settings.seed: must be nonnegative"),
+    "trials": ('"settings": {"trials": 20', '"settings": {"trials": -3', " settings.trials: must be nonnegative"),
+    "not-json": (
+        '{"check"', '{check', ": malformed report line: "
+        "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+    ),
+    "without-settings": (', "settings"', ', "options"', ": malformed report line: 'trials'"),
+    "blank": ("", None, ": file holds no reports"),
+    "unreadable": (None, None, ": [Errno 21] Is a directory: {path!r}"),
 }
 
 
@@ -391,13 +460,15 @@ def test_cmd_verify_replay_settings_are_checked(tmp_path, capsys, setting):
     inst = write_instance(tmp_path, DENSE_REAL)
     _, out, _ = run(capsys, ["verify", inst, "--trials", "20"])
     first, rest = out.split("\n", 1)
-    recorded, stored = REPLAY_SETTINGS[setting]
-    assert recorded in first
+    recorded, stored, message = REPLAY_SETTINGS[setting]
     replay = tmp_path / "replay.jsonl"
-    replay.write_text(first.replace(recorded, stored) + "\n" + rest)
+    if recorded is None:
+        replay.mkdir()
+    else:
+        assert recorded in first
+        replay.write_text("\n \n" if stored is None else first.replace(recorded, stored, 1) + "\n" + rest)
     code, out, err = run(capsys, ["verify", inst, "--replay", str(replay)])
-    assert (code, out) == (2, "")
-    assert err.startswith(f"input error: --replay settings.{setting}: ") and err.count("\n") == 1
+    assert (code, out, err) == (2, "", f"input error: --replay{message.format(path=str(replay))}\n")
 
 
 def test_cmd_verify_deterministic_output(tmp_path, capsys):

@@ -503,17 +503,22 @@ def test_first_fault_is_named_in_argument_order(fn, a, b, error, message):
     assert str(exc.value) == message
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+# numpy warns where a squared entry overflows; the other rows run with no warning
+_SQUARE_OVERFLOWS = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+
+
 @pytest.mark.parametrize("fn", PAIR_FNS)
 @pytest.mark.parametrize(
     "a, b, norms",
     [
-        ([1e308, 1], [0.5, 1], "||a||^2=inf, ||b||^2=1.250e+00"),
-        ([1e200, 0], [0, 1e200], "||a||^2=inf, ||b||^2=inf"),
+        pytest.param([1e308, 1], [0.5, 1], "||a||^2=inf, ||b||^2=1.250e+00", marks=_SQUARE_OVERFLOWS),
+        pytest.param([1e200, 0], [0, 1e200], "||a||^2=inf, ||b||^2=inf", marks=_SQUARE_OVERFLOWS),
         ([1e100, 0], [0, 1e110], "||a||^2=1.000e+200, ||b||^2=1.000e+220"),
-        ([1, 0], [0, 1e155], "||a||^2=1.000e+00, ||b||^2=inf"),
+        pytest.param([1, 0], [0, 1e155], "||a||^2=1.000e+00, ||b||^2=inf", marks=_SQUARE_OVERFLOWS),
+        # |<a,b>|^2 overflows in Python float arithmetic, which raises OverflowError
+        ([1e100, 1], [1e100, 2], "||a||^2=1.000e+200, ||b||^2=1.000e+200"),
     ],
-    ids=["inner-product", "norms", "norm-product", "norm-b"],
+    ids=["inner-product", "norms", "norm-product", "norm-b", "inner-product-square"],
 )
 def test_gram_overflow_message(fn, a, b, norms):
     with pytest.raises(GramOverflow) as exc:

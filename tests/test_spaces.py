@@ -132,6 +132,41 @@ def test_quadrature_nodes_must_increase():
         SpaceDescriptor("quadrature", [0.5, 0.5], [1.0, 0.0])
 
 
+# what the space constructors refuse, with the error and its message
+SPACE_REFUSALS = {
+    "unknown-kind": (lambda: SpaceDescriptor("banach", [1.0]), ValueError, "unknown space kind 'banach'"),
+    "weights-2d": (
+        lambda: SpaceDescriptor("weighted", [[1.0]]), InvalidDimension, "weights must be a nonempty 1-D array"
+    ),
+    "weights-empty": (lambda: make_weighted([]), InvalidDimension, "weights must be a nonempty 1-D array"),
+    "quadrature-without-nodes": (
+        lambda: SpaceDescriptor("quadrature", [1.0]), InvalidInterval, "quadrature space requires nodes"
+    ),
+    "nodes-against-weights": (
+        lambda: SpaceDescriptor("quadrature", [1.0, 1.0], [0.0]),
+        InvalidDimension,
+        "nodes and weights must have equal length",
+    ),
+    "nodes-inf": (
+        lambda: SpaceDescriptor("quadrature", [1.0, 1.0], [0.0, np.inf]),
+        NonFiniteInput,
+        "quadrature nodes must be finite",
+    ),
+    "weighted-with-nodes": (
+        lambda: SpaceDescriptor("weighted", [1.0], [0.0]), InvalidInterval, "weighted space must not carry nodes"
+    ),
+    "trapezoid-inf": (lambda: trapezoid_rule(3, 0.0, np.inf), NonFiniteInput, "interval endpoints must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPACE_REFUSALS))
+def test_space_refusals(case):
+    build, error, message = SPACE_REFUSALS[case]
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_quadrature_converges_at_second_order():
     """norm_sq of x^2 on [0,1] approaches the analytic 1/5; halving h cuts
     the error by about 4x."""

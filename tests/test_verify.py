@@ -283,7 +283,7 @@ def test_row_kernels_match_summation_oracle():
     z, c, d = (rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6)) for _ in range(3))
     nc = core._norm_sq_rows(s.weights, c)
     dp = core._project_rows(s.weights, d, c, nc)
-    projected = core._project_rows(s.weights, z, c)
+    projected = core._project_rows(s.weights, z, c, nc)
     lhs, rhs = core._deflated_sides(s.weights, projected, dp, nc, core._norm_sq_rows(s.weights, dp))
 
     def ip(u, v):
@@ -303,6 +303,19 @@ def test_sample_feasible_degenerate_space_raises():
     # a-perp is {0} in dimension 1, so every draw projects to zero
     with pytest.raises(DegenerateSample):
         sample_feasible(make_dense(1), [1.0], seed=0)
+
+
+def test_report_writes_a_strided_witness():
+    # a sliced complex input reaches the scale-covariance report as its own
+    # strided view, since every real-mode scaled bound here is exact
+    a = np.array([3 + 4j, 7, 0, 7])[::2]
+    reports = verify_all(make_dense(2), a, [0, 5 - 12j], trials=5, real=True)
+    scale_covariance = reports[CHECK_ORDER.index("scale_covariance")]
+    assert scale_covariance.worst_violation == 0.0 and not scale_covariance.witness.flags.c_contiguous
+    assert scale_covariance.to_dict()["witness"] == [[3.0, 4.0], [0.0, 0.0]]
+    for rep in reports:
+        if rep.witness is not None:
+            assert rep.to_dict()["witness"] == [[float(z.real), float(z.imag)] for z in rep.witness]
 
 
 def test_verify_all_validates_few_times(as_vector_calls):
