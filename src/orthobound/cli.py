@@ -90,44 +90,20 @@ def _decode(doc, field: str, real_mode: Optional[bool] = None) -> np.ndarray:
     return out
 
 
-def _parse_space(doc, a) -> SpaceDescriptor:
-    """The space of an instance whose vector a is the JSON value given; a dense
-    dim that differs from the length of an array a is refused before any allocation."""
-    if not isinstance(doc, dict):
-        raise InstanceError("space", "expected an object")
-    kind = doc.get("kind")
-    # the keys each kind requires, in the order their absence is reported
-    required = {"dense": ("dim",), "weighted": ("weights",), "quadrature": ("nodes", "weights")}
-    if not isinstance(kind, str) or kind not in required:
-        raise InstanceError("space.kind", "expected dense|weighted|quadrature")
-    for key in required[kind]:
-        if key not in doc:
-            raise InstanceError(f"space.{key}", f"required for {kind} spaces")
-    if kind == "dense":
-        dim = doc["dim"]
-        if type(dim) is not int:  # json gives bool, an int subclass, for true and false
-            raise InstanceError("space.dim", "expected a positive integer")
-        if type(a) is list and len(a) != dim:
-            raise InstanceError("space.dim", f"inconsistent with length {len(a)} of a")
-    else:
-        weights = _decode(doc["weights"], "space.weights")
-        nodes = _decode(doc["nodes"], "space.nodes") if kind == "quadrature" else None
-    try:  # numpy raises ValueError for a size beyond its limit
-        space = make_dense(dim) if kind == "dense" else SpaceDescriptor(kind, weights, nodes)
-    except (OrthoboundError, ValueError) as exc:
-        raise InstanceError("space", str(exc)) from exc
-    if "dim" in doc and doc["dim"] != space.dim:
-        raise InstanceError("space.dim", f"inconsistent with weights length {space.dim}")
-    return space
+def _read(path: str, field: str) -> str:
+    """The text of an instance or replay file, refused under field if unreadable or not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InstanceError(field, str(exc)) from exc
 
 
 def load_instance(path: str) -> Tuple[SpaceDescriptor, np.ndarray, np.ndarray, bool]:
-    """Read an instance file; returns (space, a, b, real_mode), a and b not yet checked against space."""
+    """Read an instance file; returns (space, a, b, real_mode), a and b not yet checked against
+    space.  Its whole JSON shape, a dense dim against the length of a too, is checked first."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InstanceError("file", str(exc)) from exc
+        doc = json.loads(_read(path, "file"))
     except json.JSONDecodeError as exc:
         raise InstanceError("file", f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -138,13 +114,39 @@ def load_instance(path: str) -> Tuple[SpaceDescriptor, np.ndarray, np.ndarray, b
     real_mode = mode == "real"
     if "space" not in doc:
         raise InstanceError("space", "missing")
-    space = _parse_space(doc["space"], doc.get("a"))
+    spec = doc["space"]
+    if not isinstance(spec, dict):
+        raise InstanceError("space", "expected an object")
+    kind = spec.get("kind")
+    # the keys each kind requires, in the order their absence is reported
+    required = {"dense": ("dim",), "weighted": ("weights",), "quadrature": ("nodes", "weights")}
+    if not isinstance(kind, str) or kind not in required:
+        raise InstanceError("space.kind", "expected dense|weighted|quadrature")
+    for key in required[kind]:
+        if key not in spec:
+            raise InstanceError(f"space.{key}", f"required for {kind} spaces")
+    if kind == "dense":
+        dim = spec["dim"]
+        if type(dim) is not int:  # json gives bool, an int subclass, for true and false
+            raise InstanceError("space.dim", "expected a positive integer")
+    else:
+        weights = _decode(spec["weights"], "space.weights")
+        nodes = _decode(spec["nodes"], "space.nodes") if kind == "quadrature" else None
+        if "dim" in spec and spec["dim"] != weights.size:
+            raise InstanceError("space.dim", f"inconsistent with weights length {weights.size}")
     vectors = []
     for name in ("a", "b"):
         if name not in doc:
             raise InstanceError(name, "missing")
         vectors.append(_decode(doc[name], name, real_mode))
-    return space, vectors[0], vectors[1], real_mode
+    a, b = vectors
+    if kind == "dense" and dim != a.size:
+        raise InstanceError("space.dim", f"inconsistent with length {a.size} of a")
+    try:
+        space = make_dense(dim) if kind == "dense" else SpaceDescriptor(kind, weights, nodes)
+    except OrthoboundError as exc:
+        raise InstanceError("space", str(exc)) from exc
+    return space, a, b, real_mode
 
 
 def _emit_vector(x: np.ndarray, real_mode: bool):
@@ -217,11 +219,7 @@ def _verify_lines(space, a, b, real_mode, trials, seed, tol) -> Tuple[List[str],
 def _read_replay(path: str) -> Tuple[List[str], int, int, core.Tolerances]:
     """The report lines of a previous verify output, and the trials, seed and
     tolerances recorded in its first line."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            stored = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise InstanceError("--replay", str(exc)) from exc
+    stored = [ln for ln in _read(path, "--replay").split("\n") if ln.strip()]
     if not stored:
         raise InstanceError("--replay", "file holds no reports")
     try:
@@ -296,10 +294,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad flags, which matches the input-error code
         return int(exc.code or 0)
-    quiet = getattr(args, "quiet", False)
 
     def diag(msg: str):
-        if not quiet:
+        if not args.quiet:
             print(msg, file=sys.stderr)
 
     try:

@@ -332,7 +332,7 @@ def _verify_real_consistency(space, pair, tol: Tolerances) -> VerificationReport
     """On real inputs the extremizer must equal the explicit real formula
     (b_k ||a||^2 - a_k <a,b>) / (||a|| sqrt(det)) with the + sign."""
     aa, bb, g = pair
-    if np.max(np.abs(aa.imag)) != 0.0 or np.max(np.abs(bb.imag)) != 0.0:
+    if aa.imag.any() or bb.imag.any():
         return _skipped("real_consistency", tol, "complex inputs")
     if core._dependent(g, tol):
         return _skipped("real_consistency", tol, "dependent vectors")

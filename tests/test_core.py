@@ -10,6 +10,7 @@ from orthobound import (
     GramOverflow,
     NonFiniteInput,
     OrthoboundError,
+    SpaceDescriptor,
     Tolerances,
     ZeroVector,
     core,
@@ -242,6 +243,32 @@ def test_min_norm_constraints_hold():
 def test_min_norm_rejects_dependent():
     with pytest.raises(DependentVectors):
         min_norm_solution(D2, [1, 2], [2, 4])
+
+
+# --- the paper's two applications, in closed form ---------------------------
+
+@pytest.mark.parametrize("n", [8, 1000, core._PIECE + 1, 1 << 18])
+def test_sequence_application_is_exact(n):
+    # a = ones and b = (1, ..., n): det = n^2 (n^2 - 1) / 12; the three Gram
+    # sums are integers below 2^53, held exactly, and both answers are exact
+    space, a, b = make_dense(n), np.ones(n), np.arange(1.0, n + 1)
+    assert ostrowski_bound(space, a, b) == n * (n * n - 1) / 12
+    assert min_norm_solution(space, a, b)[1] == 12 / (n * (n * n - 1))
+
+
+@pytest.mark.parametrize(
+    "weight, bound, value",
+    [(lambda t: 1.0, 1 / 12, 12.0), (lambda t: t, 1 / 36, 36.0)],
+    ids=["p=1", "p=t"],
+)
+def test_integral_application_on_gauss_legendre_nodes(weight, bound, value):
+    # a = 1 and b = t in L^2([0, 1], p(t) dt); 4 Gauss-Legendre nodes integrate
+    # the degree-3 products exactly
+    t, w = np.polynomial.legendre.leggauss(4)
+    t, w = (t + 1) / 2, w / 2
+    space = SpaceDescriptor("quadrature", w * weight(t), t)
+    assert ostrowski_bound(space, np.ones(4), t) == pytest.approx(bound, rel=4e-15)
+    assert min_norm_solution(space, np.ones(4), t)[1] == pytest.approx(value, rel=4e-15)
 
 
 # --- project_out / deflated_schwarz ---------------------------------------
