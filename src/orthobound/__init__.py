@@ -7,6 +7,8 @@ solution of <x,a> = 0, <x,b> = 1 — plus a seeded randomized harness that
 checks every claim against brute-force sampling.
 """
 
+import importlib
+
 from .core import (
     DEFAULT_TOL,
     GramSummary,
@@ -39,15 +41,6 @@ from .spaces import (
     make_weighted,
     sample_function,
     trapezoid_rule,
-)
-from .verify import (
-    CHECK_ORDER,
-    VerificationReport,
-    sample_feasible,
-    verify_all,
-    verify_bound,
-    verify_deflated,
-    verify_min_norm,
 )
 
 __version__ = "0.1.0"
@@ -88,3 +81,16 @@ __all__ = [
     "verify_deflated",
     "verify_min_norm",
 ]
+
+# served by __getattr__, which loads orthobound.verify on first use and then
+# binds them here, so that later lookups do not reach it
+_VERIFY_NAMES = ("CHECK_ORDER", "VerificationReport", "sample_feasible", "verify_all", "verify_bound",
+                 "verify_deflated", "verify_min_norm")
+
+
+def __getattr__(name):
+    if name not in _VERIFY_NAMES and name != "verify":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    verify = importlib.import_module(".verify", __name__)  # binds orthobound.verify
+    globals().update((n, getattr(verify, n)) for n in _VERIFY_NAMES)
+    return globals()[name]

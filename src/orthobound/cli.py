@@ -11,7 +11,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from . import core, verify
+from . import core
 from .errors import DependentVectors, OrthoboundError, ZeroVector
 from .spaces import SpaceDescriptor, make_dense
 
@@ -203,6 +203,7 @@ def _tolerances(trials: int, seed: int, tol_value: float, prefix: str) -> core.T
 def _verify_lines(space, a, b, real_mode, trials, seed, tol) -> Tuple[List[str], bool, List[str]]:
     """The report lines of one verify run, whether every check passed, and the
     checks with a nan or inf figure, which fail and write the figure as null."""
+    from . import verify  # loaded here, so that bound, extremize and minnorm do not load it
     reports = verify.verify_all(space, a, b, trials=trials, tol=tol, seed=seed, real=real_mode)
     settings = {"trials": trials, "seed": seed, "tol": tol.rel_eps}
     lines, non_finite = [], []
@@ -219,6 +220,7 @@ def _verify_lines(space, a, b, real_mode, trials, seed, tol) -> Tuple[List[str],
 def _read_replay(path: str) -> Tuple[List[str], int, int, core.Tolerances]:
     """The report lines of a previous verify output, and the trials, seed and
     tolerances recorded in its first line."""
+    from . import verify
     stored = [ln for ln in _read(path, "--replay").split("\n") if ln.strip()]
     if not stored:
         raise InstanceError("--replay", "file holds no reports")
@@ -279,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("instance", help="path to the instance JSON file")
         p.add_argument("--quiet", action="store_true", help="suppress stderr diagnostics")
         if name == "verify":
-            p.add_argument("--trials", type=int, default=verify.DEFAULT_TRIALS)
-            p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+            p.add_argument("--trials", type=int, default=core.DEFAULT_TRIALS)
+            p.add_argument("--seed", type=int, default=core.DEFAULT_SEED)
             p.add_argument("--tol", type=float, default=core.DEFAULT_TOL.rel_eps)
             p.add_argument("--replay", default=None, help="previous verify output to re-check")
         p.set_defaults(fn=cmd_verify if name == "verify" else cmd_pair)

@@ -47,6 +47,9 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
+# Defaults of verify_all, which the `verify` subcommand shares.
+DEFAULT_TRIALS = 1000
+DEFAULT_SEED = 1
 
 
 @dataclass(frozen=True)
@@ -157,16 +160,30 @@ def _gram(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> GramSummary:
     return GramSummary(na, nb, iab, max(na * nb - iab2, 0.0))
 
 
-def _pair(space: SpaceDescriptor, a, b) -> Tuple[np.ndarray, np.ndarray, GramSummary]:
-    """Check a and b and build their Gram data.  A NaN or Inf entry shows as a
-    non-finite norm, so the entries are checked (as_vector on a, then b) only after a fault."""
+# the Gram data of the last pair of at most _PIECE elements (a longer key would be a
+# full-length copy), keyed on the bytes of (weights, a, b): -0.0 is not taken for 0.0 and
+# a change made in place is seen; read once and replaced whole, so threads stay apart
+_last_pair = ((), None)
+
+
+def _pair(space: SpaceDescriptor, a, b, names: str = "ab") -> Tuple[np.ndarray, np.ndarray, GramSummary]:
+    """Check a and b and build their Gram data, or reuse the last call's on the same bytes.
+    A NaN or Inf entry shows as a non-finite norm, so the entries are checked (as_vector
+    on a, then b) only after a fault; names are the names of a and b in error messages."""
+    global _last_pair
     try:
-        aa, bb = _shaped(space, a, "a"), _shaped(space, b, "b")
-        return aa, bb, _gram(space.weights, aa, bb)
+        aa, bb = _shaped(space, a, names[0]), _shaped(space, b, names[1])
+        key = (space.weights.tobytes(), aa.tobytes(), bb.tobytes()) if aa.size <= _PIECE else None
+        last_key, g = _last_pair
+        if key != last_key:
+            g = _gram(space.weights, aa, bb)
+            if key:
+                _last_pair = key, g
+        return aa, bb, g
     except (DimensionMismatch, GramOverflow) as exc:
         fault = exc  # raised after the checks, so that their error does not chain to it
-    as_vector(space, a, "a")
-    as_vector(space, b, "b")
+    as_vector(space, a, names[0])
+    as_vector(space, b, names[1])
     raise fault
 
 
@@ -230,7 +247,10 @@ def inner(space: SpaceDescriptor, u, v) -> complex:
 
 def norm_sq(space: SpaceDescriptor, u) -> float:
     """Squared norm; always a nonnegative real."""
-    return float(_pairwise(_norm_sq_rows, 1, space.weights, as_vector(space, u, "u")))
+    n = float(_pairwise(_norm_sq_rows, 1, space.weights, _shaped(space, u, "u")))
+    if not math.isfinite(n):  # a NaN or Inf entry, or a square that overflows
+        as_vector(space, u, "u")
+    return n
 
 
 def gram2(space: SpaceDescriptor, a, b) -> GramSummary:
@@ -242,7 +262,7 @@ def schwarz_gap(space: SpaceDescriptor, u, v) -> float:
     """||u||^2 ||v||^2 - |<u,v>|^2, the Gram determinant of gram2 (so clamped
     at 0 when rounding or underflow drives it negative); zero iff u and v are
     proportional."""
-    return _gram(space.weights, as_vector(space, u, "u"), as_vector(space, v, "v")).det
+    return _pair(space, u, v, "uv")[2].det
 
 
 def ostrowski_bound(space: SpaceDescriptor, a, b) -> float:

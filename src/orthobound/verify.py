@@ -17,13 +17,9 @@ from typing import List, Optional
 import numpy as np
 
 from . import core
-from .core import DEFAULT_TOL, Tolerances
+from .core import DEFAULT_SEED, DEFAULT_TOL, DEFAULT_TRIALS, Tolerances
 from .errors import DegenerateSample, GramOverflow
 from .spaces import SpaceDescriptor
-
-# Defaults of verify_all, which the `verify` subcommand shares.
-DEFAULT_TRIALS = 1000
-DEFAULT_SEED = 1
 
 # Squared-norm floor below which a projected draw counts as degenerate.
 _DEGENERATE_NORM_SQ = 1e-20

@@ -1,4 +1,6 @@
 import hashlib
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -576,3 +578,130 @@ def test_verify_overflow_names_the_scale_not_the_input(a, b, message):
     with pytest.raises(GramOverflow) as exc:
         verify_all(D2, a, b, trials=10, real=True)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "u, v, error, message",
+    [
+        ([np.nan, 0, 1], [1, 2], NonFiniteInput, "u contains NaN or Inf"),
+        ([1, 2], [np.nan, 0, 1], DimensionMismatch, "u has length 2, space has dimension 3"),
+        ([1, 0, 1], [np.inf, 0], DimensionMismatch, "v has length 2, space has dimension 3"),
+        ([np.inf, 0, 1], [0, 1e-300, np.nan], NonFiniteInput, "u contains NaN or Inf"),
+        ([1, 0, 1], [0, 1, complex(np.inf, np.nan)], NonFiniteInput, "v contains NaN or Inf"),
+    ],
+    ids=["nan-u-short-v", "short-u-nan-v", "inf-v-short", "inf-u-nan-v", "inf-nan-v"],
+)
+def test_schwarz_gap_names_the_first_fault(u, v, error, message):
+    with pytest.raises(error) as exc:
+        schwarz_gap(D3, u, v)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("u", [[np.nan, 0, 1], [1, np.inf, 0], [0, 1, complex(np.inf, np.nan)]])
+def test_norm_sq_names_a_non_finite_entry(u):
+    with pytest.raises(NonFiniteInput, match="^u contains NaN or Inf$"):
+        norm_sq(D3, u)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_norm_sq_of_finite_entries_may_overflow():
+    assert norm_sq(D3, [1e200, 0, 1]) == np.inf
+
+
+# --- the Gram data of the previous call, reused -----------------------------
+
+@pytest.fixture
+def gram_calls(monkeypatch):
+    """The lengths of the pairs core._gram builds while the test runs, from an empty slot."""
+    monkeypatch.setattr(core, "_last_pair", ((), None))
+    calls = []
+    build = core._gram
+
+    def counting(w, a, b):
+        calls.append(a.size)
+        return build(w, a, b)
+
+    monkeypatch.setattr(core, "_gram", counting)
+    return calls
+
+
+def _whole_bytes(s, a, b) -> bytes:
+    na, nb, iab, det = gram_whole(s.weights, np.asarray(a, complex), np.asarray(b, complex))
+    return np.array([na, nb, iab.real, iab.imag, det]).tobytes()
+
+
+@pytest.mark.parametrize("order, builds", [("PPP", 1), ("PQP", 3)])
+def test_pair_calls_on_the_same_bytes_build_the_gram_data_once(gram_calls, order, builds):
+    s = make_weighted([1.0, 2.0, 0.5])
+    pairs = {"P": ([1, 2, 3], [1, -1, 2j]), "Q": ([1, 2, 3], [1, -1, 2])}
+    for name, fn in zip(order, (ostrowski_bound, extremizer, min_norm_solution)):
+        fn(s, *pairs[name])
+    assert len(gram_calls) == builds
+
+
+def test_a_change_made_in_place_is_seen(gram_calls):
+    s = make_weighted([1.0, 2.0, 0.5, 3.0])
+    a, b = np.array([1, 2, 3, 4j]), np.array([1, -1, 2j, 0])
+    # a -0.0 in place of 0.0 changes the bytes, not the value
+    for change in (None, (a, 1, 5.0), (b, 3, -0.0), (b, 2, -2j), (a, 0, -1.0)):
+        if change:
+            v, i, value = change
+            v[i] = value
+        assert _pair_bytes(gram2, s, a, b) == _whole_bytes(s, a, b)
+        assert _pair_bytes(gram2, s, a, b) == _whole_bytes(s, a, b)
+    assert len(gram_calls) == 5
+
+
+def test_spaces_with_other_weights_get_their_own_gram_data(gram_calls):
+    a, b = [1, 2, 3], [1, -1, 2j]
+    spaces = [make_dense(3), make_weighted([1.0, 2.0, 0.5]), make_dense(3)]
+    for s in spaces:
+        assert _pair_bytes(gram2, s, a, b) == _whole_bytes(s, a, b)
+    assert len(gram_calls) == 3
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_errors_are_not_stored(gram_calls):
+    for _ in range(3):
+        with pytest.raises(GramOverflow):
+            ostrowski_bound(D2, [1e200, 0], [0, 1e200])
+    assert len(gram_calls) == 3
+    a, b = np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0, 1.0])
+    gram2(D3, a, b)
+    a[1] = np.nan
+    for _ in range(2):
+        with pytest.raises(NonFiniteInput, match="^a contains NaN or Inf$"):
+            extremizer(D3, a, b)
+    assert len(gram_calls) == 6
+
+
+def test_concurrent_callers_each_get_their_own_pairs_gram_data():
+    # more threads than a two-core machine has cores, switching often; each
+    # alternates between the same two pairs, twice each, so that one thread's
+    # hits interleave with another's builds
+    rng = np.random.default_rng(13)
+    s = make_weighted(rng.uniform(0.5, 2.0, 8))
+    pairs = [tuple(rng.standard_normal(8) + 1j * rng.standard_normal(8) for _ in range(2)) for _ in range(2)]
+    expected = [_whole_bytes(s, a, b) for a, b in pairs]
+    wrong, done = [], []
+
+    def caller(k):
+        for i in range(2000):
+            j = (i // 2 + k) % len(pairs)
+            if _pair_bytes(gram2, s, *pairs[j]) != expected[j]:
+                wrong.append((k, i))
+        done.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(done) == [0, 1, 2, 3]
+    assert wrong == []

@@ -370,7 +370,8 @@ def test_verify_all_joins_the_worker_when_the_main_checks_raise(monkeypatch):
 
 
 def test_import_of_the_cli_leaves_concurrent_futures_unloaded():
-    # verify_all imports its executor when called: concurrent.futures loads logging
+    # verify_all imports its executor when called: concurrent.futures loads logging;
+    # orthobound.verify itself loads only when a verify name is first used
     import os
     import subprocess
     import sys
@@ -378,9 +379,9 @@ def test_import_of_the_cli_leaves_concurrent_futures_unloaded():
 
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, orthobound.cli; print('concurrent.futures' in sys.modules)"
+    code = "import sys, orthobound.cli; print([m in sys.modules for m in ('concurrent.futures', 'orthobound.verify')])"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "False\n"
+    assert out.stdout == "[False, False]\n"
 
 
 def test_verify_all_reraises_a_worker_error(monkeypatch):
