@@ -190,10 +190,15 @@ def cmd_pair(args) -> int:
 
 def _tolerances(trials: int, seed: int, tol_value: float, prefix: str) -> core.Tolerances:
     """Check the settings of a verify run, from the flags (prefix "--") or from
-    a replay file's first line, and return its tolerances."""
+    a replay file's first line, and return its tolerances.  The flags' parsers
+    give an int, an int and a float; a replay file must hold JSON of those types."""
     for name, value in (("trials", trials), ("seed", seed)):
+        if type(value) is not int:
+            raise InstanceError(f"{prefix}{name}", "must be an integer")
         if value < 0:
             raise InstanceError(f"{prefix}{name}", "must be nonnegative")
+    if type(tol_value) not in _NUMBER:
+        raise InstanceError(f"{prefix}tol", "must be a number")
     try:
         return core.Tolerances(rel_eps=tol_value)
     except ValueError as exc:
@@ -228,10 +233,8 @@ def _read_replay(path: str) -> Tuple[List[str], int, int, core.Tolerances]:
         first = json.loads(stored[0])  # its JSONDecodeError is a ValueError
         written_by = first.get("harness_format")
         settings = first.get("settings", {})
-        trials = int(settings["trials"])
-        seed = int(settings["seed"])
-        tol_value = float(settings["tol"])
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        trials, seed, tol_value = settings["trials"], settings["seed"], settings["tol"]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InstanceError("--replay", f"malformed report line: {exc}") from exc
     if written_by != verify.HARNESS_FORMAT:
         raise InstanceError(

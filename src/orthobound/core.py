@@ -89,30 +89,21 @@ def _shaped(space: SpaceDescriptor, u, name: str) -> np.ndarray:
 _PIECE = 1 << 14
 
 
-def _pairwise(kernel, per: int, w: np.ndarray, *vs: np.ndarray):
-    """kernel(w, *vs), reduced over pieces of at most _PIECE elements.  Each
-    summand of the kernel's sum is per doubles (1 float, 2 complex); the pieces
-    split where numpy's pairwise summation splits any sum of more than 128
-    doubles (_PIECE >= 128): the result has the whole-vector kernel's bits."""
-    n = w.size
-    if n <= _PIECE:
+def _piecewise(kernel, w: np.ndarray, *vs: np.ndarray):
+    """kernel(w, *vs), a sum over the elements, taken in pieces of at most _PIECE elements."""
+    if w.size <= _PIECE:
         return kernel(w, *vs)
-    h = per * n // 2
-    k = (h - h % 8) // per
-    lo = _pairwise(kernel, per, w[:k], *(v[:k] for v in vs))
-    return lo + _pairwise(kernel, per, w[k:], *(v[k:] for v in vs))
+    pieces = (slice(i, i + _PIECE) for i in range(0, w.size, _PIECE))
+    return np.add.reduce([kernel(w[p], *(v[p] for v in vs)) for p in pieces])  # sum() lost an ulp more at 2^18
 
 
 def _inner_rows(w: np.ndarray, u: np.ndarray, v: np.ndarray, t=None, cv=None) -> np.ndarray:
     """Row-wise <u_i, v_i> over the last axis; v may be one vector for all rows.
     t and cv, buffers shaped like u, take the products and conj(v) when given."""
     t = np.multiply(w, u, out=t)
-    # numpy multiplies one complex element in place without FMA, so a lone
-    # product goes to a fresh array to keep the bits of t * conj(v)
-    products = np.multiply(t, np.conj(v, out=cv), out=t if t.size > 1 else None)
     # np.add.reduce is np.sum without its Python wrapper, which costs more
     # than the arithmetic on short rows
-    return np.add.reduce(products, axis=-1)
+    return np.add.reduce(np.multiply(t, np.conj(v, out=cv), out=t), axis=-1)
 
 
 def _norm_sq_rows(w: np.ndarray, u: np.ndarray, r=None) -> np.ndarray:
@@ -146,13 +137,10 @@ def _gram(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> GramSummary:
     if w.size <= _PIECE:  # both norms in one reduction, with the bits of two
         na, nb = _norm_sq_rows(w, np.concatenate((a, b)).reshape(2, -1)).tolist()
     else:
-        na, nb = (float(_pairwise(_norm_sq_rows, 1, w, v)) for v in (a, b))
+        na, nb = (float(_piecewise(_norm_sq_rows, w, v)) for v in (a, b))
     # a NaN or Inf entry gives a non-finite norm; <a,b> is skipped then (inf * 0 warns)
-    iab = complex(_pairwise(_inner_rows, 2, w, a, b)) if math.isfinite(na + nb) else math.nan
-    try:
-        iab2 = abs(iab) ** 2
-    except OverflowError:  # Python floats raise where numpy would give inf
-        iab2 = math.inf
+    iab = complex(_piecewise(_inner_rows, w, a, b)) if math.isfinite(na + nb) else math.nan
+    iab2 = abs(iab) * abs(iab)
     if not math.isfinite(na * nb + iab2):  # both terms are nonnegative
         raise GramOverflow(
             f"the Gram data of the pair overflows float64 (||a||^2={na:.3e}, ||b||^2={nb:.3e})"
@@ -187,9 +175,20 @@ def _pair(space: SpaceDescriptor, a, b, names: str = "ab") -> Tuple[np.ndarray, 
     raise fault
 
 
-def _require_nonzero(nsq, name: str) -> None:
+def _require_nonzero(nsq, name: str):
+    """nsq, a divisor's squared norm, refused when it is zero or does not fit in float64."""
     if nsq == 0.0:
         raise ZeroVector(f"zero vector {name}")
+    if not math.isfinite(nsq):
+        raise GramOverflow(f"||{name}||^2 overflows float64")
+    return nsq
+
+
+def _require_finite(result, what: str):
+    """result, refused when it holds NaN or Inf: its inputs were finite, so it overflowed."""
+    if not np.isfinite(result).all():
+        raise GramOverflow(f"{what} overflows float64")
+    return result
 
 
 def _dependent(g: GramSummary, tol: Tolerances) -> bool:
@@ -233,8 +232,7 @@ def _min_norm(a: np.ndarray, b: np.ndarray, g: GramSummary, tol: Tolerances) -> 
     for i in range(0, b.size, _PIECE):
         p, t = slice(i, i + _PIECE), s[: b.size - i]
         np.subtract(np.multiply(g.norm_a_sq, b[p], out=x[p]), np.multiply(coef, a[p], out=t), out=t)
-        np.multiply(t, complex(1.0, -0.0), out=x[p])  # numpy's t / det: (re + im*0, im - re*0) * (1/det)
-        np.multiply(x[p].view(np.float64), scale, out=x[p].view(np.float64))
+        np.multiply(t.view(np.float64), scale, out=x[p].view(np.float64))
     return x, g.norm_a_sq / g.det
 
 
@@ -242,12 +240,12 @@ def inner(space: SpaceDescriptor, u, v) -> complex:
     """Weighted inner product, linear in u and conjugate-linear in v."""
     uu = as_vector(space, u, "u")
     vv = as_vector(space, v, "v")
-    return complex(_pairwise(_inner_rows, 2, space.weights, uu, vv))
+    return complex(_require_finite(_piecewise(_inner_rows, space.weights, uu, vv), "<u,v>"))
 
 
 def norm_sq(space: SpaceDescriptor, u) -> float:
     """Squared norm; always a nonnegative real."""
-    n = float(_pairwise(_norm_sq_rows, 1, space.weights, _shaped(space, u, "u")))
+    n = float(_piecewise(_norm_sq_rows, space.weights, _shaped(space, u, "u")))
     if not math.isfinite(n):  # a NaN or Inf entry, or a square that overflows
         as_vector(space, u, "u")
     return n
@@ -296,9 +294,8 @@ def project_out(space: SpaceDescriptor, z, c) -> np.ndarray:
     """Component of z orthogonal to c: ``z - (<z,c> / ||c||^2) * c``."""
     zz = as_vector(space, z, "z")
     cc = as_vector(space, c, "c")
-    nc = _norm_sq_rows(space.weights, cc)
-    _require_nonzero(nc, "c")
-    return _project_rows(space.weights, zz, cc, nc)
+    nc = _require_nonzero(_norm_sq_rows(space.weights, cc), "c")
+    return _require_finite(_project_rows(space.weights, zz, cc, nc), "the component of z orthogonal to c")
 
 
 def deflated_schwarz(space: SpaceDescriptor, z, c, d) -> Tuple[float, float]:
@@ -316,8 +313,8 @@ def deflated_schwarz(space: SpaceDescriptor, z, c, d) -> Tuple[float, float]:
     cc = as_vector(space, c, "c")
     dd = as_vector(space, d, "d")
     w = space.weights
-    nc = _norm_sq_rows(w, cc)
-    _require_nonzero(nc, "c")
+    nc = _require_nonzero(_norm_sq_rows(w, cc), "c")
     dp = _project_rows(w, dd, cc, nc)
-    lhs, rhs = _deflated_sides(w, _project_rows(w, zz, cc, nc), dp, nc, _norm_sq_rows(w, dp))
+    sides = _deflated_sides(w, _project_rows(w, zz, cc, nc), dp, nc, _norm_sq_rows(w, dp))
+    lhs, rhs = _require_finite(sides, "the deflated Schwarz sides")
     return float(lhs), float(rhs)

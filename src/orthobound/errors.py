@@ -22,7 +22,7 @@ class DependentVectors(OrthoboundError):
 
 
 class GramOverflow(OrthoboundError):
-    """The squared norms or the inner product of a pair do not fit in float64."""
+    """A squared norm, an inner product or a result built from them does not fit in float64."""
 
 
 class InvalidDimension(OrthoboundError):

@@ -146,8 +146,7 @@ def sample_feasible(
     the projection lands too close to zero, up to a fixed retry cap.
     """
     aa = core.as_vector(space, a, "a")
-    na = core._norm_sq_rows(space.weights, aa)
-    core._require_nonzero(na, "a")
+    na = core._require_nonzero(core._norm_sq_rows(space.weights, aa), "a")
     return _feasible_batch(space, (aa, na), np.random.default_rng(seed), real, *_buffers(1, space.dim, 2))[0]
 
 

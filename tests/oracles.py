@@ -43,8 +43,10 @@ def min_norm_by_lagrange(weights, a, b):
 
 
 # Whole-array forms of the pair functions on complex128 vectors: one numpy
-# expression per quantity over the full vectors.  The library reduces long
-# vectors in pieces and must reproduce these bit for bit.
+# expression per quantity over the full vectors.  Up to 2^14 elements the
+# library must reproduce these bit for bit.  The extremizer and the min-norm
+# vector are elementwise given the Gram data g = (||a||^2, ||b||^2, <a,b>, det),
+# so on longer vectors they are evaluated on the library's own g.
 
 
 def gram_whole(w, a, b):
@@ -52,14 +54,14 @@ def gram_whole(w, a, b):
     na = float(np.add.reduce(w * np.abs(a) ** 2))
     nb = float(np.add.reduce(w * np.abs(b) ** 2))
     iab = complex(np.add.reduce(w * a * np.conj(b)))
-    return na, nb, iab, max(na * nb - abs(iab) ** 2, 0.0)
+    return na, nb, iab, max(na * nb - abs(iab) * abs(iab), 0.0)
 
 
-def extremizer_whole(w, a, b):
-    na, _, iab, det = gram_whole(w, a, b)
+def extremizer_whole(a, b, g):
+    na, _, iab, det = g
     return np.sqrt(na / det) * (b - (np.conj(iab) / na) * a)
 
 
-def min_norm_whole(w, a, b):
-    na, _, iab, det = gram_whole(w, a, b)
+def min_norm_whole(a, b, g):
+    na, _, iab, det = g
     return (na * b - np.conj(iab) * a) / det, na / det

@@ -490,6 +490,12 @@ REPLAY_SETTINGS = {
     "tol": ('"tol": 1.0000000000000001e-09', '"tol": 2.0', " settings.tol: rel_eps must lie in (0, 1), got 2.0"),
     "seed": ('"seed": 1', '"seed": -1', " settings.seed: must be nonnegative"),
     "trials": ('"settings": {"trials": 20', '"settings": {"trials": -3', " settings.trials: must be nonnegative"),
+    # the flags' parsers would refuse these types, so a replay file must too
+    "trials-bool": ('"settings": {"trials": 20', '"settings": {"trials": true', " settings.trials: must be an integer"),
+    "trials-float": ('"settings": {"trials": 20', '"settings": {"trials": 20.7', " settings.trials: must be an integer"),
+    "trials-string": ('"settings": {"trials": 20', '"settings": {"trials": "20"', " settings.trials: must be an integer"),
+    "seed-bool": ('"seed": 1', '"seed": false', " settings.seed: must be an integer"),
+    "tol-string": ('"tol": 1.0000000000000001e-09', '"tol": "1e-9"', " settings.tol: must be a number"),
     "not-json": (
         '{"check"', '{check', ": malformed report line: "
         "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",

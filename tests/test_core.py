@@ -1,4 +1,5 @@
 import hashlib
+import math
 import sys
 import threading
 import tracemalloc
@@ -26,6 +27,7 @@ from orthobound import (
     norm_sq,
     ostrowski_bound,
     project_out,
+    sample_feasible,
     schwarz_gap,
     verify_all,
 )
@@ -381,20 +383,6 @@ def test_extremizer_finite_when_norm_b_sq_is_subnormal():
 
 # --- long vectors, reduced in pieces ---------------------------------------
 
-@pytest.mark.parametrize("piece", [128, 200])
-def test_pairwise_splits_where_numpy_does(monkeypatch, piece):
-    # numpy splits any sum of more than 128 doubles, so pieces of 128 or more
-    # elements reach several split levels on these lengths
-    monkeypatch.setattr(core, "_PIECE", piece)
-    rng = np.random.default_rng(piece)
-    w = rng.uniform(0.5, 2.0, 1200)
-    u, v = (rng.standard_normal(1200) + 1j * rng.standard_normal(1200) for _ in range(2))
-    for n in range(1, 1201):
-        wn, un, vn = w[:n], u[:n], v[:n]
-        assert core._pairwise(core._norm_sq_rows, 1, wn, un) == core._norm_sq_rows(wn, un), n
-        assert core._pairwise(core._inner_rows, 2, wn, un, vn) == core._inner_rows(wn, un, vn), n
-
-
 def _long_pair(dim, mode):
     """A weighted pair from a seed fixed by dim: real (mode False), complex
     (True), or "integer", with entries in -2..2 and zeros of either sign."""
@@ -420,15 +408,40 @@ def _long_pair(dim, mode):
 def test_pair_functions_match_whole_array_forms(dim, mode):
     s, a, b = _long_pair(dim, mode)
     g = gram2(s, a, b)
-    na, nb, iab, det = gram_whole(s.weights, a, b)
-    assert (g.norm_a_sq, g.norm_b_sq, g.inner_ab, g.det) == (na, nb, iab, det)
-    assert ostrowski_bound(s, a, b) == det / na
+    gram = (g.norm_a_sq, g.norm_b_sq, g.inner_ab, g.det)
+    # longer vectors are summed in pieces, which test_long_reductions_are_near_exact_sums
+    # judges; what follows from their Gram data is elementwise
+    if dim <= core._PIECE:
+        assert gram == gram_whole(s.weights, a, b)
+    assert ostrowski_bound(s, a, b) == g.det / g.norm_a_sq
     # bytes, not assert_array_equal, which takes -0.0 for 0.0
-    assert extremizer(s, a, b).tobytes() == extremizer_whole(s.weights, a, b).tobytes()
+    assert extremizer(s, a, b).tobytes() == extremizer_whole(a, b, gram).tobytes()
     x, value = min_norm_solution(s, a, b)
-    x_ref, value_ref = min_norm_whole(s.weights, a, b)
-    assert x.tobytes() == x_ref.tobytes()
+    x_ref, value_ref = min_norm_whole(a, b, gram)
+    if dim <= core._PIECE:
+        assert x.tobytes() == x_ref.tobytes()
+    else:  # x * (1/det) keeps the sign of a zero that numpy's x / det may turn to +0.0
+        assert np.array_equal(x, x_ref)
     assert value == value_ref
+
+
+@pytest.mark.parametrize("n", [core._PIECE - 1, core._PIECE, core._PIECE + 1, 2 * core._PIECE + 3, 1 << 18])
+def test_long_reductions_are_near_exact_sums(n):
+    # each sum lies within 64 u sum|terms| of the exact sum of the same rounded
+    # terms; a piece left out or added twice would move it by whole terms
+    s, a, b = _long_pair(n, True)
+    w = s.weights
+    terms_a, terms_b = (w * np.square(np.abs(v)) for v in (a, b))
+    products = w * a * np.conj(b)
+    g, uv = gram2(s, a, b), inner(s, a, b)
+    for got, terms in [
+        (norm_sq(s, a), terms_a),
+        (g.norm_a_sq, terms_a),
+        (g.norm_b_sq, terms_b),
+        (uv.real, products.real),
+        (uv.imag, products.imag),
+    ]:
+        assert abs(got - math.fsum(terms)) <= 64 * 2.0**-53 * math.fsum(np.abs(terms))
 
 
 def _pair_bytes(fn, s, a, b) -> bytes:
@@ -441,27 +454,27 @@ def _pair_bytes(fn, s, a, b) -> bytes:
     return x.tobytes() + np.float64(value).tobytes()
 
 
-# sha256 of _pair_bytes on _long_pair(dim, mode), captured before the pair
-# kernel stopped checking finiteness apart and stopped dividing by det
+# sha256 of _pair_bytes on _long_pair(dim, mode), captured when a long sum became one
+# numpy sum of its piece sums and the long min-norm path one multiply by 1/det
 LONG_PATH_DIGESTS = {
-    (gram2, 16385, False): "2f51c20c59d92fee521aa009c2a1b1470bfad66fa3bd87fad2258a1068adc9af",
-    (gram2, 16385, True): "b10029ebcab2e4f25d89ea20463a66795bd4c2faf836c8825cc9ad863578a7e5",
-    (gram2, 16385, "integer"): "99fe979e123d2e4cad47236ce600ee59e8ce2a2581fb67c3e85f411f25ccf50e",
+    (gram2, 16385, False): "6ef15acc13b35390013e6e0999bac197781a0370dcda86a09da60afdffda5a5d",
+    (gram2, 16385, True): "fe13564666c5c16f1b5b8819d5b6cb1a48e1fcbfa5c43f27036468029712f23c",
+    (gram2, 16385, "integer"): "2eb98c284e22240d7167b8a5add1b0b6f2b31c51d9b688d3b11fd553e786b02d",
     (gram2, 262144, False): "1612ad3ac907b29b732a6ab4bc1a34df991b2b7e3835a08c66d90afe67bfc9b5",
     (gram2, 262144, True): "0737f8513e7496a285083c873c7a6bb757563eaa7f326533f0624884d30473a0",
-    (gram2, 262144, "integer"): "3bade6e0bc56e103c91ff6937dbcdbc5999fcd259dc23e243710fd0fb1c5a345",
-    (extremizer, 16385, False): "1ccec07bdc40de4462d9d97d78d149c3c13d6a5dc2c1e2fe1a31461297d1ee61",
-    (extremizer, 16385, True): "370468e55e77216b852eae17976c36a4fefed1b11c0198604235785e5ca28ab6",
-    (extremizer, 16385, "integer"): "5178401d0c6c46dabb58c0b2e14c3b01591f93b60d0f7ad381868ca5b7462bc5",
+    (gram2, 262144, "integer"): "3f6ff8983b5aea122d56c4f350118ef82d92daab27b82829f6cce88cdfa7be08",
+    (extremizer, 16385, False): "90eccc6b0f3bad7a288ddb871d62c229c5035d455ca2ff4baaa7914d4cee1668",
+    (extremizer, 16385, True): "5ee4742a5b87c6abadbfa4cb6230b71c83d08ee487cbf235c76223ac0bf0e212",
+    (extremizer, 16385, "integer"): "174febd5a9d9d50fafeaeda85c24df6a1df8386ae399af8088ae3605c1f24169",
     (extremizer, 262144, False): "91e60d43bd83e7e674c2f566f683af519e4748cbec05fa41f9dd9ca48d27a19f",
     (extremizer, 262144, True): "4d8bae119da2b3e6b8d5b7df7555a11dfbf32f32feb1ac5b28a9f65034851c38",
-    (extremizer, 262144, "integer"): "9f6e72d3785a43ff14ca7706a010aa517aa4cc01b04a29603359cb1592fcf352",
-    (min_norm_solution, 16385, False): "eea358769e4cedf1ef46536898e5f7cf41bd816661ef9ffd1b166c5f74b6cf7e",
-    (min_norm_solution, 16385, True): "361eae12965ed7120d1449651102bc4d24d9700fd8c2503a30dcc6db59219759",
-    (min_norm_solution, 16385, "integer"): "00c867d0551686ab8bc3590ad4a5a159b57a0ed85c172c93509debb6ff41b5b3",
+    (extremizer, 262144, "integer"): "08b1b7c64f8a12e6d6fb1141e84288b1279cb687000f10f20f829b686cbce5d3",
+    (min_norm_solution, 16385, False): "40f3e6ccb88771d7dbdff59c52978eb7000ff650db19888d0be8fab8e59ba074",
+    (min_norm_solution, 16385, True): "e8a0bc2b867e9bf887c877ff4250960647ec1f647837fd7bbf89fe19da287e1c",
+    (min_norm_solution, 16385, "integer"): "26f5817c3e115ad24dbcb0e637878e435ae83122fa9f5ab9c68f73f19d63bcab",
     (min_norm_solution, 262144, False): "b483ff88dceedcda681dc8c933e2ed258f23ba6e94ebee4889755ca75a70ee70",
     (min_norm_solution, 262144, True): "dab8ac1f21277ee5953d91f947314694aa6eeb73261b458b238974c715d58162",
-    (min_norm_solution, 262144, "integer"): "5978e84f95d466a52564c362c6c8756fba6a5621dead867a8abca582f85de0d8",
+    (min_norm_solution, 262144, "integer"): "ea91fac5766a2a2951e70eec549a89c431fc0c3cf5e81ab1bbfcc42159f352c8",
 }
 
 
@@ -606,6 +619,32 @@ def test_norm_sq_names_a_non_finite_entry(u):
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_norm_sq_of_finite_entries_may_overflow():
     assert norm_sq(D3, [1e200, 0, 1]) == np.inf
+
+
+# where two overflowed products meet, numpy also warns of an invalid value
+_PRODUCT_OVERFLOWS = [_SQUARE_OVERFLOWS, pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: sample_feasible(D2, [1e200, 1], 0, real=True), "||a||^2 overflows float64",
+                     marks=_SQUARE_OVERFLOWS),
+        pytest.param(lambda: project_out(D2, [1, 2], [1e200, 1]), "||c||^2 overflows float64",
+                     marks=_SQUARE_OVERFLOWS),
+        pytest.param(lambda: project_out(D2, [1e200, 1e200], [1e150, 1]),
+                     "the component of z orthogonal to c overflows float64", marks=_PRODUCT_OVERFLOWS),
+        pytest.param(lambda: deflated_schwarz(D3, [1, 2, 3], [1e200, 1, 0], [0, 1, 1]), "||c||^2 overflows float64",
+                     marks=_SQUARE_OVERFLOWS),
+        pytest.param(lambda: inner(D2, [1e200, 1e200], [1e200, -1e200]), "<u,v> overflows float64",
+                     marks=_PRODUCT_OVERFLOWS),
+    ],
+    ids=["sample-feasible-norm", "project-out-norm", "project-out-result", "deflated-norm", "inner-result"],
+)
+def test_non_pair_functions_refuse_overflow(call, message):
+    with pytest.raises(GramOverflow) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 # --- the Gram data of the previous call, reused -----------------------------
