@@ -161,7 +161,10 @@ def cmd_pair(args) -> int:
     """bound, extremize or minnorm, on the Gram data core._pair builds once."""
     space, a, b, real_mode = load_instance(args.instance)
     a, b, g = core._pair(space, a, b)
-    w = space.weights
+
+    def inner(u, v) -> complex:  # summed in pieces, as core sums, so no full-length temporary is made
+        return complex(core._piecewise(core._inner_rows, space.weights, u, v))
+
     if args.command == "bound":
         # the Gram fields in GramSummary's order, the complex one as [re, im]
         iab = g.inner_ab
@@ -171,18 +174,18 @@ def cmd_pair(args) -> int:
         x = core._extremizer(a, b, g, core.DEFAULT_TOL)
         doc = {
             "x": _emit_vector(x, real_mode),
-            "attained": abs(complex(core._inner_rows(w, x, b))) ** 2,
+            "attained": abs(inner(x, b)) ** 2,
             "bound": core._bound(g),
-            "residual_orth": abs(complex(core._inner_rows(w, x, a))),
-            "residual_norm": abs(np.sqrt(float(core._norm_sq_rows(w, x))) - 1.0),
+            "residual_orth": abs(inner(x, a)),
+            "residual_norm": abs(np.sqrt(float(core._piecewise(core._norm_sq_rows, space.weights, x))) - 1.0),
         }
     else:
         x, value = core._min_norm(a, b, g, core.DEFAULT_TOL)
         doc = {
             "x": _emit_vector(x, real_mode),
             "value": value,
-            "residual_orth": abs(complex(core._inner_rows(w, x, a))),
-            "residual_one": abs(complex(core._inner_rows(w, x, b)) - 1.0),
+            "residual_orth": abs(inner(x, a)),
+            "residual_one": abs(inner(x, b) - 1.0),
         }
     print(dumps_stable(doc))
     return 0

@@ -77,11 +77,11 @@ def as_vector(space: SpaceDescriptor, u, name: str) -> np.ndarray:
 def _shaped(space: SpaceDescriptor, u, name: str) -> np.ndarray:
     """u as a complex128 vector of the space's dimension, its entries unchecked."""
     v = np.asarray(u, dtype=np.complex128)
+    if v.shape == space.weights.shape:  # the whole check, unless there is a fault to name
+        return v
     if v.ndim != 1:
         raise DimensionMismatch(f"{name} must be 1-D, got shape {v.shape}")
-    if v.size != space.dim:
-        raise DimensionMismatch(f"{name} has length {v.size}, space has dimension {space.dim}")
-    return v
+    raise DimensionMismatch(f"{name} has length {v.size}, space has dimension {space.dim}")
 
 
 # pair kernels handle vectors longer than this in pieces of at most this many
@@ -135,11 +135,12 @@ def _gram(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> GramSummary:
     """Gram data of vectors of the space's dimension, with det clamped at 0.  Raises
     GramOverflow when ||a||^2, ||b||^2, their product or |<a,b>|^2 is not finite."""
     if w.size <= _PIECE:  # both norms in one reduction, with the bits of two
-        na, nb = _norm_sq_rows(w, np.concatenate((a, b)).reshape(2, -1)).tolist()
+        na, nb = _norm_sq_rows(w, np.array((a, b))).tolist()
     else:
         na, nb = (float(_piecewise(_norm_sq_rows, w, v)) for v in (a, b))
-    # a NaN or Inf entry gives a non-finite norm; <a,b> is skipped then (inf * 0 warns)
-    iab = complex(_piecewise(_inner_rows, w, a, b)) if math.isfinite(na + nb) else math.nan
+    iab = math.nan  # <a,b> is skipped when a NaN or Inf entry gives a non-finite norm (inf * 0 warns)
+    if math.isfinite(na + nb):
+        iab = complex(_inner_rows(w, a, b) if w.size <= _PIECE else _piecewise(_inner_rows, w, a, b))
     iab2 = abs(iab) * abs(iab)
     if not math.isfinite(na * nb + iab2):  # both terms are nonnegative
         raise GramOverflow(
@@ -206,14 +207,13 @@ def _require_independent(g: GramSummary, tol: Tolerances) -> None:
 
 
 def _bound(g: GramSummary) -> float:
-    _require_nonzero(g.norm_a_sq, "a")
-    return g.det / g.norm_a_sq
+    return g.det / _require_nonzero(g.norm_a_sq, "a")
 
 
 def _extremizer(a: np.ndarray, b: np.ndarray, g: GramSummary, tol: Tolerances) -> np.ndarray:
     _require_independent(g, tol)
     coef = np.conj(g.inner_ab) / g.norm_a_sq
-    nu = np.sqrt(g.norm_a_sq / g.det)
+    nu = complex(math.sqrt(g.norm_a_sq / g.det))  # numpy casts a real scalar to complex anyway, at more cost
     if b.size <= _PIECE:  # the same bits as the loop, about 3 us a call faster
         return nu * (b - coef * a)
     x, s = np.empty_like(b), np.empty(_PIECE, b.dtype)
@@ -225,9 +225,9 @@ def _extremizer(a: np.ndarray, b: np.ndarray, g: GramSummary, tol: Tolerances) -
 
 def _min_norm(a: np.ndarray, b: np.ndarray, g: GramSummary, tol: Tolerances) -> Tuple[np.ndarray, float]:
     _require_independent(g, tol)
-    coef = np.conj(g.inner_ab)
-    if b.size <= _PIECE:  # as in _extremizer
-        return (g.norm_a_sq * b - coef * a) / g.det, g.norm_a_sq / g.det
+    coef = g.inner_ab.conjugate()
+    if b.size <= _PIECE:  # as in _extremizer, and with complex scalars for the same reason as nu
+        return (complex(g.norm_a_sq) * b - coef * a) / complex(g.det), g.norm_a_sq / g.det
     x, s, scale = np.empty_like(b), np.empty(_PIECE, b.dtype), 1.0 / g.det
     for i in range(0, b.size, _PIECE):
         p, t = slice(i, i + _PIECE), s[: b.size - i]
@@ -248,6 +248,7 @@ def norm_sq(space: SpaceDescriptor, u) -> float:
     n = float(_piecewise(_norm_sq_rows, space.weights, _shaped(space, u, "u")))
     if not math.isfinite(n):  # a NaN or Inf entry, or a square that overflows
         as_vector(space, u, "u")
+        raise GramOverflow("||u||^2 overflows float64")
     return n
 
 

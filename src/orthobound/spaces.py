@@ -46,7 +46,8 @@ class SpaceDescriptor:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown space kind {self.kind!r}")
-        w = np.asarray(self.weights, dtype=np.float64)
+        # private copies, frozen below: the caller's arrays stay writeable and cannot reach the space
+        w = np.array(self.weights, dtype=np.float64)
         if w.ndim != 1 or w.size < 1:
             raise InvalidDimension("weights must be a nonempty 1-D array")
         bad = np.flatnonzero(~(np.isfinite(w) & (w > 0.0)))
@@ -57,7 +58,7 @@ class SpaceDescriptor:
         if self.kind == QUADRATURE:
             if self.nodes is None:
                 raise InvalidInterval("quadrature space requires nodes")
-            x = np.asarray(self.nodes, dtype=np.float64)
+            x = np.array(self.nodes, dtype=np.float64)
             if x.shape != w.shape:
                 raise InvalidDimension("nodes and weights must have equal length")
             if not np.isfinite(x).all():

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from orthobound import OrthoboundError
+from orthobound import OrthoboundError, inner, norm_sq
 from orthobound.cli import dumps_stable, load_instance, main
 
 
@@ -716,3 +716,24 @@ def test_pair_subcommands_dim_4096_digests(tmp_path, capsys, instance, command):
     code, out, _ = run(capsys, [command, write_instance(tmp_path, _dim_4096_instance(instance))])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == DIM_4096_DIGESTS[instance, command]
+
+
+@pytest.mark.parametrize("command", ["extremize", "minnorm"])
+def test_long_residuals_equal_the_public_figures(tmp_path, capsys, command):
+    # beyond 2^14 elements the residuals are summed in pieces, as inner and norm_sq sum
+    n = (1 << 14) + 1
+    rng = np.random.default_rng(n)
+    doc = {"space": {"kind": "weighted", "weights": rng.uniform(0.25, 4.0, n).tolist()},
+           "a": rng.standard_normal((n, 2)).tolist(), "b": rng.standard_normal((n, 2)).tolist(), "mode": "complex"}
+    path = write_instance(tmp_path, doc)
+    code, out, _ = run(capsys, [command, path])
+    assert code == 0
+    got = json.loads(out)
+    space, a, b, _ = load_instance(path)
+    x = np.array(got["x"]).view(np.complex128).ravel()
+    figures = {"residual_orth": abs(inner(space, x, a))}
+    if command == "extremize":
+        figures.update(attained=abs(inner(space, x, b)) ** 2, residual_norm=abs(np.sqrt(norm_sq(space, x)) - 1.0))
+    else:
+        figures.update(residual_one=abs(inner(space, x, b) - 1.0))
+    assert {name: got[name] for name in figures} == figures

@@ -399,14 +399,31 @@ def _long_pair(dim, mode):
     return s, a, b
 
 
+# other forms the pair functions take a vector in: the _long_pair mode each is made
+# from, and how; each must give the bytes of the complex128 vector it converts to
+INPUT_FORMS = {
+    "list": (True, lambda v: v.tolist()),
+    "float64": (False, lambda v: v.real.copy()),
+    "int64": ("integer", lambda v: v.real.astype(np.int64)),
+    "strided": (True, lambda v: np.repeat(v, 2)[::2]),
+}
+
+
 @pytest.mark.parametrize(
     "dim, mode",
     [(dim, mode) for dim in (2, 17, core._PIECE - 1, core._PIECE + 1, 2 * core._PIECE + 3, 1 << 18)
      for mode in (False, True)]
-    + [(core._PIECE + 1, "integer")],
+    + [(core._PIECE + 1, "integer")]
+    + [(17, form) for form in INPUT_FORMS],
 )
 def test_pair_functions_match_whole_array_forms(dim, mode):
-    s, a, b = _long_pair(dim, mode)
+    base, form = INPUT_FORMS.get(mode, (mode, None))
+    s, a, b = _long_pair(dim, base)
+    if form:
+        fa, fb = form(a), form(b)
+        a, b = (np.asarray(v, dtype=np.complex128) for v in (fa, fb))
+        for fn in (gram2, extremizer, min_norm_solution):
+            assert _pair_bytes(fn, s, fa, fb) == _pair_bytes(fn, s, a, b)
     g = gram2(s, a, b)
     gram = (g.norm_a_sq, g.norm_b_sq, g.inner_ab, g.det)
     # longer vectors are summed in pieces, which test_long_reductions_are_near_exact_sums
@@ -601,8 +618,10 @@ def test_verify_overflow_names_the_scale_not_the_input(a, b, message):
         ([1, 0, 1], [np.inf, 0], DimensionMismatch, "v has length 2, space has dimension 3"),
         ([np.inf, 0, 1], [0, 1e-300, np.nan], NonFiniteInput, "u contains NaN or Inf"),
         ([1, 0, 1], [0, 1, complex(np.inf, np.nan)], NonFiniteInput, "v contains NaN or Inf"),
+        # v is not converted while u's length is wrong, so its ValueError never shows
+        ([1, 2], ["x", 1], DimensionMismatch, "u has length 2, space has dimension 3"),
     ],
-    ids=["nan-u-short-v", "short-u-nan-v", "inf-v-short", "inf-u-nan-v", "inf-nan-v"],
+    ids=["nan-u-short-v", "short-u-nan-v", "inf-v-short", "inf-u-nan-v", "inf-nan-v", "short-u-bad-v"],
 )
 def test_schwarz_gap_names_the_first_fault(u, v, error, message):
     with pytest.raises(error) as exc:
@@ -617,8 +636,9 @@ def test_norm_sq_names_a_non_finite_entry(u):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_norm_sq_of_finite_entries_may_overflow():
-    assert norm_sq(D3, [1e200, 0, 1]) == np.inf
+def test_norm_sq_refuses_overflow_of_finite_entries():
+    with pytest.raises(GramOverflow, match=r"^\|\|u\|\|\^2 overflows float64$"):
+        norm_sq(D3, [1e200, 0, 1])
 
 
 # where two overflowed products meet, numpy also warns of an invalid value

@@ -74,6 +74,23 @@ def test_weights_immutable():
         s.weights[0] = 5.0
 
 
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (make_weighted, "weights"),
+        (lambda v: SpaceDescriptor("quadrature", v, [0.0, 1.0, 2.0]), "weights"),
+        (lambda v: SpaceDescriptor("quadrature", [1.0, 1.0, 1.0], v), "nodes"),
+    ],
+    ids=["make_weighted", "quadrature-weights", "quadrature-nodes"],
+)
+def test_space_leaves_the_callers_array_writeable(build, field):
+    v = np.array([1.0, 2.0, 3.0])
+    s = build(v)
+    v[0] = 5.0  # raises "assignment destination is read-only" if the space froze v itself
+    np.testing.assert_array_equal(getattr(s, field), [1.0, 2.0, 3.0])
+    assert not getattr(s, field).flags.writeable
+
+
 def test_trapezoid_n2():
     s = trapezoid_rule(2, 0.0, 1.0)
     np.testing.assert_array_equal(s.nodes, [0.0, 1.0])
