@@ -5,6 +5,8 @@ badly (if at all) the claimed inequality or optimality is violated, and
 returns a :class:`VerificationReport`.  Violations are recorded in the
 scaled form ``residual / (1 + magnitude)`` so one tolerance works across
 input scales.  Identical inputs and seed produce bitwise-identical reports.
+``verify_all`` checks the deflated Schwarz inequality at its pair,
+``verify_deflated`` the lemma itself on random triples.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ _MAX_RETRIES = 100
 _BLOCK_ELEMS = 1 << 16
 # Written into every `verify` report line.  The draw order fixes the per-seed
 # output, so changing it bumps this and older replay files are refused.
-HARNESS_FORMAT = 2
+HARNESS_FORMAT = 3
 
 # verify_all emits reports in exactly this order.
 CHECK_ORDER = (
@@ -110,13 +112,19 @@ def _buffers(trials: int, dim: int, blocks: int):
 def _usable_draws(space: SpaceDescriptor, rng, u, nsq, real: bool, t, f, against=None) -> None:
     """Fill the block u with draws (through f), projected against a when against
     = (a, ||a||^2) is given, and nsq with their squared norms, on the buffers t
-    and f.  Rows under the degenerate floor are redrawn, up to the retry cap."""
-    v, vsq, bad = u, nsq, None
+    and f.  Rows under the degenerate floor are redrawn, up to the retry cap.  Rows left
+    with under half their drawn norm are projected again: "twice is enough" (Parlett 1980)."""
+    w, v, vsq, bad, lost = space.weights, u, nsq, None, 0.0
     for _ in range(_MAX_RETRIES):
         _draw(rng, v.shape, real, v, f if bad is None else None)
-        if against is not None:
-            core._project_rows(space.weights, v, *against, out=v, t=t[: len(v)])
-        vsq[:] = core._norm_sq_rows(space.weights, v, r=f[: len(v)])
+        if against is not None:  # lost = |<v,a>|^2/||a||^2 <= ||v||^2 fits where ||v||^2 does
+            coef = core._inner_rows(w, v, against[0], t=t[: len(v)]) / against[1]
+            np.subtract(v, np.multiply(coef[:, None], against[0], out=t[: len(v)]), out=v)
+            lost = np.square(np.abs(coef) * np.sqrt(against[1]))
+        vsq[:] = core._norm_sq_rows(w, v, r=f[: len(v)])
+        if np.any(again := vsq < lost / 3.0):  # by Pythagoras, the drawn ||v||^2 is vsq + lost
+            v[again] = core._project_rows(w, v[again], *against)
+            vsq[again] = core._norm_sq_rows(w, v[again])
         if bad is not None:
             u[bad], nsq[bad] = v, vsq
         bad = nsq < _DEGENERATE_NORM_SQ
@@ -244,6 +252,35 @@ def _verify_min_norm(space, pair, trials, tol, seed, real) -> VerificationReport
     return _report("min_norm_optimality", trials + 1, worst, tol.rel_eps, witness=witness, value=value)
 
 
+def _deflated_check(space, trials: int, tol: Tolerances, t, f, block) -> VerificationReport:
+    """The deflated check over blocks block(n) = (z, mu_beta, c, nc, dp, ndp) of n rows: c and
+    d's component dp orthogonal to c are one vector or one per row; t, f as from _buffers."""
+    if trials <= 0:
+        return _report("deflated_schwarz", 0, 0.0, tol.rel_eps, note="no trials requested")
+    w, worst, witness = space.weights, 0.0, None
+    for n in _block_rows(trials, space.dim):
+        z, mu_beta, c, nc, dp, ndp = block(n)
+        t1, t2, t3, r = t[0][:n], t[1][:n], t[2][:n], f[:n]
+        # Equality case: z in span{c, component of d orthogonal to c}.
+        z_eq = np.multiply(mu_beta[:, :1], c, out=t1)
+        z_eq += np.multiply(mu_beta[:, 1:], dp, out=t2)
+        zp_eq = core._project_rows(w, z_eq, c, nc, out=t1, t=t2, cv=t3)
+        lhs_e, rhs_e = core._deflated_sides(w, zp_eq, dp, nc, ndp, r=r, t=t1, cv=t2)
+        zp = core._project_rows(w, z, c, nc, out=t1, t=t1, cv=t2)
+        lhs, rhs = core._deflated_sides(w, zp, dp, nc, ndp, r=r, t=t1, cv=t2)
+        # v[i] holds trial i's two scaled violations, so that argmax over the
+        # raveled v meets the trials in the order they ran
+        v = np.column_stack(
+            (np.maximum(rhs - lhs, 0.0) / (1.0 + lhs), np.abs(lhs_e - rhs_e) / (10.0 * (1.0 + lhs_e)))
+        )
+        i, eq = divmod(int(np.argmax(v)), 2)
+        if v[i, eq] > worst:
+            c, dp = np.broadcast_to(c, z.shape)[i], np.broadcast_to(dp, z.shape)[i]
+            worst, witness = v[i, eq], mu_beta[i, :1] * c + mu_beta[i, 1:] * dp if eq else z[i].copy()
+    note = "equality-case slack is 10x rel_eps, folded in at 1/10 weight"
+    return _report("deflated_schwarz", trials, worst, tol.rel_eps, witness=witness, note=note)
+
+
 def verify_deflated(
     space: SpaceDescriptor,
     trials: int,
@@ -259,42 +296,42 @@ def verify_deflated(
     slack is 10x rel_eps; its scaled violation is folded into the single
     report figure at 1/10 weight to keep one tolerance.
     """
-    if trials <= 0:
-        return _report("deflated_schwarz", 0, 0.0, tol.rel_eps, note="no trials requested")
-    w = space.weights
     rng = np.random.default_rng(seed)
-    z_buf, c_buf, d_buf, t1_buf, t2_buf, t3_buf, f = _buffers(trials, space.dim, 6)
-    worst = 0.0
-    witness = None
-    for n in _block_rows(trials, space.dim):
-        t1, t2, t3, r = t1_buf[:n], t2_buf[:n], t3_buf[:n], f[:n]
-        z = _draw(rng, (n, space.dim), real, z_buf[:n], r)
+    z_buf, c_buf, d_buf, *t, f = _buffers(trials, space.dim, 6)
+
+    def block(n):
+        z = _draw(rng, (n, space.dim), real, z_buf[:n], f[:n])
         c, nc = c_buf[:n], np.empty(n)
-        _usable_draws(space, rng, c, nc, real, t1, r)
-        d = _draw(rng, (n, space.dim), real, d_buf[:n], r)
+        _usable_draws(space, rng, c, nc, real, t[0][:n], f[:n])
+        d = _draw(rng, (n, space.dim), real, d_buf[:n], f[:n])
         mu_beta = _draw(rng, (n, 2), real)
         # d becomes its component d_perp orthogonal to c
-        dp = core._project_rows(w, d, c, nc, out=d, t=t1, cv=t2)
-        ndp = core._norm_sq_rows(w, dp, r=r)
-        # Equality case: z in span{c, component of d orthogonal to c}.
-        z_eq = np.multiply(mu_beta[:, :1], c, out=t1)
-        z_eq += np.multiply(mu_beta[:, 1:], dp, out=t2)
-        zp_eq = core._project_rows(w, z_eq, c, nc, out=t1, t=t2, cv=t3)
-        lhs_e, rhs_e = core._deflated_sides(w, zp_eq, dp, nc, ndp, r=r, t=t1, cv=t2)
-        zp = core._project_rows(w, z, c, nc, out=t1, t=t1, cv=t2)
-        lhs, rhs = core._deflated_sides(w, zp, dp, nc, ndp, r=r, t=t1, cv=t2)
-        # v[i] holds trial i's two scaled violations, so that argmax over the
-        # raveled v meets the trials in the order they ran
-        v = np.column_stack(
-            (np.maximum(rhs - lhs, 0.0) / (1.0 + lhs), np.abs(lhs_e - rhs_e) / (10.0 * (1.0 + lhs_e)))
-        )
-        i, eq = divmod(int(np.argmax(v)), 2)
-        if v[i, eq] > worst:
-            worst, witness = v[i, eq], mu_beta[i, :1] * c[i] + mu_beta[i, 1:] * d[i] if eq else z[i].copy()
-    return _report(
-        "deflated_schwarz", trials, worst, tol.rel_eps, witness=witness,
-        note="equality-case slack is 10x rel_eps, folded in at 1/10 weight",
-    )
+        dp = core._project_rows(space.weights, d, c, nc, out=d, t=t[0][:n], cv=t[1][:n])
+        return z, mu_beta, c, nc, dp, core._norm_sq_rows(space.weights, dp, r=f[:n])
+
+    return _deflated_check(space, trials, tol, t, f, block)
+
+
+def _verify_deflated_at(space, pair, trials, tol, seed, real) -> VerificationReport:
+    """verify_deflated at the pair, c = a and d = b, on the unit directions of a and of b's
+    component orthogonal to a (none for a dependent pair): no figure depends on their scale."""
+    aa, bb, g = pair
+    if core._dependent(g, tol):
+        return _skipped("deflated_schwarz", tol, "dependent vectors")
+    # each direction goes in with its computed squared norm: when ||r||^2 is
+    # subnormal, r_hat is not quite a unit vector
+    a_hat = aa / np.sqrt(g.norm_a_sq)
+    na = core._norm_sq_rows(space.weights, a_hat)
+    r = core._project_rows(space.weights, bb, a_hat, na)
+    r_hat = r / np.sqrt(core._norm_sq_rows(space.weights, r))
+    fixed = (a_hat, na, r_hat, core._norm_sq_rows(space.weights, r_hat))
+    rng = np.random.default_rng(seed)
+    z_buf, *t, f = _buffers(trials, space.dim, 4)
+
+    def block(n):
+        return (_draw(rng, (n, space.dim), real, z_buf[:n], f[:n]), _draw(rng, (n, 2), real)) + fixed
+
+    return _deflated_check(space, trials, tol, t, f, block)
 
 
 def _verify_scale_covariance(space, pair, tol: Tolerances, real: bool) -> VerificationReport:
@@ -350,21 +387,22 @@ def verify_all(
 ) -> List[VerificationReport]:
     """Run every check, in the fixed order given by CHECK_ORDER.
 
-    Checks whose preconditions fail (dimension 1 for the bound check,
-    dependent vectors for the min-norm problem, complex inputs for the
-    real-consistency check) come back as skipped entries, not errors.
+    The deflated check runs on a and b, not on random triples.  Checks whose
+    preconditions fail (dimension 1 for the bound check, dependent vectors for
+    the min-norm and deflated checks, complex inputs for the real-consistency
+    check) come back as skipped entries, not errors.
     """
     # imported here: concurrent.futures loads logging, which `import orthobound.cli` need not
     from concurrent.futures import ThreadPoolExecutor
 
     pair = core._pair(space, a, b)
-    # The deflated check shares nothing with the other two, and numpy releases
-    # the GIL while it draws and computes, so it runs on a second thread, in a
-    # copy of the caller's context, which holds its np.errstate.  Its error, if
-    # any, is raised after the other checks; leaving the block joins it.
+    # The deflated check only reads the pair, as the other two do, and numpy
+    # releases the GIL while it draws and computes, so it runs on a second
+    # thread, in a copy of the caller's context, which holds its np.errstate.
+    # Its error, if any, is raised after the other checks; leaving the block joins it.
     with ThreadPoolExecutor(max_workers=1) as pool:
         run = contextvars.copy_context().run
-        deflated = pool.submit(run, verify_deflated, space, trials, tol, seed + 2, real)
+        deflated = pool.submit(run, _verify_deflated_at, space, pair, trials, tol, seed + 2, real)
         reports = [_verify_bound(space, pair, trials, tol, seed, real)]
         if core._dependent(pair[2], tol):
             reports.append(_skipped("min_norm_optimality", tol, "dependent vectors"))

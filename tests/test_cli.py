@@ -211,6 +211,19 @@ def test_verify_worker_keeps_the_floating_point_settings(tmp_path, capsys):
     )
 
 
+def test_verify_worker_overflows_under_the_callers_settings(monkeypatch):
+    # the premise of the test above: the deflated check, which draws z with
+    # weight 1e308 on one coordinate, overflows on these weights, and the
+    # caller's np.errstate reaches its thread (the main thread's checks are
+    # stubbed out, so the worker's error is the only one)
+    from orthobound import make_weighted, verify
+
+    monkeypatch.setattr(verify, "_verify_bound", lambda *args: None)
+    monkeypatch.setattr(verify, "_verify_min_norm", lambda *args: None)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        verify.verify_all(make_weighted([5e-324, 1e308, 1]), [1, 0, 1], [0, 1, 2], real=True)
+
+
 def test_bad_mode(tmp_path, capsys):
     doc = dict(DENSE_REAL, mode="octonion")
     code, _, err = run(capsys, ["bound", write_instance(tmp_path, doc)])
@@ -472,10 +485,14 @@ def test_cmd_verify_corrupted_replay_exits_5(tmp_path, capsys):
 def test_cmd_verify_replay_of_older_format_exits_2(tmp_path, capsys):
     inst = write_instance(tmp_path, DENSE_REAL)
     _, out, _ = run(capsys, ["verify", inst, "--trials", "50"])
-    assert all(json.loads(ln)["harness_format"] == 2 for ln in out.splitlines())
+    assert all(json.loads(ln)["harness_format"] == 3 for ln in out.splitlines())
     replay = tmp_path / "replay.jsonl"
-    for older in (out.replace(', "harness_format": 2', ""), out.replace('"harness_format": 2', '"harness_format": 1')):
-        replay.write_text(older)
+    # no key, format 1, and format 2, whose deflated check drew random
+    # triples instead of working on the pair
+    older = [out.replace(', "harness_format": 3', "")]
+    older += [out.replace('"harness_format": 3', f'"harness_format": {n}') for n in (1, 2)]
+    for text in older:
+        replay.write_text(text)
         code, _, err = run(capsys, ["verify", inst, "--replay", str(replay)])
         assert code == 2
         assert "older sampler" in err and "regenerate" in err
@@ -572,32 +589,32 @@ def test_pair_subcommands_golden_stdout(tmp_path, capsys, instance, command):
 
 # Exact stdout of `verify --trials 200`, one entry per report line, captured
 # before the deflated check moved to a second thread and the arithmetic to
-# row chunks; neither may change a byte.
+# row chunks; neither may change a byte.  The deflated_schwarz lines were
+# recaptured when that check moved to the instance (harness format 3).
 GOLDEN_VERIFY_LINES = {
     "dense_real": [
         '{"check": "bound_dominance", "trials": 201, "worst_violation": 8.8817841970012523e-16, '
         '"tolerance": 3.0000000000000004e-09, "passed": true, "skipped": false, '
         '"witness": [[-0.70710678118654757, 0], [0, 0], [0.70710678118654757, 0]], "bound": 2, '
-        '"harness_format": 2, "settings": {"trials": 200, "seed": 1, '
+        '"harness_format": 3, "settings": {"trials": 200, "seed": 1, '
         '"tol": 1.0000000000000001e-09}}',
         '{"check": "min_norm_optimality", "trials": 201, "worst_violation": 0, '
         '"tolerance": 1.0000000000000001e-09, "passed": true, "skipped": false, "witness": [[-0.5, '
-        '0], [0, 0], [0.5, 0]], "value": 0.5, "harness_format": 2, "settings": {"trials": 200, '
+        '0], [0, 0], [0.5, 0]], "value": 0.5, "harness_format": 3, "settings": {"trials": 200, '
         '"seed": 1, "tol": 1.0000000000000001e-09}}',
-        '{"check": "deflated_schwarz", "trials": 200, "worst_violation": 5.126719873585216e-17, '
+        '{"check": "deflated_schwarz", "trials": 200, "worst_violation": 3.2462901318633274e-17, '
         '"tolerance": 1.0000000000000001e-09, "passed": true, "skipped": false, '
-        '"witness": [[-0.13943512295807425, 0], [1.0779060038581814, -0], [-0.34559549383386307, '
-        '0]], "note": "equality-case slack is 10x rel_eps, folded in at 1/10 weight", '
-        '"harness_format": 2, "settings": {"trials": 200, "seed": 1, '
-        '"tol": 1.0000000000000001e-09}}',
+        '"witness": [[-1.9813688094552835, 0], [-0.73558197240585321, 0], [0.51020486464357706, 0]], '
+        '"note": "equality-case slack is 10x rel_eps, folded in at 1/10 weight", '
+        '"harness_format": 3, "settings": {"trials": 200, "seed": 1, "tol": 1.0000000000000001e-09}}',
         '{"check": "scale_covariance", "trials": 3, "worst_violation": 0, '
         '"tolerance": 1.0000000000000001e-09, "passed": true, "skipped": false, "witness": [[1, '
-        '0], [1, 0], [1, 0]], "harness_format": 2, "settings": {"trials": 200, "seed": 1, '
+        '0], [1, 0], [1, 0]], "harness_format": 3, "settings": {"trials": 200, "seed": 1, '
         '"tol": 1.0000000000000001e-09}}',
         '{"check": "real_consistency", "trials": 1, "worst_violation": 0, '
         '"tolerance": 1.0000000000000001e-09, "passed": true, "skipped": false, '
         '"witness": [[-0.70710678118654757, 0], [0, 0], [0.70710678118654757, 0]], '
-        '"harness_format": 2, "settings": {"trials": 200, "seed": 1, '
+        '"harness_format": 3, "settings": {"trials": 200, "seed": 1, '
         '"tol": 1.0000000000000001e-09}}',
     ],
     "weighted_complex": [
@@ -606,29 +623,29 @@ GOLDEN_VERIFY_LINES = {
         '"witness": [[0.27290407632647057, 0.071098693569264682], [0.23017304332272059, '
         '-0.12567950883455883], [0.31575480410053924, 0.051229361696372572], '
         '[0.064754870742377443, 0.47686396494941174]], "bound": 21.735700334821427, '
-        '"harness_format": 2, "settings": {"trials": 200, "seed": 1, '
+        '"harness_format": 3, "settings": {"trials": 200, "seed": 1, '
         '"tol": 1.0000000000000001e-09}}',
         '{"check": "min_norm_optimality", "trials": 201, '
         '"worst_violation": 9.9825337854478655e-17, "tolerance": 1.0000000000000001e-09, '
         '"passed": true, "skipped": false, "witness": [[0.058536021796966008, '
         '0.015250174099735879], [0.049370513120862131, -0.02695737845912909], '
         '[0.067727204166840513, 0.010988340933816435], [0.01388946832989413, '
-        '0.10228399598206692]], "value": 0.046007259236913636, "harness_format": 2, '
+        '0.10228399598206692]], "value": 0.046007259236913636, "harness_format": 3, '
         '"settings": {"trials": 200, "seed": 1, "tol": 1.0000000000000001e-09}}',
-        '{"check": "deflated_schwarz", "trials": 200, "worst_violation": 8.985930412329975e-17, '
+        '{"check": "deflated_schwarz", "trials": 200, "worst_violation": 5.3147613274236216e-17, '
         '"tolerance": 1.0000000000000001e-09, "passed": true, "skipped": false, '
-        '"witness": [[-2.8678141822498495, -2.3503560234335836], [-1.9535963262908382, '
-        '6.4840342190262366], [1.5981086815480816, 4.3063834152722391], [2.2301136023817638, '
-        '1.1165768185224683]], "note": "equality-case slack is 10x rel_eps, '
-        'folded in at 1/10 weight", "harness_format": 2, "settings": {"trials": 200, "seed": 1, '
+        '"witness": [[-0.75866122212961362, -0.40862104426470047], [-0.014364339312797569, '
+        '-0.091215294152823173], [-0.45015634395754278, 0.19355275026383345], [0.038534950114826064, '
+        '-1.2072266099188715]], "note": "equality-case slack is 10x rel_eps, '
+        'folded in at 1/10 weight", "harness_format": 3, "settings": {"trials": 200, "seed": 1, '
         '"tol": 1.0000000000000001e-09}}',
         '{"check": "scale_covariance", "trials": 5, "worst_violation": 2.0518284193924727e-16, '
         '"tolerance": 1.0000000000000001e-09, "passed": true, "skipped": false, "witness": [[2, '
-        '1.5], [-3.75, 2.5], [-1.5, -3], [-0.25, 2]], "harness_format": 2, '
+        '1.5], [-3.75, 2.5], [-1.5, -3], [-0.25, 2]], "harness_format": 3, '
         '"settings": {"trials": 200, "seed": 1, "tol": 1.0000000000000001e-09}}',
         '{"check": "real_consistency", "trials": 0, "worst_violation": 0, '
         '"tolerance": 1.0000000000000001e-09, "passed": true, "skipped": true, '
-        '"note": "complex inputs", "harness_format": 2, "settings": {"trials": 200, "seed": 1, '
+        '"note": "complex inputs", "harness_format": 3, "settings": {"trials": 200, "seed": 1, '
         '"tol": 1.0000000000000001e-09}}',
     ],
 }

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -40,15 +42,25 @@ def test_sample_feasible_constraints():
         assert norm_sq(s, x) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.xfail(strict=True, reason="one projection pass; ROADMAP item 2")
-def test_sample_feasible_orthogonal_under_weights_spread_over_1e300():
-    # the rounding that one projection pass leaves in the 1e300-weighted
-    # coordinate dominates the norm: the draw comes out parallel to a
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sample_feasible_orthogonal_under_weights_spread_over_1e300(seed):
+    # one projection pass leaves rounding in the 1e300-weighted coordinate
+    # that dominates the norm (seeds 0 and 2 came out parallel to a); the
+    # rows that lost most of their norm are projected a second time
     s = make_weighted([1e300, 1, 2])
     a = [1e-150] * 3
-    x = sample_feasible(s, a, seed=0, real=True)
+    x = sample_feasible(s, a, seed=seed, real=True)
     assert norm_sq(s, x) == pytest.approx(1.0, abs=1e-12)
     assert abs(inner(s, x, a)) <= 1e-9 * np.sqrt(norm_sq(s, a))
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_verify_all_passes_under_weights_spread_over_1e300(real):
+    # with one projection pass the bound check's draws came out parallel to a
+    # here, and bound_dominance read a worst violation of 1e20
+    b = np.array([1e-140, 2e-140, -1e-140]) * (1 if real else 1 - 2j)
+    reports = verify_all(make_weighted([1e300, 1, 2]), [1e-150] * 3, b, trials=200, real=real)
+    assert all(r.passed for r in reports)
 
 
 def test_sample_feasible_deterministic():
@@ -329,8 +341,9 @@ def test_verify_all_validates_few_times(as_vector_calls):
 
 def test_verify_all_golden_dim_1024():
     """verify_all at dim 1024, trials 130 (blocks of 64 + 64 + 2 rows), pinned
-    by a digest of its exact report bytes, captured before the deflated check
-    moved to a second thread and the arithmetic to row chunks."""
+    by a digest of its exact report bytes.  Recaptured when the deflated check
+    moved to the instance (harness format 3); the other four lines are those
+    captured before the deflated check moved to a second thread."""
     import hashlib
 
     from orthobound.cli import dumps_stable
@@ -339,7 +352,7 @@ def test_verify_all_golden_dim_1024():
     reports = verify_all(s, a, b, trials=130, seed=5)
     text = "\n".join(dumps_stable(r.to_dict()) for r in reports)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "4b98ba755822394e47e5ed9d6a2da5e2fa7a2802a0ecb76c488fbdcdca65aa34"
+        "b19cde69d33b04814e1ff04b1d8a5d897afc1f0b6c50f81da5814c9614e270ac"
     )
 
 
@@ -388,7 +401,7 @@ def test_verify_all_reraises_a_worker_error(monkeypatch):
     def failing_deflated(*args, **kwargs):
         raise RuntimeError("planted deflated failure")
 
-    monkeypatch.setattr(verify, "verify_deflated", failing_deflated)
+    monkeypatch.setattr(verify, "_verify_deflated_at", failing_deflated)
     with pytest.raises(RuntimeError, match="planted deflated failure"):
         verify_all(make_dense(4), [1, 2, 3, 4], [1, -1, 2, 0.5j], trials=50)
     # the sequential order would raise the bound check's error first
@@ -406,7 +419,9 @@ def test_verify_all_dim1_skips_the_bound_check():
     assert bound.skipped and bound.passed and bound.trials == 0
     assert bound.note == "no unit vector is orthogonal to a in dimension 1"
     assert all(r.passed for r in reports)
-    assert not reports[2].skipped and reports[2].trials == 10
+    # in dimension 1 every pair is dependent, so b has no component
+    # orthogonal to a and the deflated check is skipped too
+    assert reports[2].skipped and reports[2].note == "dependent vectors"
     # without trials the bound check runs as before, and a zero a is refused
     assert not verify_all(make_dense(1), [1.0], [2.0], trials=0)[0].skipped
     with pytest.raises(ZeroVector):
@@ -444,3 +459,89 @@ def test_usable_draws_redraws_only_the_degenerate_rows(monkeypatch):
     assert hashlib.sha256(dumps_stable(rep.to_dict()).encode()).hexdigest() == (
         "5126785f57754c2894e8d3d74691ac667423bc81e2501b3de5ca4f74a51bb14c"
     )
+
+
+# --- the deflated check at the instance ----------------------------------------
+
+
+def _weighted_pair_16():
+    rng = np.random.default_rng(16)
+    s = make_weighted(rng.uniform(0.5, 2.0, 16))
+    a, b = (rng.standard_normal(16) + 1j * rng.standard_normal(16) for _ in range(2))
+    return s, a, b
+
+
+def _scaled_coefficient(project):
+    # dividing ||c||^2 by 1 + 1e-3 scales the projection coefficient by it
+    return lambda w, z, c, nc, **kw: project(w, z, c, nc / (1.0 + 1e-3), **kw)
+
+
+def _scaled_rhs(factor):
+    def plant(sides):
+        def planted(*args, **kw):
+            lhs, rhs = sides(*args, **kw)
+            return lhs, rhs * factor
+
+        return planted
+
+    return plant
+
+
+PLANTED_DEFECTS = {
+    "coefficient-x(1+1e-3)": ("_project_rows", _scaled_coefficient),
+    "rhs-x1.01": ("_deflated_sides", _scaled_rhs(1.01)),
+    "rhs-x0.99": ("_deflated_sides", _scaled_rhs(0.99)),
+}
+
+
+@pytest.mark.parametrize("pair", [_weighted_pair_16, _pair_1024], ids=["weighted-16", "trapezoid-1024"])
+@pytest.mark.parametrize("defect", sorted(PLANTED_DEFECTS))
+def test_deflated_check_at_the_instance_finds_planted_defects(monkeypatch, pair, defect):
+    s, a, b = pair()
+    clean = verify._verify_deflated_at(s, core._pair(s, a, b), 130, TOL, 7, False)
+    assert clean.passed and clean.trials == 130
+    name, plant = PLANTED_DEFECTS[defect]
+    monkeypatch.setattr(core, name, plant(getattr(core, name)))
+    rep = verify._verify_deflated_at(s, core._pair(s, a, b), 130, TOL, 7, False)
+    assert not rep.passed
+
+
+# Per pair: the (k, m) where verify_all on (2^k a, 2^m b) does not pass at
+# harness format 2 either (the Gram data overflows at (270, 270); at
+# (-270, -270) the dim-16 pair's det is subnormal and its min-norm check reads
+# nan), and the point where the pair counts as dependent: there
+# ||2^-270 a||^2 ||2^-270 b||^2 underflows to 0, so det does, and the deflated
+# line is skipped, as the min-norm one is.
+SCALE_GRID = {
+    "weighted-16": (_weighted_pair_16, {(270, 270), (-270, -270)}, None),
+    "trapezoid-1024": (_pair_1024, {(270, 270)}, (-270, -270)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALE_GRID))
+def test_deflated_line_does_not_depend_on_the_scale_of_a_and_b(name):
+    from orthobound.cli import dumps_stable
+
+    pair, left_out, dependent_at = SCALE_GRID[name]
+    s, a, b = pair()
+    exponents = (0, 60, -60, 270, -270)
+    lines = {}
+    for k, m in itertools.product(exponents, exponents):
+        if (k, m) not in left_out:
+            reports = verify_all(s, 2.0**k * a, 2.0**m * b, trials=130, seed=5)
+            assert all(r.passed for r in reports), (k, m)
+            lines[k, m] = dumps_stable(reports[CHECK_ORDER.index("deflated_schwarz")].to_dict())
+    if dependent_at is not None:
+        assert '"note": "dependent vectors"' in lines.pop(dependent_at)
+    assert len(set(lines.values())) == 1
+    assert '"skipped": false' in lines[0, 0]
+
+
+def test_deflated_check_at_the_instance_skips_a_dependent_pair(monkeypatch):
+    draws = []
+    monkeypatch.setattr(verify, "_draw", lambda *args, **kw: draws.append(args))
+    s = make_weighted([1.0, 2.0, 0.5])
+    a = np.array([1.0, 2j, -1.0])
+    rep = verify._verify_deflated_at(s, core._pair(s, a, (2 - 1j) * a), 200, TOL, 3, False)
+    assert (rep.skipped, rep.passed, rep.trials, rep.note) == (True, True, 0, "dependent vectors")
+    assert draws == []
