@@ -46,26 +46,23 @@ class SpaceDescriptor:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown space kind {self.kind!r}")
-        # private copies, frozen below: the caller's arrays stay writeable and cannot reach the space
-        w = np.array(self.weights, dtype=np.float64)
+        w = _private(self.weights)
         if w.ndim != 1 or w.size < 1:
             raise InvalidDimension("weights must be a nonempty 1-D array")
         bad = np.flatnonzero(~(np.isfinite(w) & (w > 0.0)))
         if bad.size:
             raise NonPositiveWeight(int(bad[0]), float(w[bad[0]]))
-        w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         if self.kind == QUADRATURE:
             if self.nodes is None:
                 raise InvalidInterval("quadrature space requires nodes")
-            x = np.array(self.nodes, dtype=np.float64)
+            x = _private(self.nodes)
             if x.shape != w.shape:
                 raise InvalidDimension("nodes and weights must have equal length")
             if not np.isfinite(x).all():
                 raise NonFiniteInput("quadrature nodes must be finite")
             if np.any(np.diff(x) <= 0.0):
                 raise InvalidInterval("quadrature nodes must be strictly increasing")
-            x.setflags(write=False)
             object.__setattr__(self, "nodes", x)
         elif self.nodes is not None:
             raise InvalidInterval(f"{self.kind} space must not carry nodes")
@@ -75,16 +72,28 @@ class SpaceDescriptor:
         return int(self.weights.size)
 
 
+def _frozen(v: np.ndarray) -> np.ndarray:
+    v.setflags(write=False)
+    return v
+
+
+def _private(v) -> np.ndarray:
+    """v if it is a read-only float64 array that owns its data (the makers' arrays), else a frozen copy."""
+    if type(v) is np.ndarray and v.dtype == np.float64 and v.flags.owndata and not v.flags.writeable:
+        return v
+    return _frozen(np.array(v, dtype=np.float64))
+
+
 def make_dense(dim: int) -> SpaceDescriptor:
     """Euclidean space of the given dimension (unit weights)."""
     if dim < 1:
         raise InvalidDimension(f"dim must be >= 1, got {dim}")
-    return SpaceDescriptor(DENSE, np.ones(dim))
+    return SpaceDescriptor(DENSE, _frozen(np.ones(dim)))
 
 
 def make_weighted(weights) -> SpaceDescriptor:
     """Coordinate space with the given strictly positive weights."""
-    return SpaceDescriptor(WEIGHTED, np.atleast_1d(np.asarray(weights, dtype=np.float64)))
+    return SpaceDescriptor(WEIGHTED, _frozen(np.array(weights, dtype=np.float64, ndmin=1)))
 
 
 def trapezoid_rule(n: int, lo: float, hi: float) -> SpaceDescriptor:
@@ -100,11 +109,10 @@ def trapezoid_rule(n: int, lo: float, hi: float) -> SpaceDescriptor:
         raise NonFiniteInput("interval endpoints must be finite")
     if lo >= hi:
         raise InvalidInterval(f"need lo < hi, got [{lo}, {hi}]")
-    nodes = np.linspace(lo, hi, n)
     h = (hi - lo) / (n - 1)
     weights = np.full(n, h)
     weights[0] = weights[-1] = h / 2.0
-    return SpaceDescriptor(QUADRATURE, weights, nodes)
+    return SpaceDescriptor(QUADRATURE, _frozen(weights), np.linspace(lo, hi, n))
 
 
 def sample_function(space: SpaceDescriptor, f: Callable[[float], complex]) -> np.ndarray:

@@ -31,9 +31,9 @@ _MAX_RETRIES = 100
 # trials, and score each block in buffers they allocate once per call: freed
 # temporaries of block size go back to the OS and fault in again on the next call.
 _BLOCK_ELEMS = 1 << 16
-# Written into every `verify` report line.  The draw order fixes the per-seed
-# output, so changing it bumps this and older replay files are refused.
-HARNESS_FORMAT = 3
+# Written into every `verify` report line: the draws fix the per-seed output, so changing them bumps this.
+HARNESS_FORMAT = 4
+_SQRT3 = np.sqrt(3.0)
 
 # verify_all emits reports in exactly this order.
 CHECK_ORDER = (
@@ -88,11 +88,13 @@ def _skipped(check: str, tol: Tolerances, note: str) -> VerificationReport:
 
 
 def _draw(rng: np.random.Generator, shape, real: bool, out=None, f=None) -> np.ndarray:
-    """Standard-normal real parts, then (complex mode) imaginary parts; drawn
-    into out through the float buffer f when these are given."""
+    """Unit-variance uniform coordinates on [-sqrt 3, sqrt 3) (the normals' scale, which _DEGENERATE_NORM_SQ
+    assumes), into out when given: complex parts interleaved; real mode through the buffer f, imaginary 0."""
     z = np.empty(shape, dtype=np.complex128) if out is None else out
-    z.real = rng.standard_normal(shape, out=f)
-    z.imag = 0.0 if real else rng.standard_normal(shape, out=f)
+    u = rng.random(shape, out=f) if real else rng.random(out=z.view(np.float64))
+    np.subtract(np.multiply(u, 2.0 * _SQRT3, out=u), _SQRT3, out=u)
+    if real:
+        z.real, z.imag = u, 0.0
     return z
 
 
@@ -149,9 +151,8 @@ def sample_feasible(
 ) -> np.ndarray:
     """One random unit vector orthogonal to a.
 
-    Draws standard-normal coordinates (real and imaginary parts; imaginary
-    parts zero in real mode), projects out a, renormalizes.  Redraws when
-    the projection lands too close to zero, up to a fixed retry cap.
+    Draws unit-variance uniform coordinates (imaginary parts zero in real mode), projects
+    out a, renormalizes, and redraws when the projection lands too close to zero, up to a fixed retry cap.
     """
     aa = core.as_vector(space, a, "a")
     na = core._require_nonzero(core._norm_sq_rows(space.weights, aa), "a")
@@ -253,21 +254,22 @@ def _verify_min_norm(space, pair, trials, tol, seed, real) -> VerificationReport
 
 
 def _deflated_check(space, trials: int, tol: Tolerances, t, f, block) -> VerificationReport:
-    """The deflated check over blocks block(n) = (z, mu_beta, c, nc, dp, ndp) of n rows: c and
-    d's component dp orthogonal to c are one vector or one per row; t, f as from _buffers."""
+    """The deflated check on blocks block(n) = (z, mu_beta, c, nc, dp, ndp) of n rows; c and d's component dp
+    orthogonal to c are one vector, or one per row, conjugated into t's third block.  t, f: from _buffers."""
     if trials <= 0:
         return _report("deflated_schwarz", 0, 0.0, tol.rel_eps, note="no trials requested")
     w, worst, witness = space.weights, 0.0, None
     for n in _block_rows(trials, space.dim):
         z, mu_beta, c, nc, dp, ndp = block(n)
-        t1, t2, t3, r = t[0][:n], t[1][:n], t[2][:n], f[:n]
+        t1, t2, r = t[0][:n], t[1][:n], f[:n]
+        cv2, cv3 = (t2, t[2][:n]) if c.ndim > 1 else (None, None)
         # Equality case: z in span{c, component of d orthogonal to c}.
         z_eq = np.multiply(mu_beta[:, :1], c, out=t1)
         z_eq += np.multiply(mu_beta[:, 1:], dp, out=t2)
-        zp_eq = core._project_rows(w, z_eq, c, nc, out=t1, t=t2, cv=t3)
-        lhs_e, rhs_e = core._deflated_sides(w, zp_eq, dp, nc, ndp, r=r, t=t1, cv=t2)
-        zp = core._project_rows(w, z, c, nc, out=t1, t=t1, cv=t2)
-        lhs, rhs = core._deflated_sides(w, zp, dp, nc, ndp, r=r, t=t1, cv=t2)
+        zp_eq = core._project_rows(w, z_eq, c, nc, out=t1, t=t2, cv=cv3)
+        lhs_e, rhs_e = core._deflated_sides(w, zp_eq, dp, nc, ndp, r=r, t=t1, cv=cv2)
+        zp = core._project_rows(w, z, c, nc, out=t1, t=t1, cv=cv2)
+        lhs, rhs = core._deflated_sides(w, zp, dp, nc, ndp, r=r, t=t1, cv=cv2)
         # v[i] holds trial i's two scaled violations, so that argmax over the
         # raveled v meets the trials in the order they ran
         v = np.column_stack(
@@ -326,7 +328,7 @@ def _verify_deflated_at(space, pair, trials, tol, seed, real) -> VerificationRep
     r_hat = r / np.sqrt(core._norm_sq_rows(space.weights, r))
     fixed = (a_hat, na, r_hat, core._norm_sq_rows(space.weights, r_hat))
     rng = np.random.default_rng(seed)
-    z_buf, *t, f = _buffers(trials, space.dim, 4)
+    z_buf, *t, f = _buffers(trials, space.dim, 3)
 
     def block(n):
         return (_draw(rng, (n, space.dim), real, z_buf[:n], f[:n]), _draw(rng, (n, 2), real)) + fixed

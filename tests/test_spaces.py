@@ -91,6 +91,29 @@ def test_space_leaves_the_callers_array_writeable(build, field):
     assert not getattr(s, field).flags.writeable
 
 
+def _read_only(v):
+    v.setflags(write=False)
+    return v
+
+
+@pytest.mark.parametrize("field", ["weights", "nodes"])
+def test_space_copies_a_read_only_view_of_a_writeable_base(field):
+    base = np.array([1.0, 2.0, 3.0])
+    arrays = {"weights": [1.0, 1.0, 1.0], "nodes": [0.0, 1.0, 2.0], field: _read_only(base[:])}
+    s = SpaceDescriptor("quadrature", **arrays)
+    base[0] = 0.5  # the view's owner is still writeable, so the space must not hold the view
+    np.testing.assert_array_equal(getattr(s, field), [1.0, 2.0, 3.0])
+
+
+def test_space_keeps_an_array_handed_over():
+    # read-only, float64 and owning its data, as make_dense, make_weighted and
+    # trapezoid_rule build the weights: no copy is made
+    w = _read_only(np.array([1.0, 2.0, 3.0]))
+    assert SpaceDescriptor("weighted", w).weights is w
+    assert make_weighted(np.array([1.0, 2.0])).weights.flags.owndata
+    assert trapezoid_rule(3, 0.0, 1.0).weights.flags.owndata
+
+
 def test_trapezoid_n2():
     s = trapezoid_rule(2, 0.0, 1.0)
     np.testing.assert_array_equal(s.nodes, [0.0, 1.0])
