@@ -239,12 +239,14 @@ def _read_replay(path: str) -> Tuple[List[str], int, int, core.Tolerances]:
         trials, seed, tol_value = settings["trials"], settings["seed"], settings["tol"]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InstanceError("--replay", f"malformed report line: {exc}") from exc
-    if written_by != verify.HARNESS_FORMAT:
-        raise InstanceError(
-            "--replay",
-            f"file was written by an older sampler (harness_format {written_by!r}, "
-            f"this version writes {verify.HARNESS_FORMAT}); regenerate it with 'orthobound verify'",
-        )
+    current = verify.HARNESS_FORMAT
+    if type(written_by) is not int or written_by != current:
+        if written_by is None or type(written_by) is int:  # a file without the key predates it
+            found = f"was written by {'a newer' if (written_by or 0) > current else 'an older'} sampler"
+        else:
+            found = "has an unrecognised harness_format"
+        raise InstanceError("--replay", f"file {found} (harness_format {written_by!r}, this version writes "
+                            f"{current}); regenerate it with 'orthobound verify'")
     return stored, trials, seed, _tolerances(trials, seed, tol_value, "--replay settings.")
 
 

@@ -97,13 +97,22 @@ def _piecewise(kernel, w: np.ndarray, *vs: np.ndarray):
     return np.add.reduce([kernel(w[p], *(v[p] for v in vs)) for p in pieces])  # sum() lost an ulp more at 2^18
 
 
-def _inner_rows(w: np.ndarray, u: np.ndarray, v: np.ndarray, t=None, cv=None) -> np.ndarray:
-    """Row-wise <u_i, v_i> over the last axis; v may be one vector for all rows.
-    t and cv, buffers shaped like u, take the products and conj(v) when given."""
-    t = np.multiply(w, u, out=t)
-    # np.add.reduce is np.sum without its Python wrapper, which costs more
-    # than the arithmetic on short rows
-    return np.add.reduce(np.multiply(t, np.conj(v, out=cv), out=t), axis=-1)
+def _inner_rows(w: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise <u_i, v_i> over the last axis, summed as (w*u)*conj(v); v may be one vector for all rows."""
+    t = np.multiply(w, u)
+    return _dot_rows(t, np.conj(v), t=t)
+
+
+def _weigh(w: np.ndarray, c: np.ndarray, out=None) -> np.ndarray:
+    """w*conj(c), the form in which a direction c (one vector, or one per row) enters _dot_rows."""
+    return np.multiply(w, np.conj(c, out=out), out=out)
+
+
+def _dot_rows(u: np.ndarray, wc: np.ndarray, t=None) -> np.ndarray:
+    """Row-wise <u_i, c_i> over the last axis, given wc = _weigh(w, c): one multiply and one
+    reduce.  t, a buffer shaped like u (it may be u), takes the products."""
+    # np.add.reduce is np.sum without its Python wrapper, which costs more than the arithmetic on short rows
+    return np.add.reduce(np.multiply(u, wc, out=t), axis=-1)
 
 
 def _norm_sq_rows(w: np.ndarray, u: np.ndarray, r=None) -> np.ndarray:
@@ -114,21 +123,21 @@ def _norm_sq_rows(w: np.ndarray, u: np.ndarray, r=None) -> np.ndarray:
     return np.add.reduce(np.multiply(w, r, out=r), axis=-1)
 
 
-def _project_rows(w: np.ndarray, z: np.ndarray, c: np.ndarray, nc, out=None, t=None, cv=None) -> np.ndarray:
+def _project_rows(z: np.ndarray, c: np.ndarray, wc: np.ndarray, nc, out=None, t=None) -> np.ndarray:
     """Rows of z minus their components along c (one vector, or one per row),
-    nc holding the squared norm(s) of c.  out, t and cv are buffers shaped
-    like z, as in _inner_rows; out may be z or t, t not z."""
-    coef = _inner_rows(w, z, c, t=t, cv=cv) / nc
+    given wc = _weigh(w, c) and the squared norm(s) nc of c.  out and t are
+    buffers shaped like z; out may be z or t, t may be out but not z."""
+    coef = _dot_rows(z, wc, t=t) / nc
     return np.subtract(z, np.multiply(coef[..., None], c, out=t), out=out)
 
 
-def _deflated_sides(w, zp, dp, nc, ndp, r=None, t=None, cv=None) -> Tuple[np.ndarray, np.ndarray]:
-    """(lhs, rhs) from the components zp, dp of z and d orthogonal to c and
-    the squared norms nc of c and ndp of dp.  The buffers are as in
-    _inner_rows and _norm_sq_rows; t may be zp, which is then overwritten."""
+def _deflated_sides(w, zp, wdp, nc, ndp, r=None, t=None) -> Tuple[np.ndarray, np.ndarray]:
+    """(lhs, rhs) from the components zp, dp of z and d orthogonal to c, given as zp and wdp =
+    _weigh(w, dp), and the squared norms nc of c and ndp of dp.  r and t are buffers as in
+    _norm_sq_rows and _dot_rows; t may be zp, which is then overwritten."""
     nc2 = nc * nc
     lhs = nc2 * _norm_sq_rows(w, zp, r=r) * ndp
-    return lhs, nc2 * np.abs(_inner_rows(w, zp, dp, t=t, cv=cv)) ** 2
+    return lhs, nc2 * np.abs(_dot_rows(zp, wdp, t=t)) ** 2
 
 
 def _gram(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> GramSummary:
@@ -296,7 +305,8 @@ def project_out(space: SpaceDescriptor, z, c) -> np.ndarray:
     zz = as_vector(space, z, "z")
     cc = as_vector(space, c, "c")
     nc = _require_nonzero(_norm_sq_rows(space.weights, cc), "c")
-    return _require_finite(_project_rows(space.weights, zz, cc, nc), "the component of z orthogonal to c")
+    wc = _weigh(space.weights, cc)
+    return _require_finite(_project_rows(zz, cc, wc, nc), "the component of z orthogonal to c")
 
 
 def deflated_schwarz(space: SpaceDescriptor, z, c, d) -> Tuple[float, float]:
@@ -315,7 +325,8 @@ def deflated_schwarz(space: SpaceDescriptor, z, c, d) -> Tuple[float, float]:
     dd = as_vector(space, d, "d")
     w = space.weights
     nc = _require_nonzero(_norm_sq_rows(w, cc), "c")
-    dp = _project_rows(w, dd, cc, nc)
-    sides = _deflated_sides(w, _project_rows(w, zz, cc, nc), dp, nc, _norm_sq_rows(w, dp))
+    wc = _weigh(w, cc)
+    dp = _project_rows(dd, cc, wc, nc)
+    sides = _deflated_sides(w, _project_rows(zz, cc, wc, nc), _weigh(w, dp), nc, _norm_sq_rows(w, dp))
     lhs, rhs = _require_finite(sides, "the deflated Schwarz sides")
     return float(lhs), float(rhs)

@@ -12,7 +12,6 @@ input scales.  Identical inputs and seed produce bitwise-identical reports.
 from __future__ import annotations
 
 import contextvars
-import itertools
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -31,8 +30,8 @@ _MAX_RETRIES = 100
 # trials, and score each block in buffers they allocate once per call: freed
 # temporaries of block size go back to the OS and fault in again on the next call.
 _BLOCK_ELEMS = 1 << 16
-# Written into every `verify` report line: the draws fix the per-seed output, so changing them bumps this.
-HARNESS_FORMAT = 4
+# Written into every `verify` report line: the draws and the arithmetic that scores them fix its bytes.
+HARNESS_FORMAT = 5
 _SQRT3 = np.sqrt(3.0)
 
 # verify_all emits reports in exactly this order.
@@ -69,12 +68,8 @@ class VerificationReport:
         }
         if self.witness is not None:
             d["witness"] = np.column_stack((self.witness.real, self.witness.imag)).tolist()
-        if self.note:
-            d["note"] = self.note
-        if self.bound is not None:
-            d["bound"] = self.bound
-        if self.value is not None:
-            d["value"] = self.value
+        extras = {"note": self.note or None, "bound": self.bound, "value": self.value}
+        d.update((key, v) for key, v in extras.items() if v is not None)
         return d
 
 
@@ -111,36 +106,31 @@ def _buffers(trials: int, dim: int, blocks: int):
     return [np.empty((rows, dim), complex) for _ in range(blocks)] + [np.empty((rows, dim))]
 
 
-def _usable_draws(space: SpaceDescriptor, rng, u, nsq, real: bool, t, f, against=None) -> None:
-    """Fill the block u with draws (through f), projected against a when against
-    = (a, ||a||^2) is given, and nsq with their squared norms, on the buffers t
-    and f.  Rows under the degenerate floor are redrawn, up to the retry cap.  Rows left
+def _usable_draws(space: SpaceDescriptor, rng, u, real: bool, t, f, against=None) -> np.ndarray:
+    """Fill the block u with draws (through f), projected against a when against = (a,
+    _weigh(w, a), ||a||^2) is given, on the buffers t and f, and return their squared norms.
+    Rows under the degenerate floor are redrawn, up to the retry cap.  Rows left
     with under half their drawn norm are projected again: "twice is enough" (Parlett 1980)."""
-    w, v, vsq, bad, lost = space.weights, u, nsq, None, 0.0
+    w, v, bad, lost = space.weights, u, None, 0.0
+    nsq = vsq = np.empty(len(u))
     for _ in range(_MAX_RETRIES):
         _draw(rng, v.shape, real, v, f if bad is None else None)
         if against is not None:  # lost = |<v,a>|^2/||a||^2 <= ||v||^2 fits where ||v||^2 does
-            coef = core._inner_rows(w, v, against[0], t=t[: len(v)]) / against[1]
-            np.subtract(v, np.multiply(coef[:, None], against[0], out=t[: len(v)]), out=v)
-            lost = np.square(np.abs(coef) * np.sqrt(against[1]))
+            a, wa, na = against
+            coef = core._dot_rows(v, wa, t=t[: len(v)]) / na
+            np.subtract(v, np.multiply(coef[:, None], a, out=t[: len(v)]), out=v)
+            lost = np.square(np.abs(coef) * np.sqrt(na))
         vsq[:] = core._norm_sq_rows(w, v, r=f[: len(v)])
         if np.any(again := vsq < lost / 3.0):  # by Pythagoras, the drawn ||v||^2 is vsq + lost
-            v[again] = core._project_rows(w, v[again], *against)
+            v[again] = core._project_rows(v[again], *against)
             vsq[again] = core._norm_sq_rows(w, v[again])
         if bad is not None:
             u[bad], nsq[bad] = v, vsq
         bad = nsq < _DEGENERATE_NORM_SQ
         if not np.any(bad):
-            return
+            return nsq
         v, vsq = np.empty((int(bad.sum()), space.dim), dtype=np.complex128), np.empty(int(bad.sum()))
     raise DegenerateSample(f"no usable draw in {_MAX_RETRIES} attempts (dim too small or pathological a)")
-
-
-def _feasible_batch(space: SpaceDescriptor, against, rng, real: bool, u, t, f) -> np.ndarray:
-    """Fill the block u with unit rows orthogonal to a, against = (a, ||a||^2)."""
-    nsq = np.empty(len(u))
-    _usable_draws(space, rng, u, nsq, real, t, f, against)
-    return np.divide(u, np.sqrt(nsq)[:, None], out=u)
 
 
 def sample_feasible(
@@ -154,9 +144,11 @@ def sample_feasible(
     Draws unit-variance uniform coordinates (imaginary parts zero in real mode), projects
     out a, renormalizes, and redraws when the projection lands too close to zero, up to a fixed retry cap.
     """
-    aa = core.as_vector(space, a, "a")
-    na = core._require_nonzero(core._norm_sq_rows(space.weights, aa), "a")
-    return _feasible_batch(space, (aa, na), np.random.default_rng(seed), real, *_buffers(1, space.dim, 2))[0]
+    w, aa = space.weights, core.as_vector(space, a, "a")
+    na = core._require_nonzero(core._norm_sq_rows(w, aa), "a")  # first: w*conj(a) overflows only if this does
+    u, t, f = _buffers(1, space.dim, 2)
+    nsq = _usable_draws(space, np.random.default_rng(seed), u, real, t, f, (aa, core._weigh(w, aa), na))
+    return u[0] / np.sqrt(nsq[0])
 
 
 def verify_bound(
@@ -171,7 +163,8 @@ def verify_bound(
     """Check |<x,b>|^2 <= bound over random feasible x.
 
     The extremizer, when it exists, is evaluated as trial 0 so attainment
-    is witnessed alongside dominance.
+    is witnessed alongside dominance.  A feasible draw u is scored as
+    |<u,b>|^2/||u||^2, without normalising it; only the witness is.
     """
     return _verify_bound(space, core._pair(space, a, b), trials, tol, seed, real)
 
@@ -182,22 +175,24 @@ def _verify_bound(space, pair, trials, tol, seed, real) -> VerificationReport:
     if space.dim == 1 and trials > 0:
         return _skipped("bound_dominance", tol, "no unit vector is orthogonal to a in dimension 1")
     tolerance = tol.rel_eps * (1.0 + bound)
-    blocks = []
-    if not core._dependent(g, tol):
-        blocks.append(core._extremizer(aa, bb, g, tol)[None, :])
-    rng = np.random.default_rng(seed)
+    w, rng = space.weights, np.random.default_rng(seed)
+    wb, against = core._weigh(w, bb), (aa, core._weigh(w, aa), g.norm_a_sq)
     block, t, f = _buffers(trials, space.dim, 2)
-    samples = (
-        _feasible_batch(space, (aa, g.norm_a_sq), rng, real, block[:n], t[:n], f[:n])
-        for n in _block_rows(trials, space.dim)
-    )
+
+    def blocks():  # (rows, their squared norms); the extremizer, unit by construction, is scored as it is
+        if not core._dependent(g, tol):
+            yield core._extremizer(aa, bb, g, tol)[None, :], np.ones(1)
+        for n in _block_rows(trials, space.dim):
+            yield block[:n], _usable_draws(space, rng, block[:n], real, t[:n], f[:n], against)
+
     count, worst, witness = 0, 0.0, None
-    for xs in itertools.chain(blocks, samples):
-        attained = np.abs(core._inner_rows(space.weights, xs, bb, t=t[: len(xs)])) ** 2
+    for xs, norms in blocks():
+        # |<x,b>|^2 at x = u/||u||, squared last: it fits where ||b||^2 does, |<u,b>|^2 may not
+        attained = np.square(np.abs(core._dot_rows(xs, wb, t=t[: len(xs)])) / np.sqrt(norms))
         violations = np.maximum(attained - bound, 0.0)
         k = int(np.argmax(violations))
         if witness is None or violations[k] > worst:
-            worst, witness = violations[k], xs[k].copy()
+            worst, witness = violations[k], xs[k] / np.sqrt(norms[k])
         count += len(xs)
     return _report("bound_dominance", count, worst, tolerance, witness=witness, bound=bound)
 
@@ -224,26 +219,25 @@ def verify_min_norm(
 def _verify_min_norm(space, pair, trials, tol, seed, real) -> VerificationReport:
     aa, bb, g = pair
     x, value = core._min_norm(aa, bb, g, tol)
-    w = space.weights
-    na, nb = g.norm_a_sq, g.norm_b_sq
+    w, na, nb = space.weights, g.norm_a_sq, g.norm_b_sq
     nx = float(core._norm_sq_rows(w, x))
 
     res_orth = abs(complex(core._inner_rows(w, x, aa))) / (1.0 + np.sqrt(nx * na))
     res_one = abs(complex(core._inner_rows(w, x, bb)) - 1.0) / (1.0 + np.sqrt(nx * nb))
     res_value = abs(nx - value) / (1.0 + value)
-    worst = max(res_orth, res_one, res_value)
-    witness = x.copy()
+    worst, witness = max(res_orth, res_one, res_value), x.copy()
 
     rng = np.random.default_rng(seed)
     # deflating b against a first keeps the two projections independent;
     # projecting against raw b would undo part of the a projection
-    b_perp = core._project_rows(w, bb, aa, na)
-    directions = [(aa, na), (b_perp, core._norm_sq_rows(w, b_perp)), (aa, na)]
+    a_dir = (aa, core._weigh(w, aa), na)
+    b_perp = core._project_rows(bb, *a_dir)
+    directions = [a_dir, (b_perp, core._weigh(w, b_perp), core._norm_sq_rows(w, b_perp)), a_dir]
     block, t, f = _buffers(trials, space.dim, 2)
     for n in _block_rows(trials, space.dim):
         ws = _draw(rng, (n, space.dim), real, block[:n], f[:n])
-        for c, nc in directions:
-            core._project_rows(w, ws, c, nc, out=ws, t=t[:n])
+        for direction in directions:
+            core._project_rows(ws, *direction, out=ws, t=t[:n])
         # t holds the competitors x + ws
         n_comp = core._norm_sq_rows(w, np.add(x, ws, out=t[:n]), r=f[:n])
         undercut = (nx - n_comp) / (1.0 + nx + core._norm_sq_rows(w, ws, r=f[:n]))
@@ -254,22 +248,21 @@ def _verify_min_norm(space, pair, trials, tol, seed, real) -> VerificationReport
 
 
 def _deflated_check(space, trials: int, tol: Tolerances, t, f, block) -> VerificationReport:
-    """The deflated check on blocks block(n) = (z, mu_beta, c, nc, dp, ndp) of n rows; c and d's component dp
-    orthogonal to c are one vector, or one per row, conjugated into t's third block.  t, f: from _buffers."""
+    """The deflated check on blocks block(n) = (z, mu_beta, c, wc, nc, dp, wdp, ndp) of n rows; c and d's
+    component dp orthogonal to c, and their _weigh forms, are one vector or one per row.  t, f: _buffers'."""
     if trials <= 0:
         return _report("deflated_schwarz", 0, 0.0, tol.rel_eps, note="no trials requested")
     w, worst, witness = space.weights, 0.0, None
     for n in _block_rows(trials, space.dim):
-        z, mu_beta, c, nc, dp, ndp = block(n)
+        z, mu_beta, c, wc, nc, dp, wdp, ndp = block(n)
         t1, t2, r = t[0][:n], t[1][:n], f[:n]
-        cv2, cv3 = (t2, t[2][:n]) if c.ndim > 1 else (None, None)
         # Equality case: z in span{c, component of d orthogonal to c}.
         z_eq = np.multiply(mu_beta[:, :1], c, out=t1)
         z_eq += np.multiply(mu_beta[:, 1:], dp, out=t2)
-        zp_eq = core._project_rows(w, z_eq, c, nc, out=t1, t=t2, cv=cv3)
-        lhs_e, rhs_e = core._deflated_sides(w, zp_eq, dp, nc, ndp, r=r, t=t1, cv=cv2)
-        zp = core._project_rows(w, z, c, nc, out=t1, t=t1, cv=cv2)
-        lhs, rhs = core._deflated_sides(w, zp, dp, nc, ndp, r=r, t=t1, cv=cv2)
+        zp_eq = core._project_rows(z_eq, c, wc, nc, out=t1, t=t2)
+        lhs_e, rhs_e = core._deflated_sides(w, zp_eq, wdp, nc, ndp, r=r, t=t1)
+        zp = core._project_rows(z, c, wc, nc, out=t1, t=t1)
+        lhs, rhs = core._deflated_sides(w, zp, wdp, nc, ndp, r=r, t=t1)
         # v[i] holds trial i's two scaled violations, so that argmax over the
         # raveled v meets the trials in the order they ran
         v = np.column_stack(
@@ -298,18 +291,18 @@ def verify_deflated(
     slack is 10x rel_eps; its scaled violation is folded into the single
     report figure at 1/10 weight to keep one tolerance.
     """
-    rng = np.random.default_rng(seed)
-    z_buf, c_buf, d_buf, *t, f = _buffers(trials, space.dim, 6)
+    w, rng = space.weights, np.random.default_rng(seed)
+    z_buf, c_buf, d_buf, wc_buf, wdp_buf, *t, f = _buffers(trials, space.dim, 7)
 
     def block(n):
         z = _draw(rng, (n, space.dim), real, z_buf[:n], f[:n])
-        c, nc = c_buf[:n], np.empty(n)
-        _usable_draws(space, rng, c, nc, real, t[0][:n], f[:n])
+        c, nc = c_buf[:n], _usable_draws(space, rng, c_buf[:n], real, t[0][:n], f[:n])
         d = _draw(rng, (n, space.dim), real, d_buf[:n], f[:n])
         mu_beta = _draw(rng, (n, 2), real)
+        wc = core._weigh(w, c, out=wc_buf[:n])
         # d becomes its component d_perp orthogonal to c
-        dp = core._project_rows(space.weights, d, c, nc, out=d, t=t[0][:n], cv=t[1][:n])
-        return z, mu_beta, c, nc, dp, core._norm_sq_rows(space.weights, dp, r=f[:n])
+        dp = core._project_rows(d, c, wc, nc, out=d, t=t[0][:n])
+        return z, mu_beta, c, wc, nc, dp, core._weigh(w, dp, out=wdp_buf[:n]), core._norm_sq_rows(w, dp, r=f[:n])
 
     return _deflated_check(space, trials, tol, t, f, block)
 
@@ -322,11 +315,12 @@ def _verify_deflated_at(space, pair, trials, tol, seed, real) -> VerificationRep
         return _skipped("deflated_schwarz", tol, "dependent vectors")
     # each direction goes in with its computed squared norm: when ||r||^2 is
     # subnormal, r_hat is not quite a unit vector
+    w = space.weights
     a_hat = aa / np.sqrt(g.norm_a_sq)
-    na = core._norm_sq_rows(space.weights, a_hat)
-    r = core._project_rows(space.weights, bb, a_hat, na)
-    r_hat = r / np.sqrt(core._norm_sq_rows(space.weights, r))
-    fixed = (a_hat, na, r_hat, core._norm_sq_rows(space.weights, r_hat))
+    wa, na = core._weigh(w, a_hat), core._norm_sq_rows(w, a_hat)
+    r = core._project_rows(bb, a_hat, wa, na)
+    r_hat = r / np.sqrt(core._norm_sq_rows(w, r))
+    fixed = (a_hat, wa, na, r_hat, core._weigh(w, r_hat), core._norm_sq_rows(w, r_hat))
     rng = np.random.default_rng(seed)
     z_buf, *t, f = _buffers(trials, space.dim, 3)
 
@@ -340,11 +334,8 @@ def _verify_scale_covariance(space, pair, tol: Tolerances, real: bool) -> Verifi
     """bound(s*a, b) = bound(a, b) and bound(a, t*b) = |t|^2 bound(a, b)."""
     aa, bb, g = pair
     bound = core._bound(g)
-    scalars = [2.0, -3.0, 0.5]
-    if not real:
-        scalars += [1j, 1.0 + 2.0j]
-    worst = 0.0
-    witness = aa
+    scalars = [2.0, -3.0, 0.5] + ([] if real else [1j, 1.0 + 2.0j])
+    worst, witness = 0.0, aa
     # determinant rounding scales with ||a||^2 ||b||^2, so the bound's
     # rounding scales with ||b||^2 even when the bound itself is tiny
     scale = 1.0 + bound + g.norm_b_sq
@@ -357,8 +348,7 @@ def _verify_scale_covariance(space, pair, tol: Tolerances, real: bool) -> Verifi
             raise GramOverflow(f"scale covariance check, scale {s}: {exc}") from exc
         v = max(va, vb / (abs(s) ** 2)) / scale
         if v > worst:
-            worst = v
-            witness = sa
+            worst, witness = v, sa
     return _report("scale_covariance", len(scalars), worst, tol.rel_eps, witness=witness)
 
 
@@ -371,9 +361,7 @@ def _verify_real_consistency(space, pair, tol: Tolerances) -> VerificationReport
     if core._dependent(g, tol):
         return _skipped("real_consistency", tol, "dependent vectors")
     x = core._extremizer(aa, bb, g, tol)
-    explicit = (bb.real * g.norm_a_sq - aa.real * g.inner_ab.real) / (
-        np.sqrt(g.norm_a_sq) * np.sqrt(g.det)
-    )
+    explicit = (bb.real * g.norm_a_sq - aa.real * g.inner_ab.real) / (np.sqrt(g.norm_a_sq) * np.sqrt(g.det))
     worst = np.max(np.abs(x - explicit)) / (1.0 + np.max(np.abs(explicit)))
     return _report("real_consistency", 1, worst, tol.rel_eps, witness=x)
 
@@ -406,10 +394,9 @@ def verify_all(
         run = contextvars.copy_context().run
         deflated = pool.submit(run, _verify_deflated_at, space, pair, trials, tol, seed + 2, real)
         reports = [_verify_bound(space, pair, trials, tol, seed, real)]
-        if core._dependent(pair[2], tol):
-            reports.append(_skipped("min_norm_optimality", tol, "dependent vectors"))
-        else:
-            reports.append(_verify_min_norm(space, pair, trials, tol, seed + 1, real))
+        dependent = core._dependent(pair[2], tol)
+        reports.append(_skipped("min_norm_optimality", tol, "dependent vectors") if dependent
+                       else _verify_min_norm(space, pair, trials, tol, seed + 1, real))
         reports.append(deflated.result())
     reports.append(_verify_scale_covariance(space, pair, tol, real))
     reports.append(_verify_real_consistency(space, pair, tol))

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from orthobound import OrthoboundError, inner, norm_sq
+from orthobound import OrthoboundError, inner, norm_sq, verify
 from orthobound.cli import dumps_stable, load_instance, main
 
 
@@ -485,17 +485,35 @@ def test_cmd_verify_corrupted_replay_exits_5(tmp_path, capsys):
 def test_cmd_verify_replay_of_older_format_exits_2(tmp_path, capsys):
     inst = write_instance(tmp_path, DENSE_REAL)
     _, out, _ = run(capsys, ["verify", inst, "--trials", "50"])
-    assert all(json.loads(ln)["harness_format"] == 4 for ln in out.splitlines())
+    current = f'"harness_format": {verify.HARNESS_FORMAT}'
+    assert all(json.loads(ln)["harness_format"] == verify.HARNESS_FORMAT for ln in out.splitlines())
     replay = tmp_path / "replay.jsonl"
-    # no key, format 1, format 2, whose deflated check drew random triples
-    # instead of working on the pair, and format 3, which drew standard normals
-    older = [out.replace(', "harness_format": 4', "")]
-    older += [out.replace('"harness_format": 4', f'"harness_format": {n}') for n in (1, 2, 3)]
-    for text in older:
+    # no key, and every older format: format 2's deflated check drew random triples instead
+    # of working on the pair, format 3 drew standard normals, format 4 normalised the bound
+    # check's draws; then a newer format, and formats that are not integers
+    older = [out.replace(", " + current, "")]
+    older += [out.replace(current, f'"harness_format": {n}') for n in range(1, verify.HARNESS_FORMAT)]
+    cases = [(text, "older sampler") for text in older]
+    cases.append((out.replace(current, f'"harness_format": {verify.HARNESS_FORMAT + 1}'), "newer sampler"))
+    for value in ('"4"', f"{verify.HARNESS_FORMAT}.0", "true"):
+        cases.append((out.replace(current, f'"harness_format": {value}'), "unrecognised harness_format"))
+    for text, wording in cases:
         replay.write_text(text)
         code, _, err = run(capsys, ["verify", inst, "--replay", str(replay)])
         assert code == 2
-        assert "older sampler" in err and "regenerate" in err
+        assert wording in err and "regenerate" in err
+
+
+def test_readme_names_the_current_harness_format():
+    # README's sentence on the current format has been edited by hand at every bump
+    import re
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    n = verify.HARNESS_FORMAT
+    assert re.findall(r'"harness_format": (\d+)', readme) == [str(n)]
+    assert re.search(rf"format\s+{n - 1}\s+or\s+earlier", readme)
+    assert not re.search(rf"format\s+(?!{n - 1}\s)\d+\s+or\s+earlier", readme)
 
 
 # Replay files that are refused, with the message after "--replay": the output
@@ -590,32 +608,34 @@ def test_pair_subcommands_golden_stdout(tmp_path, capsys, instance, command):
 # Exact stdout of `verify --trials 200`, one entry per report line, captured
 # before the deflated check moved to a second thread and the arithmetic to
 # row chunks; neither may change a byte.  The deflated_schwarz lines were
-# recaptured when that check moved to the instance (harness format 3) and when
-# the draws became uniform (format 4); the other lines changed only in format.
+# recaptured when that check moved to the instance (harness format 3), when the
+# draws became uniform (format 4) and, on weighted_complex, when the harness's
+# row products became one multiply by a held w*conj(c) (format 5); the other
+# lines changed only in format.
 GOLDEN_VERIFY_LINES = {
     "dense_real": [
         '{"check": "bound_dominance", "trials": 201, "worst_violation": 8.8817841970012523e-16, '
         '"tolerance": 3.0000000000000004e-09, "passed": true, "skipped": false, '
         '"witness": [[-0.70710678118654757, 0], [0, 0], [0.70710678118654757, 0]], "bound": 2, '
-        '"harness_format": 4, "settings": {"trials": 200, "seed": 1, '
+        '"harness_format": 5, "settings": {"trials": 200, "seed": 1, '
         '"tol": 1.0000000000000001e-09}}',
         '{"check": "min_norm_optimality", "trials": 201, "worst_violation": 0, '
         '"tolerance": 1.0000000000000001e-09, "passed": true, "skipped": false, "witness": [[-0.5, '
-        '0], [0, 0], [0.5, 0]], "value": 0.5, "harness_format": 4, "settings": {"trials": 200, '
+        '0], [0, 0], [0.5, 0]], "value": 0.5, "harness_format": 5, "settings": {"trials": 200, '
         '"seed": 1, "tol": 1.0000000000000001e-09}}',
         '{"check": "deflated_schwarz", "trials": 200, "worst_violation": 2.5739392325237128e-17, '
         '"tolerance": 1.0000000000000001e-09, "passed": true, "skipped": false, '
         '"witness": [[-0.027668568798099646, 0], [0.86339639970096893, 0], [1.7544613682000376, 0]], '
         '"note": "equality-case slack is 10x rel_eps, folded in at 1/10 weight", '
-        '"harness_format": 4, "settings": {"trials": 200, "seed": 1, "tol": 1.0000000000000001e-09}}',
+        '"harness_format": 5, "settings": {"trials": 200, "seed": 1, "tol": 1.0000000000000001e-09}}',
         '{"check": "scale_covariance", "trials": 3, "worst_violation": 0, '
         '"tolerance": 1.0000000000000001e-09, "passed": true, "skipped": false, "witness": [[1, '
-        '0], [1, 0], [1, 0]], "harness_format": 4, "settings": {"trials": 200, "seed": 1, '
+        '0], [1, 0], [1, 0]], "harness_format": 5, "settings": {"trials": 200, "seed": 1, '
         '"tol": 1.0000000000000001e-09}}',
         '{"check": "real_consistency", "trials": 1, "worst_violation": 0, '
         '"tolerance": 1.0000000000000001e-09, "passed": true, "skipped": false, '
         '"witness": [[-0.70710678118654757, 0], [0, 0], [0.70710678118654757, 0]], '
-        '"harness_format": 4, "settings": {"trials": 200, "seed": 1, '
+        '"harness_format": 5, "settings": {"trials": 200, "seed": 1, '
         '"tol": 1.0000000000000001e-09}}',
     ],
     "weighted_complex": [
@@ -624,29 +644,29 @@ GOLDEN_VERIFY_LINES = {
         '"witness": [[0.27290407632647057, 0.071098693569264682], [0.23017304332272059, '
         '-0.12567950883455883], [0.31575480410053924, 0.051229361696372572], '
         '[0.064754870742377443, 0.47686396494941174]], "bound": 21.735700334821427, '
-        '"harness_format": 4, "settings": {"trials": 200, "seed": 1, '
+        '"harness_format": 5, "settings": {"trials": 200, "seed": 1, '
         '"tol": 1.0000000000000001e-09}}',
         '{"check": "min_norm_optimality", "trials": 201, '
         '"worst_violation": 9.9825337854478655e-17, "tolerance": 1.0000000000000001e-09, '
         '"passed": true, "skipped": false, "witness": [[0.058536021796966008, '
         '0.015250174099735879], [0.049370513120862131, -0.02695737845912909], '
         '[0.067727204166840513, 0.010988340933816435], [0.01388946832989413, '
-        '0.10228399598206692]], "value": 0.046007259236913636, "harness_format": 4, '
+        '0.10228399598206692]], "value": 0.046007259236913636, "harness_format": 5, '
         '"settings": {"trials": 200, "seed": 1, "tol": 1.0000000000000001e-09}}',
-        '{"check": "deflated_schwarz", "trials": 200, "worst_violation": 5.5093349486897127e-17, '
+        '{"check": "deflated_schwarz", "trials": 200, "worst_violation": 6.6185677468440385e-17, '
         '"tolerance": 1.0000000000000001e-09, "passed": true, "skipped": false, '
-        '"witness": [[-0.32227399980699584, 0.17383240296897554], [1.2032492620773179, '
-        '-0.72657244952664701], [0.89007293215753291, 1.0834253932301214], [-0.55209390262943248, '
-        '0.17552058794116154]], "note": "equality-case slack is 10x rel_eps, '
-        'folded in at 1/10 weight", "harness_format": 4, "settings": {"trials": 200, "seed": 1, '
+        '"witness": [[-0.16785715531709872, -0.15341797764413381], [0.3018266231641854, '
+        '0.95776758388236982], [-0.891586605904924, 0.52938683818654719], [-0.22147335851938926, '
+        '-0.47480673531617634]], "note": "equality-case slack is 10x rel_eps, '
+        'folded in at 1/10 weight", "harness_format": 5, "settings": {"trials": 200, "seed": 1, '
         '"tol": 1.0000000000000001e-09}}',
         '{"check": "scale_covariance", "trials": 5, "worst_violation": 2.0518284193924727e-16, '
         '"tolerance": 1.0000000000000001e-09, "passed": true, "skipped": false, "witness": [[2, '
-        '1.5], [-3.75, 2.5], [-1.5, -3], [-0.25, 2]], "harness_format": 4, '
+        '1.5], [-3.75, 2.5], [-1.5, -3], [-0.25, 2]], "harness_format": 5, '
         '"settings": {"trials": 200, "seed": 1, "tol": 1.0000000000000001e-09}}',
         '{"check": "real_consistency", "trials": 0, "worst_violation": 0, '
         '"tolerance": 1.0000000000000001e-09, "passed": true, "skipped": true, '
-        '"note": "complex inputs", "harness_format": 4, "settings": {"trials": 200, "seed": 1, '
+        '"note": "complex inputs", "harness_format": 5, "settings": {"trials": 200, "seed": 1, '
         '"tol": 1.0000000000000001e-09}}',
     ],
 }

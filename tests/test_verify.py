@@ -64,6 +64,16 @@ def test_verify_all_passes_under_weights_spread_over_1e300(real):
     assert all(r.passed for r in reports)
 
 
+@pytest.mark.parametrize("real", [True, False])
+def test_bound_check_scores_unnormalised_draws_without_overflow(real):
+    # a draw u orthogonal to a keeps its 1e300-weighted coordinate: ||u||^2 ~ 1e300 and
+    # |<u,b>|^2 ~ 1e320 overflow, though |<u,b>|^2/||u||^2 <= ||b||^2 ~ 1e20 fits
+    b = [1e-140, 0.0, 1.0] if real else [1e-140 * (1 - 2j), 0.0, 1j]
+    reports = verify_all(make_weighted([1e300, 1.0, 1.0]), [0.0, 1.0, 0.0], b, trials=200, real=real)
+    assert all(r.passed for r in reports)
+    assert np.isfinite(reports[0].worst_violation)
+
+
 def test_sample_feasible_deterministic():
     s = make_dense(4)
     a = [1, 2, 3, 4]
@@ -98,7 +108,7 @@ def test_draw_stream_is_pinned():
         1.0851999415882543, 1.429827261904872, 0.3693971630665551, 0.7949994075732292,
         0.1511214033957422, 1.5071350859451056, 1.0941488069793999, -1.7225643647064122,
     ]
-    assert verify.HARNESS_FORMAT == 4
+    assert verify.HARNESS_FORMAT == 5
 
 
 def test_sample_feasible_zero_vector():
@@ -121,6 +131,8 @@ def test_verify_bound_proportional_pair():
     assert rep.passed
     assert rep.trials == 200  # no extremizer trial for a dependent pair
     assert rep.worst_violation <= 1e-12
+    # the draws are scored unnormalised; the witness, a draw here, is normalised
+    assert norm_sq(s, rep.witness) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_verify_bound_zero_trials_covers_extremizer_only():
@@ -258,20 +270,27 @@ def test_blocked_checks_deterministic():
 
 
 def test_verify_all_memory_stays_flat_in_trials():
+    # each sampling check is traced alone, on one thread: inside verify_all the
+    # worker's block buffers add to the main thread's only while the two overlap,
+    # which varies from run to run, so there only the cap is asserted
     import tracemalloc
 
     s, a, b = _pair_1024()
-    peaks = []
-    for trials in (130, 4000):
+    pair = core._pair(s, a, b)
+
+    def peak(run, trials):
         tracemalloc.start()
         try:
-            verify_all(s, a, b, trials=trials, seed=6)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            run(trials)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
     mib = 1 << 20
-    assert abs(peaks[1] - peaks[0]) < mib
-    assert max(peaks) < 12 * mib
+    for check in (verify._verify_bound, verify._verify_min_norm, verify._verify_deflated_at):
+        peaks = [peak(lambda n: check(s, pair, n, TOL, 6, False), trials) for trials in (130, 4000)]
+        assert abs(peaks[1] - peaks[0]) < mib, check.__name__
+    assert max(peak(lambda n: verify_all(s, a, b, trials=n, seed=6), trials) for trials in (130, 4000)) < 12 * mib
 
 
 def test_min_norm_check_finds_planted_undercut(monkeypatch):
@@ -317,10 +336,11 @@ def test_row_kernels_match_summation_oracle():
     rng = np.random.default_rng(31)
     s = make_weighted(rng.uniform(0.5, 2.0, 6))
     z, c, d = (rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6)) for _ in range(3))
-    nc = core._norm_sq_rows(s.weights, c)
-    dp = core._project_rows(s.weights, d, c, nc)
-    projected = core._project_rows(s.weights, z, c, nc)
-    lhs, rhs = core._deflated_sides(s.weights, projected, dp, nc, core._norm_sq_rows(s.weights, dp))
+    w = s.weights
+    nc, wc = core._norm_sq_rows(w, c), core._weigh(w, c)
+    dp = core._project_rows(d, c, wc, nc)
+    projected = core._project_rows(z, c, wc, nc)
+    lhs, rhs = core._deflated_sides(w, projected, core._weigh(w, dp), nc, core._norm_sq_rows(w, dp))
 
     def ip(u, v):
         return inner_by_summation(s.weights, u, v)
@@ -366,8 +386,9 @@ def test_verify_all_validates_few_times(as_vector_calls):
 def test_verify_all_golden_dim_1024():
     """verify_all at dim 1024, trials 130 (blocks of 64 + 64 + 2 rows), pinned
     by a digest of its exact report bytes.  Recaptured when the deflated check
-    moved to the instance (harness format 3) and when the draws became uniform
-    (format 4)."""
+    moved to the instance (harness format 3), when the draws became uniform
+    (format 4) and when the row products became one multiply by a held
+    w*conj(c) (format 5: the deflated line's figure and witness moved)."""
     import hashlib
 
     from orthobound.cli import dumps_stable
@@ -376,7 +397,7 @@ def test_verify_all_golden_dim_1024():
     reports = verify_all(s, a, b, trials=130, seed=5)
     text = "\n".join(dumps_stable(r.to_dict()) for r in reports)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "ac576f49964390530b04f6c6d7ac57a9c03679c978b8ceee475d45ab65cc3c85"
+        "862ffc12bbe200d8462f4ce36bd0e78b0f1dbdfddcd65d45e42e101d3f8bb9b5"
     )
 
 
@@ -497,7 +518,7 @@ def _weighted_pair_16():
 
 def _scaled_coefficient(project):
     # dividing ||c||^2 by 1 + 1e-3 scales the projection coefficient by it
-    return lambda w, z, c, nc, **kw: project(w, z, c, nc / (1.0 + 1e-3), **kw)
+    return lambda z, c, wc, nc, **kw: project(z, c, wc, nc / (1.0 + 1e-3), **kw)
 
 
 def _scaled_rhs(factor):
@@ -629,17 +650,19 @@ def _attaining_nine_tenths(extremizer, space):
     # a unit extremizer, orthogonal to a, that attains the 10%-low bound exactly
     def planted(a, b, g, tol):
         w = space.weights
-        y = core._project_rows(w, np.cos(np.arange(space.dim)) + 0j, a, g.norm_a_sq)
-        b_perp = core._project_rows(w, b, a, g.norm_a_sq)
-        y = core._project_rows(w, y, b_perp, core._norm_sq_rows(w, b_perp))
+        a_dir = (a, core._weigh(w, a), g.norm_a_sq)
+        y = core._project_rows(np.cos(np.arange(space.dim)) + 0j, *a_dir)
+        b_perp = core._project_rows(b, *a_dir)
+        y = core._project_rows(y, b_perp, core._weigh(w, b_perp), core._norm_sq_rows(w, b_perp))
         y /= np.sqrt(core._norm_sq_rows(w, y))
         return np.sqrt(0.9) * extremizer(a, b, g, tol) + np.sqrt(0.1) * y
 
     return planted
 
 
-def _inner_without_conj(inner_rows, space):
-    return lambda w, u, v, t=None, cv=None: inner_rows(w, u, np.conj(v), t=t, cv=cv)
+def _dot_without_conj(dot_rows, space):
+    # conj(w*conj(c)) is w*c, and _inner_rows hands _dot_rows conj(v)
+    return lambda u, wc, t=None: dot_rows(u, np.conj(wc), t=t)
 
 
 B, M, D, R = "bound_dominance", "min_norm_optimality", "deflated_schwarz", "real_consistency"
@@ -668,8 +691,9 @@ POWER_ROWS = {
     # benign: any unit-modulus multiple of x* is as extremal, but the real formula fixes its sign
     "extremizer-x1j": ([("_extremizer", _times(1j))], (set(), {R}, set())),
     # shared kernels: the bound check scores its draws with the same planted
-    # kernels, so a consistent defect escapes it; the min-norm and deflated checks catch it
-    "inner-rows-without-conj": ([("_inner_rows", _inner_without_conj)], ({M, D}, NOT_RUN, {M, D})),
+    # kernels, so a consistent defect escapes it; the min-norm and deflated checks catch it.
+    # _dot_rows takes every row inner product: the Gram data's, through _inner_rows, and the harness's
+    "inner-rows-without-conj": ([("_dot_rows", _dot_without_conj)], ({M, D}, NOT_RUN, {M, D})),
     "norm-sq-rows-x(1+1e-3)": ([("_norm_sq_rows", _times(1.0 + 1e-3))], ({M, D}, {M, D}, {M, D})),
 }
 
@@ -683,8 +707,17 @@ def _power_cells():
                 yield pytest.param(row, pair, caught_by, id=f"{row}-{pair}", marks=marks)
 
 
+@pytest.fixture(scope="module")
+def kill_count():
+    """Whether each cell run was caught; one summary line, shown under -s, once they have run."""
+    caught = []
+    yield caught
+    if caught:
+        print(f"\nplanted-defect matrix: {sum(caught)} of {len(caught)} cells caught")
+
+
 @pytest.mark.parametrize("row, pair, caught_by", _power_cells())
-def test_planted_defect_matrix(monkeypatch, row, pair, caught_by):
+def test_planted_defect_matrix(monkeypatch, kill_count, row, pair, caught_by):
     make, real = POWER_PAIRS[pair]
     s, a, b = make()
     # an empty slot, so that no Gram data built before the defect was planted is reused
@@ -692,6 +725,7 @@ def test_planted_defect_matrix(monkeypatch, row, pair, caught_by):
     for name, plant in POWER_ROWS[row][0]:
         monkeypatch.setattr(core, name, plant(getattr(core, name), s))
     failing = {r.check_name for r in verify_all(s, a, b, real=real) if not r.passed}
+    kill_count.append(bool(failing))
     if caught_by is ESCAPE:
         assert failing
     else:
