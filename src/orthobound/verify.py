@@ -5,6 +5,7 @@ badly (if at all) the claimed inequality or optimality is violated, and
 returns a :class:`VerificationReport`.  Violations are recorded in the
 scaled form ``residual / (1 + magnitude)`` so one tolerance works across
 input scales.  Identical inputs and seed produce bitwise-identical reports.
+The bound and min-norm checks score one stream of feasible draws, and
 ``verify_all`` checks the deflated Schwarz inequality at its pair,
 ``verify_deflated`` the lemma itself on random triples.
 """
@@ -22,8 +23,9 @@ from .core import DEFAULT_SEED, DEFAULT_TOL, DEFAULT_TRIALS, Tolerances
 from .errors import DegenerateSample, GramOverflow
 from .spaces import SpaceDescriptor
 
-# Squared-norm floor below which a projected draw counts as degenerate.
-_DEGENERATE_NORM_SQ = 1e-20
+# A projected draw is degenerate under this times the least weight (a lone coordinate of 1e-10 on
+# it), a floor that scales with w, while scaling a leaves the projected draws as they are.
+_DEGENERATE = 1e-20
 _MAX_RETRIES = 100
 # The sampling checks draw their trials in consecutive row blocks of at most
 # _BLOCK_ELEMS complex elements (1 MiB per array), so memory stays flat in
@@ -31,7 +33,7 @@ _MAX_RETRIES = 100
 # temporaries of block size go back to the OS and fault in again on the next call.
 _BLOCK_ELEMS = 1 << 16
 # Written into every `verify` report line: the draws and the arithmetic that scores them fix its bytes.
-HARNESS_FORMAT = 5
+HARNESS_FORMAT = 6
 _SQRT3 = np.sqrt(3.0)
 
 # verify_all emits reports in exactly this order.
@@ -83,8 +85,8 @@ def _skipped(check: str, tol: Tolerances, note: str) -> VerificationReport:
 
 
 def _draw(rng: np.random.Generator, shape, real: bool, out=None, f=None) -> np.ndarray:
-    """Unit-variance uniform coordinates on [-sqrt 3, sqrt 3) (the normals' scale, which _DEGENERATE_NORM_SQ
-    assumes), into out when given: complex parts interleaved; real mode through the buffer f, imaginary 0."""
+    """Unit-variance uniform coordinates on [-sqrt 3, sqrt 3), into out when given: complex
+    parts interleaved; real mode through the buffer f, imaginary 0."""
     z = np.empty(shape, dtype=np.complex128) if out is None else out
     u = rng.random(shape, out=f) if real else rng.random(out=z.view(np.float64))
     np.subtract(np.multiply(u, 2.0 * _SQRT3, out=u), _SQRT3, out=u)
@@ -109,8 +111,8 @@ def _buffers(trials: int, dim: int, blocks: int):
 def _usable_draws(space: SpaceDescriptor, rng, u, real: bool, t, f, against=None) -> np.ndarray:
     """Fill the block u with draws (through f), projected against a when against = (a,
     _weigh(w, a), ||a||^2) is given, on the buffers t and f, and return their squared norms.
-    Rows under the degenerate floor are redrawn, up to the retry cap.  Rows left
-    with under half their drawn norm are projected again: "twice is enough" (Parlett 1980)."""
+    Rows left with under half their drawn squared norm are projected again: "twice is enough"
+    (Parlett 1980).  Rows left under the degenerate floor are redrawn, up to the retry cap."""
     w, v, bad, lost = space.weights, u, None, 0.0
     nsq = vsq = np.empty(len(u))
     for _ in range(_MAX_RETRIES):
@@ -126,7 +128,7 @@ def _usable_draws(space: SpaceDescriptor, rng, u, real: bool, t, f, against=None
             vsq[again] = core._norm_sq_rows(w, v[again])
         if bad is not None:
             u[bad], nsq[bad] = v, vsq
-        bad = nsq < _DEGENERATE_NORM_SQ
+        bad = nsq < _DEGENERATE * w.min()
         if not np.any(bad):
             return nsq
         v, vsq = np.empty((int(bad.sum()), space.dim), dtype=np.complex128), np.empty(int(bad.sum()))
@@ -166,35 +168,7 @@ def verify_bound(
     is witnessed alongside dominance.  A feasible draw u is scored as
     |<u,b>|^2/||u||^2, without normalising it; only the witness is.
     """
-    return _verify_bound(space, core._pair(space, a, b), trials, tol, seed, real)
-
-
-def _verify_bound(space, pair, trials, tol, seed, real) -> VerificationReport:
-    aa, bb, g = pair
-    bound = core._bound(g)
-    if space.dim == 1 and trials > 0:
-        return _skipped("bound_dominance", tol, "no unit vector is orthogonal to a in dimension 1")
-    tolerance = tol.rel_eps * (1.0 + bound)
-    w, rng = space.weights, np.random.default_rng(seed)
-    wb, against = core._weigh(w, bb), (aa, core._weigh(w, aa), g.norm_a_sq)
-    block, t, f = _buffers(trials, space.dim, 2)
-
-    def blocks():  # (rows, their squared norms); the extremizer, unit by construction, is scored as it is
-        if not core._dependent(g, tol):
-            yield core._extremizer(aa, bb, g, tol)[None, :], np.ones(1)
-        for n in _block_rows(trials, space.dim):
-            yield block[:n], _usable_draws(space, rng, block[:n], real, t[:n], f[:n], against)
-
-    count, worst, witness = 0, 0.0, None
-    for xs, norms in blocks():
-        # |<x,b>|^2 at x = u/||u||, squared last: it fits where ||b||^2 does, |<u,b>|^2 may not
-        attained = np.square(np.abs(core._dot_rows(xs, wb, t=t[: len(xs)])) / np.sqrt(norms))
-        violations = np.maximum(attained - bound, 0.0)
-        k = int(np.argmax(violations))
-        if witness is None or violations[k] > worst:
-            worst, witness = violations[k], xs[k] / np.sqrt(norms[k])
-        count += len(xs)
-    return _report("bound_dominance", count, worst, tolerance, witness=witness, bound=bound)
+    return _verify_feasible(space, core._pair(space, a, b), trials, tol, seed, real, [_bound_check])[0]
 
 
 def verify_min_norm(
@@ -208,15 +182,54 @@ def verify_min_norm(
 ) -> VerificationReport:
     """Check the min-norm solution's constraints and its optimality.
 
-    Competitors are built as x* + w with w projected against a, then
-    against the a-deflated copy of b, then against a once more to scrub
-    rounding; x* + w stays feasible, so no competitor may have smaller
-    squared norm beyond rounding slack.
+    Competitors are x* + u, with u the bound check's feasible draws for the same seed,
+    projected against the a-deflated copy of b, then against a once more to scrub
+    rounding; x* + u stays feasible, so none may have smaller squared norm beyond rounding slack.
     """
-    return _verify_min_norm(space, core._pair(space, a, b), trials, tol, seed, real)
+    return _verify_feasible(space, core._pair(space, a, b), trials, tol, seed, real, [_min_norm_check])[0]
 
 
-def _verify_min_norm(space, pair, trials, tol, seed, real) -> VerificationReport:
+def _verify_feasible(space, pair, trials, tol, seed, real, checks) -> List[VerificationReport]:
+    """The reports of checks (_bound_check, then _min_norm_check, or one of them) on one stream of
+    feasible draws u, so that either check alone reads the draws both read together.  A check(space,
+    pair, trials, tol, a_dir, t, f) gives (score, report); score(u, ||u||^2), None if skipped, reads
+    each block in turn, and only the last check may change it."""
+    aa, bb, g = pair
+    a_dir = (aa, core._weigh(space.weights, aa), g.norm_a_sq)
+    block, t, f = _buffers(trials, space.dim, 2)
+    made = [check(space, pair, trials, tol, a_dir, t, f) for check in checks]
+    scorers = [score for score, _ in made if score]
+    rng = np.random.default_rng(seed)
+    for n in _block_rows(trials, space.dim) if scorers else ():
+        nsq = _usable_draws(space, rng, block[:n], real, t[:n], f[:n], a_dir)
+        for score in scorers:
+            score(block[:n], nsq)
+    return [report() for _, report in made]
+
+
+def _bound_check(space, pair, trials, tol, a_dir, t, f):
+    aa, bb, g = pair
+    bound = core._bound(g)
+    if space.dim == 1 and trials > 0:
+        return None, lambda: _skipped("bound_dominance", tol, "no unit vector is orthogonal to a in dimension 1")
+    tolerance = tol.rel_eps * (1.0 + bound)
+    wb, worst, witness, extremal = core._weigh(space.weights, bb), 0.0, None, not core._dependent(g, tol)
+
+    def score(xs, norms):
+        nonlocal worst, witness
+        # |<x,b>|^2 at x = u/||u||, squared last: it fits where ||b||^2 does, |<u,b>|^2 may not
+        attained = np.square(np.abs(core._dot_rows(xs, wb, t=t[: len(xs)])) / np.sqrt(norms))
+        violations = np.maximum(attained - bound, 0.0)
+        k = int(np.argmax(violations))
+        if witness is None or violations[k] > worst:
+            worst, witness = violations[k], xs[k] / np.sqrt(norms[k])
+
+    if extremal:  # the extremizer, unit by construction, is scored as it is
+        score(core._extremizer(aa, bb, g, tol)[None, :], np.ones(1))
+    return score, lambda: _report("bound_dominance", trials + extremal, worst, tolerance, witness=witness, bound=bound)
+
+
+def _min_norm_check(space, pair, trials, tol, a_dir, t, f):
     aa, bb, g = pair
     x, value = core._min_norm(aa, bb, g, tol)
     w, na, nb = space.weights, g.norm_a_sq, g.norm_b_sq
@@ -227,15 +240,14 @@ def _verify_min_norm(space, pair, trials, tol, seed, real) -> VerificationReport
     res_value = abs(nx - value) / (1.0 + value)
     worst, witness = max(res_orth, res_one, res_value), x.copy()
 
-    rng = np.random.default_rng(seed)
     # deflating b against a first keeps the two projections independent;
     # projecting against raw b would undo part of the a projection
-    a_dir = (aa, core._weigh(w, aa), na)
     b_perp = core._project_rows(bb, *a_dir)
-    directions = [a_dir, (b_perp, core._weigh(w, b_perp), core._norm_sq_rows(w, b_perp)), a_dir]
-    block, t, f = _buffers(trials, space.dim, 2)
-    for n in _block_rows(trials, space.dim):
-        ws = _draw(rng, (n, space.dim), real, block[:n], f[:n])
+    directions = [(b_perp, core._weigh(w, b_perp), core._norm_sq_rows(w, b_perp)), a_dir]
+
+    def score(ws, _):
+        nonlocal worst, witness
+        n = len(ws)
         for direction in directions:
             core._project_rows(ws, *direction, out=ws, t=t[:n])
         # t holds the competitors x + ws
@@ -244,7 +256,8 @@ def _verify_min_norm(space, pair, trials, tol, seed, real) -> VerificationReport
         k = int(np.argmax(undercut))
         if undercut[k] > worst:
             worst, witness = undercut[k], x + ws[k]
-    return _report("min_norm_optimality", trials + 1, worst, tol.rel_eps, witness=witness, value=value)
+
+    return score, lambda: _report("min_norm_optimality", trials + 1, worst, tol.rel_eps, witness=witness, value=value)
 
 
 def _deflated_check(space, trials: int, tol: Tolerances, t, f, block) -> VerificationReport:
@@ -393,10 +406,11 @@ def verify_all(
     with ThreadPoolExecutor(max_workers=1) as pool:
         run = contextvars.copy_context().run
         deflated = pool.submit(run, _verify_deflated_at, space, pair, trials, tol, seed + 2, real)
-        reports = [_verify_bound(space, pair, trials, tol, seed, real)]
         dependent = core._dependent(pair[2], tol)
-        reports.append(_skipped("min_norm_optimality", tol, "dependent vectors") if dependent
-                       else _verify_min_norm(space, pair, trials, tol, seed + 1, real))
+        checks = [_bound_check] if dependent else [_bound_check, _min_norm_check]
+        reports = _verify_feasible(space, pair, trials, tol, seed, real, checks)
+        if dependent:
+            reports.append(_skipped("min_norm_optimality", tol, "dependent vectors"))
         reports.append(deflated.result())
     reports.append(_verify_scale_covariance(space, pair, tol, real))
     reports.append(_verify_real_consistency(space, pair, tol))

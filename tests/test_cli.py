@@ -218,8 +218,7 @@ def test_verify_worker_overflows_under_the_callers_settings(monkeypatch):
     # stubbed out, so the worker's error is the only one)
     from orthobound import make_weighted, verify
 
-    monkeypatch.setattr(verify, "_verify_bound", lambda *args: None)
-    monkeypatch.setattr(verify, "_verify_min_norm", lambda *args: None)
+    monkeypatch.setattr(verify, "_verify_feasible", lambda *args, **kw: [])
     with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
         verify.verify_all(make_weighted([5e-324, 1e308, 1]), [1, 0, 1], [0, 1, 2], real=True)
 
@@ -611,31 +610,33 @@ def test_pair_subcommands_golden_stdout(tmp_path, capsys, instance, command):
 # recaptured when that check moved to the instance (harness format 3), when the
 # draws became uniform (format 4) and, on weighted_complex, when the harness's
 # row products became one multiply by a held w*conj(c) (format 5); the other
-# lines changed only in format.
+# lines changed only in format.  At format 6 the min-norm competitors became the
+# bound check's feasible draws, and only "harness_format" moved: on both
+# instances the min-norm line reports x* itself, whose residuals no competitor undercuts.
 GOLDEN_VERIFY_LINES = {
     "dense_real": [
         '{"check": "bound_dominance", "trials": 201, "worst_violation": 8.8817841970012523e-16, '
         '"tolerance": 3.0000000000000004e-09, "passed": true, "skipped": false, '
         '"witness": [[-0.70710678118654757, 0], [0, 0], [0.70710678118654757, 0]], "bound": 2, '
-        '"harness_format": 5, "settings": {"trials": 200, "seed": 1, '
+        '"harness_format": 6, "settings": {"trials": 200, "seed": 1, '
         '"tol": 1.0000000000000001e-09}}',
         '{"check": "min_norm_optimality", "trials": 201, "worst_violation": 0, '
         '"tolerance": 1.0000000000000001e-09, "passed": true, "skipped": false, "witness": [[-0.5, '
-        '0], [0, 0], [0.5, 0]], "value": 0.5, "harness_format": 5, "settings": {"trials": 200, '
+        '0], [0, 0], [0.5, 0]], "value": 0.5, "harness_format": 6, "settings": {"trials": 200, '
         '"seed": 1, "tol": 1.0000000000000001e-09}}',
         '{"check": "deflated_schwarz", "trials": 200, "worst_violation": 2.5739392325237128e-17, '
         '"tolerance": 1.0000000000000001e-09, "passed": true, "skipped": false, '
         '"witness": [[-0.027668568798099646, 0], [0.86339639970096893, 0], [1.7544613682000376, 0]], '
         '"note": "equality-case slack is 10x rel_eps, folded in at 1/10 weight", '
-        '"harness_format": 5, "settings": {"trials": 200, "seed": 1, "tol": 1.0000000000000001e-09}}',
+        '"harness_format": 6, "settings": {"trials": 200, "seed": 1, "tol": 1.0000000000000001e-09}}',
         '{"check": "scale_covariance", "trials": 3, "worst_violation": 0, '
         '"tolerance": 1.0000000000000001e-09, "passed": true, "skipped": false, "witness": [[1, '
-        '0], [1, 0], [1, 0]], "harness_format": 5, "settings": {"trials": 200, "seed": 1, '
+        '0], [1, 0], [1, 0]], "harness_format": 6, "settings": {"trials": 200, "seed": 1, '
         '"tol": 1.0000000000000001e-09}}',
         '{"check": "real_consistency", "trials": 1, "worst_violation": 0, '
         '"tolerance": 1.0000000000000001e-09, "passed": true, "skipped": false, '
         '"witness": [[-0.70710678118654757, 0], [0, 0], [0.70710678118654757, 0]], '
-        '"harness_format": 5, "settings": {"trials": 200, "seed": 1, '
+        '"harness_format": 6, "settings": {"trials": 200, "seed": 1, '
         '"tol": 1.0000000000000001e-09}}',
     ],
     "weighted_complex": [
@@ -644,29 +645,29 @@ GOLDEN_VERIFY_LINES = {
         '"witness": [[0.27290407632647057, 0.071098693569264682], [0.23017304332272059, '
         '-0.12567950883455883], [0.31575480410053924, 0.051229361696372572], '
         '[0.064754870742377443, 0.47686396494941174]], "bound": 21.735700334821427, '
-        '"harness_format": 5, "settings": {"trials": 200, "seed": 1, '
+        '"harness_format": 6, "settings": {"trials": 200, "seed": 1, '
         '"tol": 1.0000000000000001e-09}}',
         '{"check": "min_norm_optimality", "trials": 201, '
         '"worst_violation": 9.9825337854478655e-17, "tolerance": 1.0000000000000001e-09, '
         '"passed": true, "skipped": false, "witness": [[0.058536021796966008, '
         '0.015250174099735879], [0.049370513120862131, -0.02695737845912909], '
         '[0.067727204166840513, 0.010988340933816435], [0.01388946832989413, '
-        '0.10228399598206692]], "value": 0.046007259236913636, "harness_format": 5, '
+        '0.10228399598206692]], "value": 0.046007259236913636, "harness_format": 6, '
         '"settings": {"trials": 200, "seed": 1, "tol": 1.0000000000000001e-09}}',
         '{"check": "deflated_schwarz", "trials": 200, "worst_violation": 6.6185677468440385e-17, '
         '"tolerance": 1.0000000000000001e-09, "passed": true, "skipped": false, '
         '"witness": [[-0.16785715531709872, -0.15341797764413381], [0.3018266231641854, '
         '0.95776758388236982], [-0.891586605904924, 0.52938683818654719], [-0.22147335851938926, '
         '-0.47480673531617634]], "note": "equality-case slack is 10x rel_eps, '
-        'folded in at 1/10 weight", "harness_format": 5, "settings": {"trials": 200, "seed": 1, '
+        'folded in at 1/10 weight", "harness_format": 6, "settings": {"trials": 200, "seed": 1, '
         '"tol": 1.0000000000000001e-09}}',
         '{"check": "scale_covariance", "trials": 5, "worst_violation": 2.0518284193924727e-16, '
         '"tolerance": 1.0000000000000001e-09, "passed": true, "skipped": false, "witness": [[2, '
-        '1.5], [-3.75, 2.5], [-1.5, -3], [-0.25, 2]], "harness_format": 5, '
+        '1.5], [-3.75, 2.5], [-1.5, -3], [-0.25, 2]], "harness_format": 6, '
         '"settings": {"trials": 200, "seed": 1, "tol": 1.0000000000000001e-09}}',
         '{"check": "real_consistency", "trials": 0, "worst_violation": 0, '
         '"tolerance": 1.0000000000000001e-09, "passed": true, "skipped": true, '
-        '"note": "complex inputs", "harness_format": 5, "settings": {"trials": 200, "seed": 1, '
+        '"note": "complex inputs", "harness_format": 6, "settings": {"trials": 200, "seed": 1, '
         '"tol": 1.0000000000000001e-09}}',
     ],
 }

@@ -108,7 +108,7 @@ def test_draw_stream_is_pinned():
         1.0851999415882543, 1.429827261904872, 0.3693971630665551, 0.7949994075732292,
         0.1511214033957422, 1.5071350859451056, 1.0941488069793999, -1.7225643647064122,
     ]
-    assert verify.HARNESS_FORMAT == 5
+    assert verify.HARNESS_FORMAT == 6
 
 
 def test_sample_feasible_zero_vector():
@@ -270,9 +270,11 @@ def test_blocked_checks_deterministic():
 
 
 def test_verify_all_memory_stays_flat_in_trials():
-    # each sampling check is traced alone, on one thread: inside verify_all the
-    # worker's block buffers add to the main thread's only while the two overlap,
-    # which varies from run to run, so there only the cap is asserted
+    # each function verify_all runs a sampling check in is traced alone, on one
+    # thread: the shared stream of the bound and min-norm checks on the caller's,
+    # the deflated check on the worker's.  Inside verify_all the worker's block
+    # buffers add to the main thread's only while the two overlap, which varies
+    # from run to run, so there only the cap is asserted
     import tracemalloc
 
     s, a, b = _pair_1024()
@@ -286,8 +288,11 @@ def test_verify_all_memory_stays_flat_in_trials():
         finally:
             tracemalloc.stop()
 
+    def feasible(*args):  # the bound and min-norm checks, on their one stream
+        return verify._verify_feasible(*args, [verify._bound_check, verify._min_norm_check])
+
     mib = 1 << 20
-    for check in (verify._verify_bound, verify._verify_min_norm, verify._verify_deflated_at):
+    for check in (feasible, verify._verify_deflated_at):
         peaks = [peak(lambda n: check(s, pair, n, TOL, 6, False), trials) for trials in (130, 4000)]
         assert abs(peaks[1] - peaks[0]) < mib, check.__name__
     assert max(peak(lambda n: verify_all(s, a, b, trials=n, seed=6), trials) for trials in (130, 4000)) < 12 * mib
@@ -297,7 +302,9 @@ def test_min_norm_check_finds_planted_undercut(monkeypatch):
     """A 'solution' shifted by w0 orthogonal to a and b is feasible but not
     optimal; the batched competitors must find an undercut, with the same
     worst trial as a per-trial loop over the same draws built on the
-    summation oracle."""
+    summation oracle: the bound check's feasible draws (projected against a,
+    and again when that left under half their drawn squared norm), then
+    projected against b's component orthogonal to a and against a."""
     from oracles import inner_by_summation, norm_sq_by_summation
 
     s = make_dense(4)
@@ -313,17 +320,23 @@ def test_min_norm_check_finds_planted_undercut(monkeypatch):
     assert not rep.passed
     assert norm_sq(s, rep.witness) < value
 
+    def norm_sq_(z):
+        return norm_sq_by_summation(s.weights, z)
+
     def project(z, c):
-        return z - inner_by_summation(s.weights, z, c) / norm_sq_by_summation(s.weights, c) * c
+        return z - inner_by_summation(s.weights, z, c) / norm_sq_(c) * c
 
     b_perp = project(b, a)
     undercuts, competitors = [], []
     for w in verify._draw(np.random.default_rng(5), (200, 4), False):
-        w = project(project(project(w, a), b_perp), a)
+        u = project(w, a)
+        if norm_sq_(u) < abs(inner_by_summation(s.weights, w, a)) ** 2 / norm_sq_(a) / 3.0:
+            u = project(u, a)  # the second pass
+        assert norm_sq_(u) > verify._DEGENERATE * s.weights.min()  # no row is redrawn
+        w = project(project(u, b_perp), a)
         competitors.append(shifted + w)
         undercuts.append(
-            (value - norm_sq_by_summation(s.weights, shifted + w))
-            / (1.0 + value + norm_sq_by_summation(s.weights, w))
+            (value - norm_sq_(shifted + w)) / (1.0 + value + norm_sq_(w))
         )
     k = int(np.argmax(undercuts))
     assert rep.worst_violation == pytest.approx(undercuts[k], rel=1e-9)
@@ -388,7 +401,9 @@ def test_verify_all_golden_dim_1024():
     by a digest of its exact report bytes.  Recaptured when the deflated check
     moved to the instance (harness format 3), when the draws became uniform
     (format 4) and when the row products became one multiply by a held
-    w*conj(c) (format 5: the deflated line's figure and witness moved)."""
+    w*conj(c) (format 5: the deflated line's figure and witness moved).  Format 6,
+    which made the min-norm competitors from the bound check's draws, kept it:
+    the min-norm line's worst figure is x*'s own residual."""
     import hashlib
 
     from orthobound.cli import dumps_stable
@@ -416,10 +431,10 @@ def test_verify_all_leaves_no_thread_behind():
 def test_verify_all_joins_the_worker_when_the_main_checks_raise(monkeypatch):
     import threading
 
-    def failing_bound(*args):
+    def failing_bound(*args, **kw):
         raise ValueError("planted bound failure")
 
-    monkeypatch.setattr(verify, "_verify_bound", failing_bound)
+    monkeypatch.setattr(verify, "_verify_feasible", failing_bound)
     before = threading.active_count()
     s, a, b = _pair_1024()
     with pytest.raises(ValueError, match="planted bound failure"):
@@ -450,7 +465,7 @@ def test_verify_all_reraises_a_worker_error(monkeypatch):
     with pytest.raises(RuntimeError, match="planted deflated failure"):
         verify_all(make_dense(4), [1, 2, 3, 4], [1, -1, 2, 0.5j], trials=50)
     # the sequential order would raise the bound check's error first
-    monkeypatch.setattr(verify, "_verify_bound", lambda *args: 1 / 0)
+    monkeypatch.setattr(verify, "_verify_feasible", lambda *args, **kw: 1 / 0)
     with pytest.raises(ZeroDivisionError):
         verify_all(make_dense(4), [1, 2, 3, 4], [1, -1, 2, 0.5j], trials=50)
 
@@ -482,28 +497,105 @@ def test_verify_all_validates_only_at_the_boundary(as_vector_calls):
 
 
 def test_usable_draws_redraws_only_the_degenerate_rows(monkeypatch):
-    # with weights 1e-20 a squared norm falls under the degenerate floor when
-    # the draw's own squared norm is under 1: seed 4 redraws 6 of the 200 rows
-    # of c, and the report is pinned by a digest recaptured at harness format 4
+    # rows planted parallel to a project to rounding and are redrawn, and only
+    # they.  With weights 1e-20 a feasible draw's squared norm is near 1e-20: the
+    # absolute floor of harness format 5 and earlier (1e-20) redrew about half of
+    # them, while the floor relative to the least weight redraws none
+    s = make_weighted([1e-20] * 3)
+    a = np.array([1.0, 2.0, 1j])
+    against = (a, core._weigh(s.weights, a), core._norm_sq_rows(s.weights, a))
+    planted = [3, 50, 151]
+    draws = []
+    draw = verify._draw
+
+    def planting(rng, shape, *args, **kwargs):
+        z = draw(rng, shape, *args, **kwargs)
+        if not draws:
+            z[planted] = np.arange(1.0, 4.0)[:, None] * (1 - 2j) * a
+        draws.append(shape)
+        return z
+
+    def usable():
+        u, t, f = verify._buffers(200, s.dim, 2)
+        return u, verify._usable_draws(s, np.random.default_rng(4), u, False, t, f, against)
+
+    clean, clean_nsq = usable()
+    monkeypatch.setattr(verify, "_draw", planting)
+    u, nsq = usable()
+    assert draws == [(200, 3), (3, 3)]
+    kept = np.setdiff1d(np.arange(200), planted)
+    np.testing.assert_array_equal(u[kept], clean[kept])
+    np.testing.assert_array_equal(nsq[kept], clean_nsq[kept])
+    # the redrawn rows are usable feasible draws, as the kept ones are
+    assert np.all(nsq[planted] > verify._DEGENERATE * 1e-20)
+    assert np.all(np.abs(core._dot_rows(u[planted], against[1])) <= 1e-12 * np.sqrt(nsq[planted] * against[2]))
+
+
+def test_verify_all_runs_under_weights_1e_22():
+    # the absolute floor of harness format 5 and earlier (1e-20 on the squared
+    # norm) called every feasible draw degenerate here, and verify_all raised
+    # DegenerateSample; the floor is now relative to the least weight
+    s = make_weighted([1e-22] * 4)
+    a, b = [1, 2, 0, 1], [0, 1, 3, 1j]
+    reports = verify_all(s, a, b, trials=200)
+    assert [r.check_name for r in reports] == list(CHECK_ORDER)
+    assert all(r.passed for r in reports)
+    assert verify_min_norm(s, a, b, trials=200).passed
+
+
+# --- the bound and min-norm checks on one stream of feasible draws -------------
+
+# sha256 of each line's to_dict bytes at harness format 5, from verify_all at
+# trials 130, seed 5: format 6 left the bound and deflated lines as they were
+FORMAT_5_LINES = {
+    "weighted-16-complex": (
+        "547e90409f57d32563075800c4d8d24cc796958248ea6b54b35a604b5bcc2ca1",
+        "32ecaaed2b6172310afd6b5caac058237bc746bd3dad40fd0704df5f269a6802",
+    ),
+    "weighted-16-real": (
+        "5e628cd95854c1794bba329ef20a3ef1ade4548292cd0f1bf95e12e968b2b838",
+        "6d2dc3d0a4b541377c9c095a536d679bfba744c9418b7449dfe2de83a2b8f426",
+    ),
+    "trapezoid-1024-complex": (
+        "f9f7c025baaaec1490f7755233567cf7cf3f60444eb97338e55821d61e02ed86",
+        "5f4783469566d5e5048eef90d2d0371b8841eccf529d9406611ebfecb596d205",
+    ),
+    "dependent-3-complex": (
+        "75f21004dc36a2e60cd88232c8af34271c20f03bbaf24469ba8ac8233d9206b9",
+        "9413a6800e19d1583d9bd10c2fe9a3ab5ae19cacc7ace2f29308e1a01cc020cc",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORMAT_5_LINES))
+def test_verify_all_scores_bound_and_min_norm_on_one_stream(monkeypatch, name):
     import hashlib
 
     from orthobound.cli import dumps_stable
 
-    draws = []
-    draw = verify._draw
+    make, real = STREAM_PAIRS[name]
+    s, a, b = make()
 
-    def counting(rng, shape, *args, **kwargs):
-        draws.append(shape)
-        return draw(rng, shape, *args, **kwargs)
+    def lines():
+        return [dumps_stable(r.to_dict()) for r in verify_all(s, a, b, trials=130, seed=5, real=real)]
 
-    monkeypatch.setattr(verify, "_draw", counting)
-    rep = verify_deflated(make_weighted([1e-20, 1e-20]), trials=200, seed=4)
-    # z, c, one redraw of c, d, then the equality-case coefficients
-    assert draws == [(200, 2), (200, 2), (6, 2), (200, 2), (200, 2)]
-    assert rep.passed
-    assert hashlib.sha256(dumps_stable(rep.to_dict()).encode()).hexdigest() == (
-        "d8c4cc2e9d45d1332b3745d0555e742ec35127771db0ec7542e355ec3094f08a"
-    )
+    def line(check):
+        return dumps_stable(check(s, a, b, trials=130, seed=5, real=real).to_dict())
+
+    found = lines()
+    assert found[0] == line(verify_bound)
+    assert found[2] == dumps_stable(verify._verify_deflated_at(s, core._pair(s, a, b), 130, TOL, 7, real).to_dict())
+    digests = tuple(hashlib.sha256(found[i].encode()).hexdigest() for i in (0, 2))
+    assert digests == FORMAT_5_LINES[name]
+    if name.startswith("dependent"):
+        assert '"note": "dependent vectors"' in found[1]
+        return
+    # the line of a correct answer reports x*'s residuals, whatever the draws; with
+    # x* shifted 100 ||x*|| off the optimum a competitor sets it, so the draws show
+    assert found[1] == line(verify_min_norm)
+    monkeypatch.setattr(core, "_min_norm", _feasible_not_minimal(100.0)(core._min_norm, s))
+    found = lines()
+    assert found[1] == line(verify_min_norm) and '"passed": false' in found[1]
 
 
 # --- the deflated check at the instance ----------------------------------------
@@ -610,6 +702,15 @@ POWER_PAIRS = {
 }
 
 
+def _dependent_pair_3():
+    s = make_weighted([1.0, 2.0, 0.5])
+    a = np.array([1.0, 2j, -1.0])
+    return s, a, (2 - 1j) * a
+
+
+STREAM_PAIRS = dict(POWER_PAIRS, **{"dependent-3-complex": (_dependent_pair_3, False)})
+
+
 def _times(factor):
     return lambda kernel, space: lambda *args, **kw: kernel(*args, **kw) * factor
 
@@ -645,19 +746,38 @@ def _plus_norm_b_sq(bound, space):
     return lambda g: bound(g) + 1e-6 * g.norm_b_sq
 
 
+def _unit_orthogonal_to(space, a, b, g):
+    """A unit vector orthogonal to a and b, made with the unplanted kernels' arithmetic."""
+    w = space.weights
+    a_dir = (a, core._weigh(w, a), g.norm_a_sq)
+    y = core._project_rows(np.cos(np.arange(space.dim)) + 0j, *a_dir)
+    b_perp = core._project_rows(b, *a_dir)
+    y = core._project_rows(y, b_perp, core._weigh(w, b_perp), core._norm_sq_rows(w, b_perp))
+    return y / np.sqrt(core._norm_sq_rows(w, y))
+
+
 def _attaining_nine_tenths(extremizer, space):
     # cos x* + sin y with y a unit vector orthogonal to a and b and cos^2 = 0.9:
     # a unit extremizer, orthogonal to a, that attains the 10%-low bound exactly
     def planted(a, b, g, tol):
-        w = space.weights
-        a_dir = (a, core._weigh(w, a), g.norm_a_sq)
-        y = core._project_rows(np.cos(np.arange(space.dim)) + 0j, *a_dir)
-        b_perp = core._project_rows(b, *a_dir)
-        y = core._project_rows(y, b_perp, core._weigh(w, b_perp), core._norm_sq_rows(w, b_perp))
-        y /= np.sqrt(core._norm_sq_rows(w, y))
+        y = _unit_orthogonal_to(space, a, b, g)
         return np.sqrt(0.9) * extremizer(a, b, g, tol) + np.sqrt(0.1) * y
 
     return planted
+
+
+def _feasible_not_minimal(shift):
+    # x* + shift ||x*|| v with v a unit vector orthogonal to a and b: <x,a> = 0 and
+    # <x,b> = 1 still hold, and the value is ||x||^2, (1 + shift^2) times the optimum
+    def plant(min_norm, space):
+        def planted(a, b, g, tol):
+            x, value = min_norm(a, b, g, tol)
+            x = x + shift * np.sqrt(value) * _unit_orthogonal_to(space, a, b, g)
+            return x, float(core._norm_sq_rows(space.weights, x))
+
+        return planted
+
+    return plant
 
 
 def _dot_without_conj(dot_rows, space):
@@ -666,8 +786,8 @@ def _dot_without_conj(dot_rows, space):
 
 
 B, M, D, R = "bound_dominance", "min_norm_optimality", "deflated_schwarz", "real_consistency"
-# ESCAPE: no check fails; a strict xfail until ROADMAP item 2 scores the bound and
-# x* directly.  NOT_RUN: the defect changes nothing on a real pair.
+# ESCAPE: no check fails; a strict xfail until ROADMAP item 2 scores the answers
+# directly and draws trials near them.  NOT_RUN: the defect changes nothing on a real pair.
 ESCAPE, NOT_RUN = "escape", None
 
 # row: (planted kernels, failing checks on each pair in POWER_PAIRS order)
@@ -688,6 +808,9 @@ POWER_ROWS = {
         [("_bound", _times(0.9)), ("_extremizer", _attaining_nine_tenths)],
         (ESCAPE, {R}, ESCAPE),
     ),
+    # feasible, not minimal: only competitors x + u with u orthogonal to a and b can
+    # see it, and the feasible draws u are too long to undercut x by ||x*||^2
+    "min-norm-x-feasible-not-minimal": ([("_min_norm", _feasible_not_minimal(1.0))], (ESCAPE, ESCAPE, ESCAPE)),
     # benign: any unit-modulus multiple of x* is as extremal, but the real formula fixes its sign
     "extremizer-x1j": ([("_extremizer", _times(1j))], (set(), {R}, set())),
     # shared kernels: the bound check scores its draws with the same planted
@@ -699,7 +822,9 @@ POWER_ROWS = {
 
 
 def _power_cells():
-    escape = pytest.mark.xfail(strict=True, reason="ROADMAP item 2: no check scores the bound or x* directly")
+    escape = pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 2: no check scores the answers directly or draws trials near them"
+    )
     for row, (_, cells) in POWER_ROWS.items():
         for pair, caught_by in zip(POWER_PAIRS, cells):
             if caught_by is not NOT_RUN:
