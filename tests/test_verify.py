@@ -189,6 +189,23 @@ def test_verify_deflated_zero_trials():
     assert rep.passed and rep.trials == 0
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda trials: verify_bound(make_dense(3), [1, 0, 0], [0, 1, 0], trials=trials),
+        lambda trials: verify_min_norm(make_dense(3), [1, 0, 0], [0, 1, 0], trials=trials),
+        lambda trials: verify_deflated(make_dense(3), trials=trials),
+        lambda trials: verify_all(make_dense(3), [1, 0, 0], [0, 1, 0], trials=trials),
+    ],
+    ids=["bound", "min_norm", "deflated", "all"],
+)
+def test_negative_trials_are_refused(monkeypatch, check):
+    # refused before verify_all starts its worker, as Tolerances refuses its fields
+    monkeypatch.setattr(verify, "ThreadPoolExecutor", None)
+    with pytest.raises(ValueError, match="trials must be nonnegative, got -5"):
+        check(-5)
+
+
 def test_verify_all_order_and_pass():
     s = make_dense(16)
     rng = np.random.default_rng(12)
@@ -516,8 +533,8 @@ def test_usable_draws_redraws_only_the_degenerate_rows(monkeypatch):
         return z
 
     def usable():
-        u, t, f = verify._buffers(200, s.dim, 2)
-        return u, verify._usable_draws(s, np.random.default_rng(4), u, False, t, f, against)
+        u, t = verify._buffers(200, s.dim, 2)
+        return u, verify._usable_draws(s, np.random.default_rng(4), u, False, t, against)
 
     clean, clean_nsq = usable()
     monkeypatch.setattr(verify, "_draw", planting)
