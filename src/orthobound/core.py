@@ -100,23 +100,31 @@ def _piecewise(kernel, w: np.ndarray, *vs: np.ndarray):
 def _inner_rows(w: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Row-wise <u_i, v_i> over the last axis, summed as (w*u)*conj(v); v may be one vector for all rows."""
     t = np.multiply(w, u)
-    return _dot_rows(t, np.conj(v), t=t)
-
-
-def _weigh(w: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """w*conj(c), the form in which a direction c (one vector, or one per row) enters _dot_rows."""
-    return np.multiply(w, np.conj(c))
-
-
-def _dot_rows(u: np.ndarray, wc: np.ndarray, t=None) -> np.ndarray:
-    """Row-wise <u_i, c_i> over the last axis, given wc = _weigh(w, c): one multiply and one
-    reduce.  t, a buffer shaped like u (it may be u), takes the products."""
     # np.add.reduce is np.sum without its Python wrapper, which costs more than the arithmetic on short rows
-    return np.add.reduce(np.multiply(u, wc, out=t), axis=-1)
+    return np.add.reduce(np.multiply(t, np.conj(v), out=t), axis=-1)
+
+
+# The harness's row kernels: np.einsum, one pass and no temporary, and no BLAS, whose bits follow its CPU kernel.
+def _weigh(w: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The float form of a direction c (one vector, or one per row) for _dot_rows: (w*c, i*w*c) as floats."""
+    wc = np.multiply(w, c)
+    return np.stack((wc, 1j * wc), axis=-2).view(np.float64)
+
+
+def _dot_rows(u: np.ndarray, wc: np.ndarray) -> np.ndarray:
+    """Row-wise <u_i, c_i> over the last axis, given wc = _weigh(w, c)."""
+    f = np.ascontiguousarray(u).view(np.float64)
+    return np.einsum("...j,...kj->...k", f, wc, order="C").view(np.complex128)[..., 0]
+
+
+def _sq_norm_rows(w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row-wise squared norms over the last axis, as the harness takes them: w-weighted re^2 + im^2."""
+    f = np.ascontiguousarray(u).view(np.float64)
+    return np.einsum("...j,...j,j->...", f, f, np.repeat(w, 2))
 
 
 def _norm_sq_rows(w: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Row-wise squared norms over the last axis."""
+    """Row-wise squared norms over the last axis, as the pair functions take them: w-weighted |u|^2."""
     r = np.abs(u)
     np.square(r, out=r)
     return np.add.reduce(np.multiply(w, r, out=r), axis=-1)
@@ -126,17 +134,15 @@ def _project_rows(z: np.ndarray, c: np.ndarray, wc: np.ndarray, nc, out=None, t=
     """Rows of z minus their components along c (one vector, or one per row),
     given wc = _weigh(w, c) and the squared norm(s) nc of c.  out and t are
     buffers shaped like z; out may be z or t, t may be out but not z."""
-    coef = _dot_rows(z, wc, t=t) / nc
+    coef = _dot_rows(z, wc) / nc
     return np.subtract(z, np.multiply(coef[..., None], c, out=t), out=out)
 
 
-def _deflated_sides(w, zp, wdp, nc, ndp, t=None) -> Tuple[np.ndarray, np.ndarray]:
-    """(lhs, rhs) from the components zp, dp of z and d orthogonal to c, given as zp and wdp =
-    _weigh(w, dp), and the squared norms nc of c and ndp of dp.  t is a buffer as in
-    _dot_rows; it may be zp, which is then overwritten."""
+def _deflated_sides(w, zp, wdp, nc, ndp) -> Tuple[np.ndarray, np.ndarray]:
+    """(lhs, rhs) from z's component zp orthogonal to c, wdp = _weigh(w, dp) of d's, nc = ||c||^2, ndp = ||dp||^2."""
     nc2 = nc * nc
-    lhs = nc2 * _norm_sq_rows(w, zp) * ndp
-    return lhs, nc2 * np.abs(_dot_rows(zp, wdp, t=t)) ** 2
+    lhs = nc2 * _sq_norm_rows(w, zp) * ndp
+    return lhs, nc2 * np.abs(_dot_rows(zp, wdp)) ** 2
 
 
 def _gram(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> GramSummary:

@@ -5,9 +5,8 @@ badly (if at all) the claimed inequality or optimality is violated, and
 returns a :class:`VerificationReport`.  Violations are recorded in the
 scaled form ``residual / (1 + magnitude)`` so one tolerance works across
 input scales.  Identical inputs and seed produce bitwise-identical reports.
-The bound and min-norm checks score one stream of feasible draws, and
-``verify_all`` checks the deflated Schwarz inequality at its pair,
-``verify_deflated`` the lemma itself on random triples.
+The bound, min-norm and deflated checks score one stream of feasible draws, which
+``verify_all`` splits by block over two threads; ``verify_deflated`` checks the lemma.
 """
 
 from __future__ import annotations
@@ -28,14 +27,14 @@ from .spaces import SpaceDescriptor
 # it), a floor that scales with w, while scaling a leaves the projected draws as they are.
 _DEGENERATE = 1e-20
 _MAX_RETRIES = 100
-# The sampling checks draw their trials in consecutive row blocks of at most
-# _BLOCK_ELEMS complex elements (1 MiB per array), so memory stays flat in
-# trials.  The verify_all checks hold their complex blocks once per call: fresh
-# complex block temporaries cost about a fifth of harness ops (53.7 against 42.4
-# ops/s with none held), while fresh float ones cost nothing measurable.
+# The sampling checks draw their trials in consecutive row blocks of at most _BLOCK_ELEMS complex
+# elements (1 MiB per array), so memory stays flat in trials.  Each lane of verify_all's stream holds two,
+# its draws and a scratch block (four in all; format 6 held five): with none held, ops/s fell 53.7 to 42.4.
 _BLOCK_ELEMS = 1 << 16
+# Lanes of verify_all's stream, the caller and _LANES - 1 workers: dim 1024 took 71 ms on one, 40 on two (2 vCPUs).
+_LANES = 2
 # Written into every `verify` report line: the draws and the arithmetic that scores them fix its bytes.
-HARNESS_FORMAT = 6
+HARNESS_FORMAT = 7
 _SQRT3 = np.sqrt(3.0)
 
 # verify_all emits reports in exactly this order.
@@ -109,10 +108,9 @@ def _block_rows(trials: int, dim: int):
     return [min(rows, trials - start) for start in range(0, trials, rows)]
 
 
-def _buffers(trials: int, dim: int, blocks: int):
-    """A check's per-call buffers: `blocks` complex blocks."""
-    rows = _block_rows(max(trials, 1), dim)[0]
-    return [np.empty((rows, dim), complex) for _ in range(blocks)]
+def _block_rng(seed: int, k: int) -> np.random.Generator:
+    """Block k's generator, that of SeedSequence(seed).spawn(n)[k] for any n > k."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
 
 
 def _usable_draws(space: SpaceDescriptor, rng, u, real: bool, t, against=None) -> np.ndarray:
@@ -126,13 +124,13 @@ def _usable_draws(space: SpaceDescriptor, rng, u, real: bool, t, against=None) -
         _draw(rng, v.shape, real, v)
         if against is not None:  # lost = |<v,a>|^2/||a||^2 <= ||v||^2 fits where ||v||^2 does
             a, wa, na = against
-            coef = core._dot_rows(v, wa, t=t[: len(v)]) / na
+            coef = core._dot_rows(v, wa) / na
             np.subtract(v, np.multiply(coef[:, None], a, out=t[: len(v)]), out=v)
             lost = np.square(np.abs(coef) * np.sqrt(na))
-        vsq[:] = core._norm_sq_rows(w, v)
+        vsq[:] = core._sq_norm_rows(w, v)
         if np.any(again := vsq < lost / 3.0):  # by Pythagoras, the drawn ||v||^2 is vsq + lost
             v[again] = core._project_rows(v[again], *against)
-            vsq[again] = core._norm_sq_rows(w, v[again])
+            vsq[again] = core._sq_norm_rows(w, v[again])
         if bad is not None:
             u[bad], nsq[bad] = v, vsq
         bad = nsq < _DEGENERATE * w.min()
@@ -155,7 +153,7 @@ def sample_feasible(
     """
     w, aa = space.weights, core.as_vector(space, a, "a")
     na = core._require_nonzero(core._norm_sq_rows(w, aa), "a")  # first: w*conj(a) overflows only if this does
-    u, t = _buffers(1, space.dim, 2)
+    u, t = np.empty((2, 1, space.dim), complex)
     nsq = _usable_draws(space, np.random.default_rng(seed), u, real, t, (aa, core._weigh(w, aa), na))
     return u[0] / np.sqrt(nsq[0])
 
@@ -175,8 +173,7 @@ def verify_bound(
     is witnessed alongside dominance.  A feasible draw u is scored as
     |<u,b>|^2/||u||^2, without normalising it; only the witness is.
     """
-    pair = core._pair(space, a, b)
-    return _verify_feasible(space, pair, _require_trials(trials), tol, seed, real, [_bound_check])[0]
+    return _verify_feasible(space, core._pair(space, a, b), trials, tol, seed, real, [_bound_check])[0]
 
 
 def verify_min_norm(
@@ -194,108 +191,140 @@ def verify_min_norm(
     projected against the a-deflated copy of b, then against a once more to scrub
     rounding; x* + u stays feasible, so none may have smaller squared norm beyond rounding slack.
     """
-    pair = core._pair(space, a, b)
-    return _verify_feasible(space, pair, _require_trials(trials), tol, seed, real, [_min_norm_check])[0]
+    return _verify_feasible(space, core._pair(space, a, b), trials, tol, seed, real, [_min_norm_check])[0]
+
+
+def _rank(state):
+    """A (violation, witness, block) state's rank: the first worst trial's is highest, nan above any number."""
+    v, witness, k = state
+    return witness is not None, v != v, v if v == v else 0.0, -k
 
 
 def _verify_feasible(space, pair, trials, tol, seed, real, checks) -> List[VerificationReport]:
-    """The reports of checks (_bound_check, then _min_norm_check, or one of them) on one stream of
-    feasible draws u, so that either check alone reads the draws both read together.  A check(space,
-    pair, trials, tol, a_dir, t) gives (score, report); score(u, ||u||^2), None if skipped, reads
-    each block in turn, and only the last check may change it."""
-    aa, bb, g = pair
+    """The reports of checks on one stream of feasible draws, the same whichever checks read it.  A check
+    gives (score, start, report): score(u, ||u||^2, rng, t), None if skipped, returns the first worst
+    (violation, witness) of the block u, changing u only if last; report(*worst) takes the worst of start
+    and the blocks.  Block k draws from _block_rng(seed, k) on lane k % _LANES, the caller or a worker in
+    a copy of its context (with its np.errstate): the first worst over the lanes is one lane's, and the
+    error raised the lowest block's, once every lane has stopped."""
+    (aa, bb, g), trials = pair, _require_trials(trials)
     a_dir = (aa, core._weigh(space.weights, aa), g.norm_a_sq)
-    block, t = _buffers(trials, space.dim, 2)
-    made = [check(space, pair, trials, tol, a_dir, t) for check in checks]
-    scorers = [score for score, _ in made if score]
-    rng = np.random.default_rng(seed)
-    for n in _block_rows(trials, space.dim) if scorers else ():
-        nsq = _usable_draws(space, rng, block[:n], real, t[:n], a_dir)
-        for score in scorers:
-            score(block[:n], nsq)
-    return [report() for _, report in made]
+    made = [check(space, pair, trials, tol, real, a_dir) for check in checks]
+    scored = [(score, (*start, -1)) for score, start, _ in made if score]
+    rows = _block_rows(trials, space.dim) if scored else []
+
+    def lane(first):  # its first worst state per scoring check, and its error as (block, error)
+        (u, t), states = np.empty((2, max(rows, default=0), space.dim), complex), [start for _, start in scored]
+        for k in range(first, len(rows), _LANES):
+            try:
+                rng, n = _block_rng(seed, k), rows[k]
+                nsq = _usable_draws(space, rng, u[:n], real, t[:n], a_dir)
+                scores = [score(u[:n], nsq, rng, t[:n]) for score, _ in scored]
+                states = [max(state, (*new, k), key=_rank) for state, new in zip(states, scores)]
+            except Exception as exc:
+                return states, (k, exc)
+        return states, None
+
+    if len(rows) > 1 and _LANES > 1:
+        with ThreadPoolExecutor(max_workers=_LANES - 1) as pool:
+            workers = [pool.submit(contextvars.copy_context().run, lane, i) for i in range(1, _LANES)]
+            outcomes = [lane(0)] + [worker.result() for worker in workers]
+    else:
+        outcomes = [lane(0)]
+    if errors := [error for _, error in outcomes if error]:
+        raise min(errors, key=lambda error: error[0])[1]
+    worst = iter(max(states, key=_rank)[:2] for states in zip(*(states for states, _ in outcomes)))
+    return [report(*next(worst)) if score else report() for score, _, report in made]
 
 
-def _bound_check(space, pair, trials, tol, a_dir, t):
+def _bound_check(space, pair, trials, tol, real, a_dir):
     aa, bb, g = pair
     bound = core._bound(g)
     if space.dim == 1 and trials > 0:
-        return None, lambda: _skipped("bound_dominance", tol, "no unit vector is orthogonal to a in dimension 1")
+        return None, None, lambda: _skipped("bound_dominance", tol, "no unit vector is orthogonal to a in dimension 1")
     tolerance = tol.rel_eps * (1.0 + bound)
-    wb, worst, witness, extremal = core._weigh(space.weights, bb), 0.0, None, not core._dependent(g, tol)
+    wb, extremal = core._weigh(space.weights, bb), not core._dependent(g, tol)
 
-    def score(xs, norms):
-        nonlocal worst, witness
+    def score(xs, norms, *_):
         # |<x,b>|^2 at x = u/||u||, squared last: it fits where ||b||^2 does, |<u,b>|^2 may not
-        attained = np.square(np.abs(core._dot_rows(xs, wb, t=t[: len(xs)])) / np.sqrt(norms))
+        attained = np.square(np.abs(core._dot_rows(xs, wb)) / np.sqrt(norms))
         violations = np.maximum(attained - bound, 0.0)
         k = int(np.argmax(violations))
-        if witness is None or violations[k] > worst:
-            worst, witness = violations[k], xs[k] / np.sqrt(norms[k])
+        return violations[k], xs[k] / np.sqrt(norms[k])
 
-    if extremal:  # the extremizer, unit by construction, is scored as it is
-        score(core._extremizer(aa, bb, g, tol)[None, :], np.ones(1))
-    return score, lambda: _report("bound_dominance", trials + extremal, worst, tolerance, witness=witness, bound=bound)
+    # the extremizer, unit by construction, is scored as it is
+    start = score(core._extremizer(aa, bb, g, tol)[None, :], np.ones(1)) if extremal else (0.0, None)
+    return score, start, lambda v, x: _report(
+        "bound_dominance", trials + extremal, v, tolerance, witness=x, bound=bound
+    )
 
 
-def _min_norm_check(space, pair, trials, tol, a_dir, t):
+def _min_norm_check(space, pair, trials, tol, real, a_dir):
     aa, bb, g = pair
     x, value = core._min_norm(aa, bb, g, tol)
     w, na, nb = space.weights, g.norm_a_sq, g.norm_b_sq
     nx = float(core._norm_sq_rows(w, x))
-
     res_orth = abs(complex(core._inner_rows(w, x, aa))) / (1.0 + np.sqrt(nx * na))
     res_one = abs(complex(core._inner_rows(w, x, bb)) - 1.0) / (1.0 + np.sqrt(nx * nb))
     res_value = abs(nx - value) / (1.0 + value)
-    worst, witness = max(res_orth, res_one, res_value), x.copy()
-
     # deflating b against a first keeps the two projections independent;
     # projecting against raw b would undo part of the a projection
     b_perp = core._project_rows(bb, *a_dir)
-    directions = [(b_perp, core._weigh(w, b_perp), core._norm_sq_rows(w, b_perp)), a_dir]
+    directions = [(b_perp, core._weigh(w, b_perp), core._sq_norm_rows(w, b_perp)), a_dir]
 
-    def score(ws, _):
-        nonlocal worst, witness
-        n = len(ws)
+    def score(ws, _, __, t):
         for direction in directions:
-            core._project_rows(ws, *direction, out=ws, t=t[:n])
+            core._project_rows(ws, *direction, out=ws, t=t)
         # t holds the competitors x + ws
-        n_comp = core._norm_sq_rows(w, np.add(x, ws, out=t[:n]))
-        undercut = (nx - n_comp) / (1.0 + nx + core._norm_sq_rows(w, ws))
+        n_comp = core._sq_norm_rows(w, np.add(x, ws, out=t))
+        undercut = (nx - n_comp) / (1.0 + nx + core._sq_norm_rows(w, ws))
         k = int(np.argmax(undercut))
-        if undercut[k] > worst:
-            worst, witness = undercut[k], x + ws[k]
+        return undercut[k], x + ws[k]
 
-    return score, lambda: _report("min_norm_optimality", trials + 1, worst, tol.rel_eps, witness=witness, value=value)
+    return score, (max(res_orth, res_one, res_value), x.copy()), lambda v, y: _report(
+        "min_norm_optimality", trials + 1, v, tol.rel_eps, witness=y, value=value
+    )
 
 
-def _deflated_check(space, trials: int, tol: Tolerances, block) -> VerificationReport:
-    """The deflated check on blocks block(n) = (z, mu_beta, c, wc, nc, dp, wdp, ndp) of n rows; c and d's
-    component dp orthogonal to c, and their _weigh forms, are one vector or one per row."""
-    if trials <= 0:
-        return _report("deflated_schwarz", 0, 0.0, tol.rel_eps, note="no trials requested")
-    w, worst, witness, t = space.weights, 0.0, None, _buffers(trials, space.dim, 2)
-    for n in _block_rows(trials, space.dim):
-        z, mu_beta, c, wc, nc, dp, wdp, ndp = block(n)
-        t1, t2 = t[0][:n], t[1][:n]
-        # Equality case: z in span{c, component of d orthogonal to c}.
-        z_eq = np.multiply(mu_beta[:, :1], c, out=t1)
-        z_eq += np.multiply(mu_beta[:, 1:], dp, out=t2)
-        zp_eq = core._project_rows(z_eq, c, wc, nc, out=t1, t=t2)
-        lhs_e, rhs_e = core._deflated_sides(w, zp_eq, wdp, nc, ndp, t=t1)
-        zp = core._project_rows(z, c, wc, nc, out=t1, t=t1)
-        lhs, rhs = core._deflated_sides(w, zp, wdp, nc, ndp, t=t1)
-        # v[i] holds trial i's two scaled violations, so that argmax over the
-        # raveled v meets the trials in the order they ran
-        v = np.column_stack(
-            (np.maximum(rhs - lhs, 0.0) / (1.0 + lhs), np.abs(lhs_e - rhs_e) / (10.0 * (1.0 + lhs_e)))
-        )
-        i, eq = divmod(int(np.argmax(v)), 2)
-        if v[i, eq] > worst:
-            c, dp = np.broadcast_to(c, z.shape)[i], np.broadcast_to(dp, z.shape)[i]
-            worst, witness = v[i, eq], mu_beta[i, :1] * c + mu_beta[i, 1:] * dp if eq else z[i].copy()
-    note = "equality-case slack is 10x rel_eps, folded in at 1/10 weight"
+def _deflated_scores(w, z, mu_beta, c, wc, nc, dp, wdp, ndp, t):
+    """The first worst scaled violation, with its witness, of the deflated inequality on the rows of z
+    and of its equality case on mu*c + beta*dp, (mu, beta) the rows of mu_beta.  c, d's component dp
+    orthogonal to c, their _weigh forms and squared norms are one or one per row; t is a scratch block."""
+    lhs, rhs = core._deflated_sides(w, core._project_rows(z, c, wc, nc, out=t, t=t), wdp, nc, ndp)
+    # Equality case: mu*c + beta*dp projected against c as mu*c' + beta*dp', c' and dp' projected
+    cdp = np.stack(np.broadcast_arrays(c, dp), axis=-2)
+    basis = core._project_rows(cdp, c[..., None, :], wc[..., None, :, :], np.asarray(nc)[..., None])
+    lhs_e, rhs_e = core._deflated_sides(w, np.einsum("...k,...kj->...j", mu_beta, basis, out=t), wdp, nc, ndp)
+    # v[i] holds trial i's two scaled violations, so that argmax over the
+    # raveled v meets the trials in the order they ran
+    v = np.column_stack((np.maximum(rhs - lhs, 0.0) / (1.0 + lhs), np.abs(lhs_e - rhs_e) / (10.0 * (1.0 + lhs_e))))
+    i, eq = divmod(int(np.argmax(v)), 2)
+    return v[i, eq], np.einsum("k,kj->j", mu_beta[i], cdp[i] if cdp.ndim == 3 else cdp) if eq else z[i].copy()
+
+
+def _deflated_report(trials: int, tol: Tolerances, worst, witness) -> VerificationReport:
+    note = "equality-case slack is 10x rel_eps, folded in at 1/10 weight" if trials else "no trials requested"
     return _report("deflated_schwarz", trials, worst, tol.rel_eps, witness=witness, note=note)
+
+
+def _deflated_check(space, pair, trials, tol, real, a_dir):
+    """The deflated check at the pair, c = a and d = b, on the unit directions of a and of b's component
+    orthogonal to a (none for a dependent pair): no figure depends on their scale.  z is a feasible draw."""
+    aa, bb, g = pair
+    if core._dependent(g, tol):
+        return None, None, lambda: _skipped("deflated_schwarz", tol, "dependent vectors")
+    # each direction goes in with its computed squared norm: with ||r||^2 subnormal, r_hat is not quite unit
+    w, a_hat = space.weights, aa / np.sqrt(g.norm_a_sq)
+    wa, na = core._weigh(w, a_hat), core._sq_norm_rows(w, a_hat)
+    r = core._project_rows(bb, a_hat, wa, na)
+    r_hat = r / np.sqrt(core._sq_norm_rows(w, r))
+    fixed = (a_hat, wa, na, r_hat, core._weigh(w, r_hat), core._sq_norm_rows(w, r_hat))
+
+    def score(u, _, rng, t):
+        # the equality case's coefficients are the block's next draws
+        return _deflated_scores(w, u, _draw(rng, (len(u), 2), real), *fixed, t)
+
+    return score, (0.0, None), lambda v, z: _deflated_report(trials, tol, v, z)
 
 
 def verify_deflated(
@@ -313,41 +342,16 @@ def verify_deflated(
     slack is 10x rel_eps; its scaled violation is folded into the single
     report figure at 1/10 weight to keep one tolerance.
     """
-    w, rng = space.weights, np.random.default_rng(seed)
-
-    def block(n):
+    w, rng, worst = space.weights, np.random.default_rng(seed), (0.0, None, -1)
+    for k, n in enumerate(_block_rows(_require_trials(trials), space.dim)):
         z, c = _draw(rng, (n, space.dim), real), np.empty((n, space.dim), complex)
         nc = _usable_draws(space, rng, c, real, None)
         d, mu_beta = _draw(rng, (n, space.dim), real), _draw(rng, (n, 2), real)
         wc = core._weigh(w, c)
-        # d becomes its component d_perp orthogonal to c
-        dp = core._project_rows(d, c, wc, nc, out=d)
-        return z, mu_beta, c, wc, nc, dp, core._weigh(w, dp), core._norm_sq_rows(w, dp)
-
-    return _deflated_check(space, _require_trials(trials), tol, block)
-
-
-def _verify_deflated_at(space, pair, trials, tol, seed, real) -> VerificationReport:
-    """verify_deflated at the pair, c = a and d = b, on the unit directions of a and of b's
-    component orthogonal to a (none for a dependent pair): no figure depends on their scale."""
-    aa, bb, g = pair
-    if core._dependent(g, tol):
-        return _skipped("deflated_schwarz", tol, "dependent vectors")
-    # each direction goes in with its computed squared norm: when ||r||^2 is
-    # subnormal, r_hat is not quite a unit vector
-    w = space.weights
-    a_hat = aa / np.sqrt(g.norm_a_sq)
-    wa, na = core._weigh(w, a_hat), core._norm_sq_rows(w, a_hat)
-    r = core._project_rows(bb, a_hat, wa, na)
-    r_hat = r / np.sqrt(core._norm_sq_rows(w, r))
-    fixed = (a_hat, wa, na, r_hat, core._weigh(w, r_hat), core._norm_sq_rows(w, r_hat))
-    rng = np.random.default_rng(seed)
-    (z_buf,) = _buffers(trials, space.dim, 1)
-
-    def block(n):
-        return (_draw(rng, (n, space.dim), real, z_buf[:n]), _draw(rng, (n, 2), real)) + fixed
-
-    return _deflated_check(space, trials, tol, block)
+        dp = core._project_rows(d, c, wc, nc, out=d)  # d becomes its component orthogonal to c
+        fixed = (c, wc, nc, dp, core._weigh(w, dp), core._sq_norm_rows(w, dp))
+        worst = max(worst, (*_deflated_scores(w, z, mu_beta, *fixed, np.empty_like(z)), k), key=_rank)
+    return _deflated_report(trials, tol, *worst[:2])
 
 
 def _verify_scale_covariance(space, pair, tol: Tolerances, real: bool) -> VerificationReport:
@@ -402,21 +406,11 @@ def verify_all(
     the min-norm and deflated checks, complex inputs for the real-consistency
     check) come back as skipped entries, not errors.
     """
-    pair, trials = core._pair(space, a, b), _require_trials(trials)
-    # The deflated check only reads the pair, as the other two do, and numpy
-    # releases the GIL while it draws and computes, so it runs on a second
-    # thread, in a copy of the caller's context, which holds its np.errstate:
-    # run in turn on one thread, the checks took harness ops/s from 56.2 to 33.1.
-    # Its error, if any, is raised after the other checks; leaving the block joins it.
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        run = contextvars.copy_context().run
-        deflated = pool.submit(run, _verify_deflated_at, space, pair, trials, tol, seed + 2, real)
-        dependent = core._dependent(pair[2], tol)
-        checks = [_bound_check] if dependent else [_bound_check, _min_norm_check]
-        reports = _verify_feasible(space, pair, trials, tol, seed, real, checks)
-        if dependent:
-            reports.append(_skipped("min_norm_optimality", tol, "dependent vectors"))
-        reports.append(deflated.result())
-    reports.append(_verify_scale_covariance(space, pair, tol, real))
-    reports.append(_verify_real_consistency(space, pair, tol))
-    return reports
+    pair = core._pair(space, a, b)
+    # the deflated check scores each block before the min-norm check, which projects it in place
+    checks = [_bound_check, _deflated_check, _min_norm_check]
+    if core._dependent(pair[2], tol):
+        checks[2] = lambda *_: (None, None, lambda: _skipped("min_norm_optimality", tol, "dependent vectors"))
+    bound, deflated, min_norm = _verify_feasible(space, pair, trials, tol, seed, real, checks)
+    covariance = _verify_scale_covariance(space, pair, tol, real)
+    return [bound, min_norm, deflated, covariance, _verify_real_consistency(space, pair, tol)]

@@ -198,9 +198,10 @@ def test_each_vector_is_validated_once(tmp_path, capsys, as_vector_calls, comman
 
 
 def test_verify_worker_keeps_the_floating_point_settings(tmp_path, capsys):
-    # the deflated check's worker thread overflows on these weights; it runs
-    # under main's np.errstate, so the run ends in one typed error, with no
-    # numpy warning (an error under this suite's warning filter)
+    # the deflated check overflows on these weights; it runs under main's
+    # np.errstate, on the lane worker too (see the test below), so the run ends
+    # in one typed error, with no numpy warning (an error under this suite's
+    # warning filter)
     space = {"kind": "weighted", "weights": [5e-324, 1e308, 1]}
     doc = {"space": space, "a": [1, 0, 1], "b": [0, 1, 2], "mode": "real"}
     code, out, err = run(capsys, ["verify", write_instance(tmp_path, doc)])
@@ -212,15 +213,27 @@ def test_verify_worker_keeps_the_floating_point_settings(tmp_path, capsys):
 
 
 def test_verify_worker_overflows_under_the_callers_settings(monkeypatch):
-    # the premise of the test above: the deflated check, which draws z with
-    # weight 1e308 on one coordinate, overflows on these weights, and the
-    # caller's np.errstate reaches its thread (the main thread's checks are
-    # stubbed out, so the worker's error is the only one)
+    # the premise of the test above: the lane worker runs in the caller's
+    # np.errstate.  With blocks of 50 rows, 100 trials run as block 0 on the
+    # calling thread and block 1 on the worker, where an overflow is planted
+    import threading
+
     from orthobound import make_weighted, verify
 
-    monkeypatch.setattr(verify, "_verify_feasible", lambda *args, **kw: [])
+    block_rng = verify._block_rng
+
+    def overflowing(seed, k):
+        if threading.current_thread() is not threading.main_thread():
+            np.multiply(1e308, 10.0)
+        return block_rng(seed, k)
+
+    monkeypatch.setattr(verify, "_BLOCK_ELEMS", 3 * 50)
+    monkeypatch.setattr(verify, "_block_rng", overflowing)
+    args = (make_weighted([1.0, 2.0, 0.5]), [1, 0, 1], [0, 1, 2])
     with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
-        verify.verify_all(make_weighted([5e-324, 1e308, 1]), [1, 0, 1], [0, 1, 2], real=True)
+        verify.verify_all(*args, trials=100, real=True)
+    with np.errstate(over="ignore"):
+        assert all(r.passed for r in verify.verify_all(*args, trials=100, real=True))
 
 
 def test_bad_mode(tmp_path, capsys):
@@ -625,62 +638,64 @@ def test_pair_subcommands_golden_stdout(tmp_path, capsys, instance, command):
 # lines changed only in format.  At format 6 the min-norm competitors became the
 # bound check's feasible draws, and only "harness_format" moved: on both
 # instances the min-norm line reports x* itself, whose residuals no competitor undercuts.
+# At format 7 the deflated check came onto that stream, drawn block by block from
+# per-block generators, and the harness's row products became einsum: the deflated
+# lines moved, and on weighted_complex the bound line (its extremizer's figure).
 GOLDEN_VERIFY_LINES = {
     "dense_real": [
         '{"check": "bound_dominance", "trials": 201, "worst_violation": 8.8817841970012523e-16, '
-        '"tolerance": 3.0000000000000004e-09, "passed": true, "skipped": false, '
-        '"witness": [[-0.70710678118654757, 0], [0, 0], [0.70710678118654757, 0]], "bound": 2, '
-        '"harness_format": 6, "settings": {"trials": 200, "seed": 1, '
+        '"tolerance": 3.0000000000000004e-09, "passed": true, "skipped": false, "witness": '
+        '[[-0.70710678118654757, 0], [0, 0], [0.70710678118654757, 0]], "bound": 2, '
+        '"harness_format": 7, "settings": {"trials": 200, "seed": 1, "tol": '
+        '1.0000000000000001e-09}}',
+        '{"check": "min_norm_optimality", "trials": 201, "worst_violation": 0, "tolerance": '
+        '1.0000000000000001e-09, "passed": true, "skipped": false, "witness": [[-0.5, 0], [0, 0], '
+        '[0.5, 0]], "value": 0.5, "harness_format": 7, "settings": {"trials": 200, "seed": 1, '
         '"tol": 1.0000000000000001e-09}}',
-        '{"check": "min_norm_optimality", "trials": 201, "worst_violation": 0, '
-        '"tolerance": 1.0000000000000001e-09, "passed": true, "skipped": false, "witness": [[-0.5, '
-        '0], [0, 0], [0.5, 0]], "value": 0.5, "harness_format": 6, "settings": {"trials": 200, '
-        '"seed": 1, "tol": 1.0000000000000001e-09}}',
-        '{"check": "deflated_schwarz", "trials": 200, "worst_violation": 2.5739392325237128e-17, '
-        '"tolerance": 1.0000000000000001e-09, "passed": true, "skipped": false, '
-        '"witness": [[-0.027668568798099646, 0], [0.86339639970096893, 0], [1.7544613682000376, 0]], '
-        '"note": "equality-case slack is 10x rel_eps, folded in at 1/10 weight", '
-        '"harness_format": 6, "settings": {"trials": 200, "seed": 1, "tol": 1.0000000000000001e-09}}',
-        '{"check": "scale_covariance", "trials": 3, "worst_violation": 0, '
-        '"tolerance": 1.0000000000000001e-09, "passed": true, "skipped": false, "witness": [[1, '
-        '0], [1, 0], [1, 0]], "harness_format": 6, "settings": {"trials": 200, "seed": 1, '
-        '"tol": 1.0000000000000001e-09}}',
-        '{"check": "real_consistency", "trials": 1, "worst_violation": 0, '
-        '"tolerance": 1.0000000000000001e-09, "passed": true, "skipped": false, '
-        '"witness": [[-0.70710678118654757, 0], [0, 0], [0.70710678118654757, 0]], '
-        '"harness_format": 6, "settings": {"trials": 200, "seed": 1, '
-        '"tol": 1.0000000000000001e-09}}',
+        '{"check": "deflated_schwarz", "trials": 200, "worst_violation": 2.1026458647951252e-17, '
+        '"tolerance": 1.0000000000000001e-09, "passed": true, "skipped": false, "witness": '
+        '[[1.6409235447087662, 0], [0.89525288123342572, 0], [0.14958221775808522, 0]], "note": '
+        '"equality-case slack is 10x rel_eps, folded in at 1/10 weight", "harness_format": 7, '
+        '"settings": {"trials": 200, "seed": 1, "tol": 1.0000000000000001e-09}}',
+        '{"check": "scale_covariance", "trials": 3, "worst_violation": 0, "tolerance": '
+        '1.0000000000000001e-09, "passed": true, "skipped": false, "witness": [[1, 0], [1, 0], '
+        '[1, 0]], "harness_format": 7, "settings": {"trials": 200, "seed": 1, "tol": '
+        '1.0000000000000001e-09}}',
+        '{"check": "real_consistency", "trials": 1, "worst_violation": 0, "tolerance": '
+        '1.0000000000000001e-09, "passed": true, "skipped": false, "witness": '
+        '[[-0.70710678118654757, 0], [0, 0], [0.70710678118654757, 0]], "harness_format": 7, '
+        '"settings": {"trials": 200, "seed": 1, "tol": 1.0000000000000001e-09}}',
     ],
     "weighted_complex": [
-        '{"check": "bound_dominance", "trials": 201, "worst_violation": 3.5527136788005009e-15, '
-        '"tolerance": 2.273570033482143e-08, "passed": true, "skipped": false, '
-        '"witness": [[0.27290407632647057, 0.071098693569264682], [0.23017304332272059, '
+        '{"check": "bound_dominance", "trials": 201, "worst_violation": 1.0658141036401503e-14, '
+        '"tolerance": 2.273570033482143e-08, "passed": true, "skipped": false, "witness": '
+        '[[0.27290407632647057, 0.071098693569264682], [0.23017304332272059, '
         '-0.12567950883455883], [0.31575480410053924, 0.051229361696372572], '
         '[0.064754870742377443, 0.47686396494941174]], "bound": 21.735700334821427, '
-        '"harness_format": 6, "settings": {"trials": 200, "seed": 1, '
-        '"tol": 1.0000000000000001e-09}}',
-        '{"check": "min_norm_optimality", "trials": 201, '
-        '"worst_violation": 9.9825337854478655e-17, "tolerance": 1.0000000000000001e-09, '
-        '"passed": true, "skipped": false, "witness": [[0.058536021796966008, '
-        '0.015250174099735879], [0.049370513120862131, -0.02695737845912909], '
-        '[0.067727204166840513, 0.010988340933816435], [0.01388946832989413, '
-        '0.10228399598206692]], "value": 0.046007259236913636, "harness_format": 6, '
-        '"settings": {"trials": 200, "seed": 1, "tol": 1.0000000000000001e-09}}',
-        '{"check": "deflated_schwarz", "trials": 200, "worst_violation": 6.6185677468440385e-17, '
-        '"tolerance": 1.0000000000000001e-09, "passed": true, "skipped": false, '
-        '"witness": [[-0.16785715531709872, -0.15341797764413381], [0.3018266231641854, '
-        '0.95776758388236982], [-0.891586605904924, 0.52938683818654719], [-0.22147335851938926, '
-        '-0.47480673531617634]], "note": "equality-case slack is 10x rel_eps, '
-        'folded in at 1/10 weight", "harness_format": 6, "settings": {"trials": 200, "seed": 1, '
-        '"tol": 1.0000000000000001e-09}}',
+        '"harness_format": 7, "settings": {"trials": 200, "seed": 1, "tol": '
+        '1.0000000000000001e-09}}',
+        '{"check": "min_norm_optimality", "trials": 201, "worst_violation": '
+        '9.9825337854478655e-17, "tolerance": 1.0000000000000001e-09, "passed": true, "skipped": '
+        'false, "witness": [[0.058536021796966008, 0.015250174099735879], [0.049370513120862131, '
+        '-0.02695737845912909], [0.067727204166840513, 0.010988340933816435], '
+        '[0.01388946832989413, 0.10228399598206692]], "value": 0.046007259236913636, '
+        '"harness_format": 7, "settings": {"trials": 200, "seed": 1, "tol": '
+        '1.0000000000000001e-09}}',
+        '{"check": "deflated_schwarz", "trials": 200, "worst_violation": 5.4806627133862451e-17, '
+        '"tolerance": 1.0000000000000001e-09, "passed": true, "skipped": false, "witness": '
+        '[[-0.26382386063099594, 0.082744693043135392], [-0.49622473034463144, '
+        '0.70910394759986817], [-0.79949552749568631, -0.070876219762774958], '
+        '[-0.32755169680196888, -0.57028699648145365]], "note": "equality-case slack is 10x '
+        'rel_eps, folded in at 1/10 weight", "harness_format": 7, "settings": {"trials": 200, '
+        '"seed": 1, "tol": 1.0000000000000001e-09}}',
         '{"check": "scale_covariance", "trials": 5, "worst_violation": 2.0518284193924727e-16, '
         '"tolerance": 1.0000000000000001e-09, "passed": true, "skipped": false, "witness": [[2, '
-        '1.5], [-3.75, 2.5], [-1.5, -3], [-0.25, 2]], "harness_format": 6, '
-        '"settings": {"trials": 200, "seed": 1, "tol": 1.0000000000000001e-09}}',
-        '{"check": "real_consistency", "trials": 0, "worst_violation": 0, '
-        '"tolerance": 1.0000000000000001e-09, "passed": true, "skipped": true, '
-        '"note": "complex inputs", "harness_format": 6, "settings": {"trials": 200, "seed": 1, '
-        '"tol": 1.0000000000000001e-09}}',
+        '1.5], [-3.75, 2.5], [-1.5, -3], [-0.25, 2]], "harness_format": 7, "settings": {"trials": '
+        '200, "seed": 1, "tol": 1.0000000000000001e-09}}',
+        '{"check": "real_consistency", "trials": 0, "worst_violation": 0, "tolerance": '
+        '1.0000000000000001e-09, "passed": true, "skipped": true, "note": "complex inputs", '
+        '"harness_format": 7, "settings": {"trials": 200, "seed": 1, "tol": '
+        '1.0000000000000001e-09}}',
     ],
 }
 
@@ -698,6 +713,38 @@ def test_verify_golden_stdout(tmp_path, capsys, instance):
     replay.write_text(expected)
     code, _, _ = run(capsys, ["verify", inst, "--replay", str(replay)])
     assert code == 0
+
+
+def _weighted_instance(dim):
+    k = np.arange(dim)
+    parts = lambda f: np.column_stack((np.cos(f * k), np.sin(f * k * k / dim))).tolist()  # noqa: E731
+    weights = (1.0 + 0.5 * np.sin(0.37 * k)).tolist()
+    return {"space": {"kind": "weighted", "weights": weights}, "a": parts(0.3), "b": parts(1.7), "mode": "complex"}
+
+
+@pytest.mark.parametrize("dim", [16, 8192])
+def test_verify_bytes_do_not_follow_the_blas_settings(tmp_path, dim):
+    # the harness's row kernels call no BLAS: with u @ w*conj(c) or np.vecdot the bits follow the
+    # CPU kernel OpenBLAS picks, and on long rows its thread count.  At dim 8192 the 40 trials run
+    # as 5 blocks of 8 rows, on two lanes
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    inst = write_instance(tmp_path, _weighted_instance(dim))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    base = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = set()
+    for setting in ({"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}, {"OPENBLAS_CORETYPE": "Prescott"}):
+        done = subprocess.run(
+            [sys.executable, "-m", "orthobound.cli", "verify", inst, "--trials", "40"],
+            env=dict(base, **setting), capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        outs.add(done.stdout)
+    assert len(outs) == 1
 
 
 # Finite pairs whose Gram data does not fit in float64: a typed error (exit 2),

@@ -108,7 +108,7 @@ def test_draw_stream_is_pinned():
         1.0851999415882543, 1.429827261904872, 0.3693971630665551, 0.7949994075732292,
         0.1511214033957422, 1.5071350859451056, 1.0941488069793999, -1.7225643647064122,
     ]
-    assert verify.HARNESS_FORMAT == 6
+    assert verify.HARNESS_FORMAT == 7
 
 
 def test_sample_feasible_zero_vector():
@@ -287,11 +287,10 @@ def test_blocked_checks_deterministic():
 
 
 def test_verify_all_memory_stays_flat_in_trials():
-    # each function verify_all runs a sampling check in is traced alone, on one
-    # thread: the shared stream of the bound and min-norm checks on the caller's,
-    # the deflated check on the worker's.  Inside verify_all the worker's block
-    # buffers add to the main thread's only while the two overlap, which varies
-    # from run to run, so there only the cap is asserted
+    # the feasible stream of the three sampling checks is traced on one lane, the
+    # calling thread's.  Inside verify_all the worker lane's block buffers add to
+    # the caller's only while the two overlap, which varies from run to run, so
+    # there only the cap is asserted
     import tracemalloc
 
     s, a, b = _pair_1024()
@@ -305,13 +304,15 @@ def test_verify_all_memory_stays_flat_in_trials():
         finally:
             tracemalloc.stop()
 
-    def feasible(*args):  # the bound and min-norm checks, on their one stream
-        return verify._verify_feasible(*args, [verify._bound_check, verify._min_norm_check])
+    def one_lane(n):
+        checks = [verify._bound_check, verify._deflated_check, verify._min_norm_check]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verify, "_LANES", 1)
+            verify._verify_feasible(s, pair, n, TOL, 6, False, checks)
 
     mib = 1 << 20
-    for check in (feasible, verify._verify_deflated_at):
-        peaks = [peak(lambda n: check(s, pair, n, TOL, 6, False), trials) for trials in (130, 4000)]
-        assert abs(peaks[1] - peaks[0]) < mib, check.__name__
+    peaks = [peak(one_lane, trials) for trials in (130, 4000)]
+    assert abs(peaks[1] - peaks[0]) < mib
     assert max(peak(lambda n: verify_all(s, a, b, trials=n, seed=6), trials) for trials in (130, 4000)) < 12 * mib
 
 
@@ -319,9 +320,10 @@ def test_min_norm_check_finds_planted_undercut(monkeypatch):
     """A 'solution' shifted by w0 orthogonal to a and b is feasible but not
     optimal; the batched competitors must find an undercut, with the same
     worst trial as a per-trial loop over the same draws built on the
-    summation oracle: the bound check's feasible draws (projected against a,
-    and again when that left under half their drawn squared norm), then
-    projected against b's component orthogonal to a and against a."""
+    summation oracle: the bound check's feasible draws, one block from the
+    block's own generator (projected against a, and again when that left
+    under half their drawn squared norm), then projected against b's
+    component orthogonal to a and against a."""
     from oracles import inner_by_summation, norm_sq_by_summation
 
     s = make_dense(4)
@@ -345,7 +347,7 @@ def test_min_norm_check_finds_planted_undercut(monkeypatch):
 
     b_perp = project(b, a)
     undercuts, competitors = [], []
-    for w in verify._draw(np.random.default_rng(5), (200, 4), False):
+    for w in verify._draw(verify._block_rng(5, 0), (200, 4), False):
         u = project(w, a)
         if norm_sq_(u) < abs(inner_by_summation(s.weights, w, a)) ** 2 / norm_sq_(a) / 3.0:
             u = project(u, a)  # the second pass
@@ -410,7 +412,43 @@ def test_verify_all_validates_few_times(as_vector_calls):
     assert len(as_vector_calls) <= 14
 
 
-# --- the deflated check on a second thread ------------------------------------
+# --- the feasible stream's two lanes -------------------------------------------
+
+_BLOCK_RNG = verify._block_rng
+
+
+def _failing_blocks(monkeypatch, failing):
+    """Plant an error in the generators of the blocks in failing; return the blocks run,
+    each mapped to whether the calling thread ran it."""
+    import threading
+
+    ran = {}
+
+    def planted(seed, k):
+        ran[k] = threading.current_thread() is threading.main_thread()
+        if k in failing:
+            raise RuntimeError(f"planted failure in block {k}")
+        return _BLOCK_RNG(seed, k)
+
+    monkeypatch.setattr(verify, "_block_rng", planted)
+    return ran
+
+
+@pytest.mark.parametrize("trials", [130, 1000])
+def test_verify_all_bytes_equal_a_one_lane_run(monkeypatch, trials):
+    # at dim 1024 the stream runs as 3 or 16 blocks, on two lanes
+    from orthobound.cli import dumps_stable
+
+    s, a, b = _pair_1024()
+
+    def lines():
+        return [dumps_stable(r.to_dict()) for r in verify_all(s, a, b, trials=trials, seed=5)]
+
+    ran = _failing_blocks(monkeypatch, set())
+    two = lines()
+    assert set(ran.values()) == {True, False}
+    monkeypatch.setattr(verify, "_LANES", 1)
+    assert lines() == two
 
 
 def test_verify_all_golden_dim_1024():
@@ -420,7 +458,9 @@ def test_verify_all_golden_dim_1024():
     (format 4) and when the row products became one multiply by a held
     w*conj(c) (format 5: the deflated line's figure and witness moved).  Format 6,
     which made the min-norm competitors from the bound check's draws, kept it:
-    the min-norm line's worst figure is x*'s own residual."""
+    the min-norm line's worst figure is x*'s own residual.  Recaptured at format 7,
+    when the three sampling checks came to share one stream drawn block by block
+    from per-block generators, and the harness's row products became einsum."""
     import hashlib
 
     from orthobound.cli import dumps_stable
@@ -429,7 +469,7 @@ def test_verify_all_golden_dim_1024():
     reports = verify_all(s, a, b, trials=130, seed=5)
     text = "\n".join(dumps_stable(r.to_dict()) for r in reports)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "862ffc12bbe200d8462f4ce36bd0e78b0f1dbdfddcd65d45e42e101d3f8bb9b5"
+        "a99fc217fad02db0867f1d8647ac747ffbb1e118b8cb0e26b88f57c832551fe6"
     )
 
 
@@ -448,19 +488,19 @@ def test_verify_all_leaves_no_thread_behind():
 def test_verify_all_joins_the_worker_when_the_main_checks_raise(monkeypatch):
     import threading
 
-    def failing_bound(*args, **kw):
-        raise ValueError("planted bound failure")
-
-    monkeypatch.setattr(verify, "_verify_feasible", failing_bound)
+    # at dim 1024, 1000 trials run as blocks 0-15, the odd ones on the worker
+    ran = _failing_blocks(monkeypatch, {0})
     before = threading.active_count()
     s, a, b = _pair_1024()
-    with pytest.raises(ValueError, match="planted bound failure"):
+    with pytest.raises(RuntimeError, match="planted failure in block 0$"):
         verify_all(s, a, b, trials=1000)
     assert threading.active_count() == before
+    # the caller's lane stopped at its error; the worker ran its blocks and was joined
+    assert ran == {k: k == 0 for k in [0] + list(range(1, 16, 2))}
 
 
 def test_import_of_the_cli_leaves_concurrent_futures_unloaded():
-    # verify_all imports its executor when called: concurrent.futures loads logging;
+    # orthobound.verify imports its executor, and concurrent.futures loads logging;
     # orthobound.verify itself loads only when a verify name is first used
     import os
     import subprocess
@@ -475,16 +515,18 @@ def test_import_of_the_cli_leaves_concurrent_futures_unloaded():
 
 
 def test_verify_all_reraises_a_worker_error(monkeypatch):
-    def failing_deflated(*args, **kwargs):
-        raise RuntimeError("planted deflated failure")
-
-    monkeypatch.setattr(verify, "_verify_deflated_at", failing_deflated)
-    with pytest.raises(RuntimeError, match="planted deflated failure"):
-        verify_all(make_dense(4), [1, 2, 3, 4], [1, -1, 2, 0.5j], trials=50)
-    # the sequential order would raise the bound check's error first
-    monkeypatch.setattr(verify, "_verify_feasible", lambda *args, **kw: 1 / 0)
-    with pytest.raises(ZeroDivisionError):
-        verify_all(make_dense(4), [1, 2, 3, 4], [1, -1, 2, 0.5j], trials=50)
+    # at dim 1024, 260 trials run as blocks 0-4: 0, 2 and 4 on the calling thread, 1 and 3 on the worker
+    s, a, b = _pair_1024()
+    ran = _failing_blocks(monkeypatch, {1})
+    with pytest.raises(RuntimeError, match="planted failure in block 1$"):
+        verify_all(s, a, b, trials=260)
+    # raised after the caller's lane ran all its blocks; the worker stopped at its error
+    assert ran == {0: True, 1: False, 2: True, 4: True}
+    # when both lanes raise, the lowest block's error is raised, as one lane would raise it
+    for failing, first in (({3, 4}, 3), ({0, 1}, 0), ({1, 2}, 1)):
+        _failing_blocks(monkeypatch, failing)
+        with pytest.raises(RuntimeError, match=f"planted failure in block {first}$"):
+            verify_all(s, a, b, trials=260)
 
 
 def test_verify_all_dim1_skips_the_bound_check():
@@ -533,7 +575,7 @@ def test_usable_draws_redraws_only_the_degenerate_rows(monkeypatch):
         return z
 
     def usable():
-        u, t = verify._buffers(200, s.dim, 2)
+        u, t = np.empty((2, 200, s.dim), complex)
         return u, verify._usable_draws(s, np.random.default_rng(4), u, False, t, against)
 
     clean, clean_nsq = usable()
@@ -560,31 +602,37 @@ def test_verify_all_runs_under_weights_1e_22():
     assert verify_min_norm(s, a, b, trials=200).passed
 
 
-# --- the bound and min-norm checks on one stream of feasible draws -------------
+# --- the three sampling checks on one stream of feasible draws ----------------
 
-# sha256 of each line's to_dict bytes at harness format 5, from verify_all at
-# trials 130, seed 5: format 6 left the bound and deflated lines as they were
-FORMAT_5_LINES = {
+# sha256 of the bound and deflated lines' to_dict bytes at harness format 7, from
+# verify_all at trials 130, seed 5 (on weighted-16-complex the bound line is the
+# extremizer's, as at format 5, and the dependent pair's deflated line a skip)
+FORMAT_7_LINES = {
     "weighted-16-complex": (
         "547e90409f57d32563075800c4d8d24cc796958248ea6b54b35a604b5bcc2ca1",
-        "32ecaaed2b6172310afd6b5caac058237bc746bd3dad40fd0704df5f269a6802",
+        "277be0a8e16242ffd31ee539584f9e4aaffb3872473789b6b707078891348182",
     ),
     "weighted-16-real": (
-        "5e628cd95854c1794bba329ef20a3ef1ade4548292cd0f1bf95e12e968b2b838",
-        "6d2dc3d0a4b541377c9c095a536d679bfba744c9418b7449dfe2de83a2b8f426",
+        "f5c788b1763850cd2da4a8d53708241b4c38fd7014258dcca5a28f7bcf0b9161",
+        "5b42f93e0cd753d48446ba64e359de94555bbbec97cf61edff44dc59c23097fe",
     ),
     "trapezoid-1024-complex": (
-        "f9f7c025baaaec1490f7755233567cf7cf3f60444eb97338e55821d61e02ed86",
-        "5f4783469566d5e5048eef90d2d0371b8841eccf529d9406611ebfecb596d205",
+        "36f59b08c394032646de3a38531828c5a152b921a0b805ed97120a8ff45c17bc",
+        "c57cf3d34bdddd713475be731136a9e500df8590550ffeed98421aed2397c151",
     ),
     "dependent-3-complex": (
-        "75f21004dc36a2e60cd88232c8af34271c20f03bbaf24469ba8ac8233d9206b9",
+        "26a02ef1d10ad07c5e35c18d61fe9c4d5965a7e845b76a67bbd7954ce8f8b254",
         "9413a6800e19d1583d9bd10c2fe9a3ab5ae19cacc7ace2f29308e1a01cc020cc",
     ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(FORMAT_5_LINES))
+def _deflated_at(s, a, b, trials, seed, real=False):
+    """The deflated check at the pair, alone on the feasible stream."""
+    return verify._verify_feasible(s, core._pair(s, a, b), trials, TOL, seed, real, [verify._deflated_check])[0]
+
+
+@pytest.mark.parametrize("name", sorted(FORMAT_7_LINES))
 def test_verify_all_scores_bound_and_min_norm_on_one_stream(monkeypatch, name):
     import hashlib
 
@@ -601,9 +649,9 @@ def test_verify_all_scores_bound_and_min_norm_on_one_stream(monkeypatch, name):
 
     found = lines()
     assert found[0] == line(verify_bound)
-    assert found[2] == dumps_stable(verify._verify_deflated_at(s, core._pair(s, a, b), 130, TOL, 7, real).to_dict())
+    assert found[2] == dumps_stable(_deflated_at(s, a, b, 130, 5, real).to_dict())
     digests = tuple(hashlib.sha256(found[i].encode()).hexdigest() for i in (0, 2))
-    assert digests == FORMAT_5_LINES[name]
+    assert digests == FORMAT_7_LINES[name]
     if name.startswith("dependent"):
         assert '"note": "dependent vectors"' in found[1]
         return
@@ -652,11 +700,11 @@ PLANTED_DEFECTS = {
 @pytest.mark.parametrize("defect", sorted(PLANTED_DEFECTS))
 def test_deflated_check_at_the_instance_finds_planted_defects(monkeypatch, pair, defect):
     s, a, b = pair()
-    clean = verify._verify_deflated_at(s, core._pair(s, a, b), 130, TOL, 7, False)
+    clean = _deflated_at(s, a, b, 130, 7)
     assert clean.passed and clean.trials == 130
     name, plant = PLANTED_DEFECTS[defect]
     monkeypatch.setattr(core, name, plant(getattr(core, name)))
-    rep = verify._verify_deflated_at(s, core._pair(s, a, b), 130, TOL, 7, False)
+    rep = _deflated_at(s, a, b, 130, 7)
     assert not rep.passed
 
 
@@ -696,7 +744,7 @@ def test_deflated_check_at_the_instance_skips_a_dependent_pair(monkeypatch):
     monkeypatch.setattr(verify, "_draw", lambda *args, **kw: draws.append(args))
     s = make_weighted([1.0, 2.0, 0.5])
     a = np.array([1.0, 2j, -1.0])
-    rep = verify._verify_deflated_at(s, core._pair(s, a, (2 - 1j) * a), 200, TOL, 3, False)
+    rep = _deflated_at(s, a, (2 - 1j) * a, 200, 3)
     assert (rep.skipped, rep.passed, rep.trials, rep.note) == (True, True, 0, "dependent vectors")
     assert draws == []
 
@@ -797,12 +845,22 @@ def _feasible_not_minimal(shift):
     return plant
 
 
+def _inner_without_conj(inner_rows, space):
+    return lambda w, u, v: inner_rows(w, u, np.conj(v))
+
+
 def _dot_without_conj(dot_rows, space):
-    # conj(w*conj(c)) is w*c, and _inner_rows hands _dot_rows conj(v)
-    return lambda u, wc, t=None: dot_rows(u, np.conj(wc), t=t)
+    # the float form of w*c: that of w*conj(c) with its imaginary parts negated
+    conj = np.tile([[1.0, -1.0], [-1.0, 1.0]], space.dim)
+    return lambda u, wc: dot_rows(u, wc * conj)
 
 
-B, M, D, R = "bound_dominance", "min_norm_optimality", "deflated_schwarz", "real_consistency"
+def _non_homogeneous_bound(bound, space):
+    # det/||a||^1.98: right at ||a|| = 1, and off by a factor 2^(0.02 k) when a is scaled by 2^k
+    return lambda g: g.det / g.norm_a_sq**0.99
+
+
+B, M, D, S, R = "bound_dominance", "min_norm_optimality", "deflated_schwarz", "scale_covariance", "real_consistency"
 # ESCAPE: no check fails; a strict xfail until ROADMAP item 2 scores the answers
 # directly and draws trials near them.  NOT_RUN: the defect changes nothing on a real pair.
 ESCAPE, NOT_RUN = "escape", None
@@ -832,9 +890,23 @@ POWER_ROWS = {
     "extremizer-x1j": ([("_extremizer", _times(1j))], (set(), {R}, set())),
     # shared kernels: the bound check scores its draws with the same planted
     # kernels, so a consistent defect escapes it; the min-norm and deflated checks catch it.
-    # _dot_rows takes every row inner product: the Gram data's, through _inner_rows, and the harness's
-    "inner-rows-without-conj": ([("_dot_rows", _dot_without_conj)], ({M, D}, NOT_RUN, {M, D})),
-    "norm-sq-rows-x(1+1e-3)": ([("_norm_sq_rows", _times(1.0 + 1e-3))], ({M, D}, {M, D}, {M, D})),
+    # Each defect goes into both kernels of its kind: the pair functions' (_inner_rows,
+    # _norm_sq_rows), which the Gram data and x*'s residuals use, and the harness's (_dot_rows,
+    # _sq_norm_rows), which every sampling check uses
+    "inner-rows-without-conj": (
+        [("_inner_rows", _inner_without_conj), ("_dot_rows", _dot_without_conj)],
+        ({M, D}, NOT_RUN, {M, D}),
+    ),
+    "norm-sq-rows-x(1+1e-3)": (
+        [("_norm_sq_rows", _times(1.0 + 1e-3)), ("_sq_norm_rows", _times(1.0 + 1e-3))],
+        ({M, D}, {M, D}, {M, D}),
+    ),
+    # unique catches: the one check that fails is the only one that sees the defect
+    "project-rows-coefficient-x(1+1e-3)": (
+        [("_project_rows", lambda project, space: _scaled_coefficient(project))],
+        ({D}, {D}, {D}),
+    ),
+    "bound-det-over-norm-a-1.98": ([("_bound", _non_homogeneous_bound)], ({S}, {S}, {S})),
 }
 
 
