@@ -158,7 +158,7 @@ def _emit_vector(x: np.ndarray, real_mode: bool):
 
 
 def cmd_pair(args) -> int:
-    """bound, extremize or minnorm, on the Gram data core._pair builds once."""
+    """bound, extremize or minnorm, on the Gram data and residual core._pair builds once."""
     space, a, b, real_mode = load_instance(args.instance)
     a, b, g = core._pair(space, a, b)
 
@@ -167,8 +167,9 @@ def cmd_pair(args) -> int:
 
     if args.command == "bound":
         # the Gram fields in GramSummary's order, the complex one as [re, im]
-        iab = g.inner_ab
-        gram = dict(vars(g), inner_ab=iab.real if real_mode else [iab.real, iab.imag])
+        summary = core._summary(g)
+        iab = summary.inner_ab
+        gram = dict(vars(summary), inner_ab=iab.real if real_mode else [iab.real, iab.imag])
         doc = {"bound": core._bound(g), "gram": gram}
     elif args.command == "extremize":
         x = core._extremizer(a, b, g, core.DEFAULT_TOL)

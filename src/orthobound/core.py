@@ -4,22 +4,26 @@ The inner product is linear in the first slot and conjugate-linear in the
 second.  Everything here is a pure function of its inputs; vectors come in
 as array-likes and are handled internally as complex128 arrays.
 
-The central quantity is the 2x2 Gram determinant
-``det = ||a||^2 ||b||^2 - |<a,b>|^2``, which is nonnegative by the Schwarz
-inequality and zero exactly when a and b are proportional.  From it come:
+The central quantity is the residual ``r = b - (<b,a> / ||a||^2) a`` of b
+against a: it is orthogonal to a, and zero exactly when a and b are
+proportional.  Its squared norm is the 2x2 Gram determinant
+``det = ||a||^2 ||b||^2 - |<a,b>|^2`` over ``||a||^2``, and from it come:
 
 * ``ostrowski_bound``: the exact supremum of ``|<x,b>|^2`` over unit x
-  orthogonal to a, equal to ``det / ||a||^2``;
-* ``extremizer``: the feasible vector attaining that supremum;
+  orthogonal to a, equal to ``||r||^2``;
+* ``extremizer``: the feasible vector attaining that supremum, ``r / ||r||``;
 * ``min_norm_solution``: the smallest-norm x with ``<x,a> = 0, <x,b> = 1``,
-  with optimal squared norm ``||a||^2 / det``.
+  which is ``r / ||r||^2``, with optimal squared norm ``1 / ||r||^2``.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -32,8 +36,8 @@ class Tolerances:
     """Numerical slack knobs.
 
     ``rel_eps`` scales rounding slack in inequality and residual checks;
-    ``dependence_eps`` is the relative Gram-determinant threshold below
-    which a pair of vectors is treated as linearly dependent.
+    a pair is treated as linearly dependent when ``||r||^2``, the squared
+    residual of b against a, is at most ``dependence_eps * ||b||^2``.
     """
 
     rel_eps: float = 1e-9
@@ -56,8 +60,9 @@ DEFAULT_SEED = 1
 class GramSummary:
     """The triple (||a||^2, ||b||^2, <a,b>) and the derived Gram determinant.
 
-    ``det`` is clamped to 0 when rounding drives it slightly negative;
-    a genuinely negative value is impossible by Schwarz.
+    ``det = ||a||^2 ||b||^2 - |<a,b>|^2`` is taken as ``||a||^2 ||r||^2``,
+    with r the residual of b against a, so it never goes negative and does
+    not cancel.
     """
 
     norm_a_sq: float
@@ -145,22 +150,36 @@ def _deflated_sides(w, zp, wdp, nc, ndp) -> Tuple[np.ndarray, np.ndarray]:
     return lhs, nc2 * np.abs(_dot_rows(zp, wdp)) ** 2
 
 
-def _gram(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> GramSummary:
-    """Gram data of vectors of the space's dimension, with det clamped at 0.  Raises
-    GramOverflow when ||a||^2, ||b||^2, their product or |<a,b>|^2 is not finite."""
+# A pair's Gram data and b's residual r = b - coef*a against a, coef = conj(<a,b>)/||a||^2 (0 for a zero a),
+# so that <r,a> = 0; r itself is held up to _PIECE elements, and is None beyond
+_Pair = namedtuple("_Pair", "norm_a_sq norm_b_sq inner_ab coef norm_r_sq r")
+
+
+def _overflow(na: float, nb: float) -> GramOverflow:
+    return GramOverflow(f"the Gram data of the pair overflows float64 (||a||^2={na:.3e}, ||b||^2={nb:.3e})")
+
+
+def _gram(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> _Pair:
+    """Gram data and residual of vectors of the space's dimension.  Raises GramOverflow
+    when ||a||^2, ||b||^2 or coef is not finite."""
     if w.size <= _PIECE:  # both norms in one reduction, with the bits of two
         na, nb = _norm_sq_rows(w, np.array((a, b))).tolist()
     else:
         na, nb = (float(_piecewise(_norm_sq_rows, w, v)) for v in (a, b))
-    iab = math.nan  # <a,b> is skipped when a NaN or Inf entry gives a non-finite norm (inf * 0 warns)
+    iab = coef = math.nan  # <a,b> is skipped when a NaN or Inf entry gives a non-finite norm (inf * 0 warns)
     if math.isfinite(na + nb):
         iab = complex(_inner_rows(w, a, b) if w.size <= _PIECE else _piecewise(_inner_rows, w, a, b))
-    iab2 = abs(iab) * abs(iab)
-    if not math.isfinite(na * nb + iab2):  # both terms are nonnegative
-        raise GramOverflow(
-            f"the Gram data of the pair overflows float64 (||a||^2={na:.3e}, ||b||^2={nb:.3e})"
-        )
-    return GramSummary(na, nb, iab, max(na * nb - iab2, 0.0))
+        coef = iab.conjugate() / na if na else 0j
+    if not cmath.isfinite(coef):
+        raise _overflow(na, nb)
+    r = b - coef * a if w.size <= _PIECE else None
+    # Pythagoras, ||b||^2 - |<a,b>|^2/||a||^2, while it keeps half of ||b||^2 (<a,b> is not squared: its
+    # square may underflow where the answer fits); below that it cancels, and r's own squares are summed
+    nr = nb - abs(iab) * abs(coef)
+    if nr < 0.5 * nb:
+        nr = float(_norm_sq_rows(w, r) if r is not None else
+                   _piecewise(lambda w, a, b: _norm_sq_rows(w, b - coef * a), w, a, b))
+    return _Pair(na, nb, iab, coef, nr, r)
 
 
 # the Gram data of the last pair of at most _PIECE elements (a longer key would be a
@@ -169,7 +188,7 @@ def _gram(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> GramSummary:
 _last_pair = ((), None)
 
 
-def _pair(space: SpaceDescriptor, a, b, names: str = "ab") -> Tuple[np.ndarray, np.ndarray, GramSummary]:
+def _pair(space: SpaceDescriptor, a, b, names: str = "ab") -> Tuple[np.ndarray, np.ndarray, _Pair]:
     """Check a and b and build their Gram data, or reuse the last call's on the same bytes.
     A NaN or Inf entry shows as a non-finite norm, so the entries are checked (as_vector
     on a, then b) only after a fault; names are the names of a and b in error messages."""
@@ -190,6 +209,14 @@ def _pair(space: SpaceDescriptor, a, b, names: str = "ab") -> Tuple[np.ndarray, 
     raise fault
 
 
+def _summary(g: _Pair) -> GramSummary:
+    """The pair's GramSummary, det taken as ||a||^2 ||r||^2; GramOverflow when det does not fit."""
+    det = g.norm_a_sq * g.norm_r_sq
+    if not math.isfinite(det):
+        raise _overflow(g.norm_a_sq, g.norm_b_sq)
+    return GramSummary(g.norm_a_sq, g.norm_b_sq, g.inner_ab, det)
+
+
 def _require_nonzero(nsq, name: str):
     """nsq, a divisor's squared norm, refused when it is zero or does not fit in float64."""
     if nsq == 0.0:
@@ -206,48 +233,50 @@ def _require_finite(result, what: str):
     return result
 
 
-def _dependent(g: GramSummary, tol: Tolerances) -> bool:
-    """The dependence rule: det at or below dependence_eps * ||a||^2 ||b||^2."""
-    return g.det <= tol.dependence_eps * g.norm_a_sq * g.norm_b_sq
+def _dependent(g: _Pair, tol: Tolerances) -> bool:
+    """The dependence rule: ||r||^2 at or below dependence_eps * ||b||^2."""
+    return g.norm_r_sq <= tol.dependence_eps * g.norm_b_sq
 
 
-def _require_independent(g: GramSummary, tol: Tolerances) -> None:
+def _norm_r_sq(g: _Pair, tol: Optional[Tolerances] = None) -> float:
+    """||r||^2 as an answer: refused for a zero a, for a dependent pair when tol is given (the vector
+    answers divide by it), and when it is subnormal on an independent pair, where 1/||r||^2 overflows.
+    A dependent pair's bound lies within rounding of 0, subnormal or not, and is kept."""
     _require_nonzero(g.norm_a_sq, "a")
-    if _dependent(g, tol):
-        raise DependentVectors(
-            "a and b are numerically linearly dependent "
-            f"(det={g.det:.3e}, threshold={tol.dependence_eps:.1e} * ||a||^2 ||b||^2)"
-        )
+    dependent = _dependent(g, tol or DEFAULT_TOL)
+    if dependent and tol is not None:
+        raise DependentVectors(f"a and b are numerically linearly dependent (||r||^2={g.norm_r_sq:.3e}, "
+                               f"threshold={tol.dependence_eps:.1e} * ||b||^2)")
+    if g.norm_r_sq < sys.float_info.min and not dependent:
+        raise GramOverflow(f"||r||^2={g.norm_r_sq:.3e}, the squared residual of b against a, underflows float64")
+    return g.norm_r_sq
 
 
-def _bound(g: GramSummary) -> float:
-    return g.det / _require_nonzero(g.norm_a_sq, "a")
+def _bound(g: _Pair) -> float:
+    return _norm_r_sq(g)
 
 
-def _extremizer(a: np.ndarray, b: np.ndarray, g: GramSummary, tol: Tolerances) -> np.ndarray:
-    _require_independent(g, tol)
-    coef = np.conj(g.inner_ab) / g.norm_a_sq
-    nu = complex(math.sqrt(g.norm_a_sq / g.det))  # numpy casts a real scalar to complex anyway, at more cost
-    if b.size <= _PIECE:  # the same bits as the loop, about 3 us a call faster
-        return nu * (b - coef * a)
-    x, s = np.empty_like(b), np.empty(_PIECE, b.dtype)
+def _residual(a: np.ndarray, b: np.ndarray, g: _Pair, scale: float) -> np.ndarray:
+    """scale * r for a real scale.  r is the slot's up to _PIECE elements; beyond, it is
+    formed piece by piece into the result, with no other temporary."""
+    scale = complex(scale)  # numpy casts a real scalar to complex anyway, at more cost
+    if g.r is not None:
+        return g.r * scale
+    x = np.empty_like(b)
     for i in range(0, b.size, _PIECE):
-        p, t = slice(i, i + _PIECE), s[: b.size - i]
-        np.multiply(nu, np.subtract(b[p], np.multiply(coef, a[p], out=t), out=t), out=x[p])
+        p = x[i : i + _PIECE]
+        np.subtract(b[i : i + _PIECE], np.multiply(g.coef, a[i : i + _PIECE], out=p), out=p)
+        np.multiply(p, scale, out=p)
     return x
 
 
-def _min_norm(a: np.ndarray, b: np.ndarray, g: GramSummary, tol: Tolerances) -> Tuple[np.ndarray, float]:
-    _require_independent(g, tol)
-    coef = g.inner_ab.conjugate()
-    if b.size <= _PIECE:  # as in _extremizer, and with complex scalars for the same reason as nu
-        return (complex(g.norm_a_sq) * b - coef * a) / complex(g.det), g.norm_a_sq / g.det
-    x, s, scale = np.empty_like(b), np.empty(_PIECE, b.dtype), 1.0 / g.det
-    for i in range(0, b.size, _PIECE):
-        p, t = slice(i, i + _PIECE), s[: b.size - i]
-        np.subtract(np.multiply(g.norm_a_sq, b[p], out=x[p]), np.multiply(coef, a[p], out=t), out=t)
-        np.multiply(t.view(np.float64), scale, out=x[p].view(np.float64))
-    return x, g.norm_a_sq / g.det
+def _extremizer(a: np.ndarray, b: np.ndarray, g: _Pair, tol: Tolerances) -> np.ndarray:
+    return _residual(a, b, g, 1.0 / math.sqrt(_norm_r_sq(g, tol)))
+
+
+def _min_norm(a: np.ndarray, b: np.ndarray, g: _Pair, tol: Tolerances) -> Tuple[np.ndarray, float]:
+    value = 1.0 / _norm_r_sq(g, tol)
+    return _residual(a, b, g, value), value
 
 
 def inner(space: SpaceDescriptor, u, v) -> complex:
@@ -268,39 +297,36 @@ def norm_sq(space: SpaceDescriptor, u) -> float:
 
 def gram2(space: SpaceDescriptor, a, b) -> GramSummary:
     """Gram data of the pair (a, b)."""
-    return _pair(space, a, b)[2]
+    return _summary(_pair(space, a, b)[2])
 
 
 def schwarz_gap(space: SpaceDescriptor, u, v) -> float:
-    """||u||^2 ||v||^2 - |<u,v>|^2, the Gram determinant of gram2 (so clamped
-    at 0 when rounding or underflow drives it negative); zero iff u and v are
-    proportional."""
-    return _pair(space, u, v, "uv")[2].det
+    """||u||^2 ||v||^2 - |<u,v>|^2, the Gram determinant of gram2 (taken as
+    ||u||^2 ||r||^2, so never negative); zero iff u and v are proportional."""
+    return _summary(_pair(space, u, v, "uv")[2]).det
 
 
 def ostrowski_bound(space: SpaceDescriptor, a, b) -> float:
-    """Supremum of |<x,b>|^2 over unit x with <x,a> = 0."""
+    """Supremum of |<x,b>|^2 over unit x with <x,a> = 0: ||r||^2."""
     return _bound(_pair(space, a, b)[2])
 
 
 def extremizer(space: SpaceDescriptor, a, b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Unit vector orthogonal to a that attains the Ostrowski bound.
 
-    Returns ``x = nu * (b - (conj(<a,b>) / ||a||^2) * a)`` with the scale
-    ``nu = ||a|| / sqrt(det)`` taken real and positive, which makes the
-    output deterministic (any unit-modulus rotation is equally extremal).
+    Returns ``x = r / ||r||``, the residual ``r = b - (conj(<a,b>) / ||a||^2) * a``
+    scaled by the real positive ``1 / ||r||``, which makes the output
+    deterministic (any unit-modulus rotation is equally extremal).
     """
     return _extremizer(*_pair(space, a, b), tol)
 
 
-def min_norm_solution(
-    space: SpaceDescriptor, a, b, tol: Tolerances = DEFAULT_TOL
-) -> Tuple[np.ndarray, float]:
+def min_norm_solution(space: SpaceDescriptor, a, b, tol: Tolerances = DEFAULT_TOL) -> Tuple[np.ndarray, float]:
     """Smallest-norm x with <x,a> = 0 and <x,b> = 1, plus its squared norm.
 
-    The closed form is ``x = (||a||^2 * b - <b,a> * a) / det`` with optimal
-    value ``||a||^2 / det``; both constraints hold by direct expansion of
-    the Gram data, over the reals and the complexes alike.
+    The closed form is ``x = r / ||r||^2`` with optimal value ``1 / ||r||^2``:
+    r is orthogonal to a, and ``<r,b> = <r,r>``, over the reals and the
+    complexes alike.  Any other feasible x adds a part orthogonal to r.
     """
     return _min_norm(*_pair(space, a, b), tol)
 

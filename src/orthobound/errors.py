@@ -22,7 +22,8 @@ class DependentVectors(OrthoboundError):
 
 
 class GramOverflow(OrthoboundError):
-    """A squared norm, an inner product or a result built from them does not fit in float64."""
+    """A squared norm, an inner product or a result built from them does not fit in float64: it
+    overflows, or the squared residual ||r||^2 that the pair answers divide by is subnormal."""
 
 
 class InvalidDimension(OrthoboundError):

@@ -34,7 +34,7 @@ _BLOCK_ELEMS = 1 << 16
 # Lanes of verify_all's stream, the caller and _LANES - 1 workers: dim 1024 took 71 ms on one, 40 on two (2 vCPUs).
 _LANES = 2
 # Written into every `verify` report line: the draws and the arithmetic that scores them fix its bytes.
-HARNESS_FORMAT = 7
+HARNESS_FORMAT = 8
 _SQRT3 = np.sqrt(3.0)
 
 # verify_all emits reports in exactly this order.
@@ -140,12 +140,7 @@ def _usable_draws(space: SpaceDescriptor, rng, u, real: bool, t, against=None) -
     raise DegenerateSample(f"no usable draw in {_MAX_RETRIES} attempts (dim too small or pathological a)")
 
 
-def sample_feasible(
-    space: SpaceDescriptor,
-    a,
-    seed: int,
-    real: bool = False,
-) -> np.ndarray:
+def sample_feasible(space: SpaceDescriptor, a, seed: int, real: bool = False) -> np.ndarray:
     """One random unit vector orthogonal to a.
 
     Draws unit-variance uniform coordinates (imaginary parts zero in real mode), projects
@@ -158,15 +153,8 @@ def sample_feasible(
     return u[0] / np.sqrt(nsq[0])
 
 
-def verify_bound(
-    space: SpaceDescriptor,
-    a,
-    b,
-    trials: int,
-    tol: Tolerances = DEFAULT_TOL,
-    seed: int = DEFAULT_SEED,
-    real: bool = False,
-) -> VerificationReport:
+def verify_bound(space: SpaceDescriptor, a, b, trials: int, tol: Tolerances = DEFAULT_TOL, seed: int = DEFAULT_SEED,
+                 real: bool = False) -> VerificationReport:
     """Check |<x,b>|^2 <= bound over random feasible x.
 
     The extremizer, when it exists, is evaluated as trial 0 so attainment
@@ -176,20 +164,13 @@ def verify_bound(
     return _verify_feasible(space, core._pair(space, a, b), trials, tol, seed, real, [_bound_check])[0]
 
 
-def verify_min_norm(
-    space: SpaceDescriptor,
-    a,
-    b,
-    trials: int,
-    tol: Tolerances = DEFAULT_TOL,
-    seed: int = DEFAULT_SEED,
-    real: bool = False,
-) -> VerificationReport:
+def verify_min_norm(space: SpaceDescriptor, a, b, trials: int, tol: Tolerances = DEFAULT_TOL, seed: int = DEFAULT_SEED,
+                    real: bool = False) -> VerificationReport:
     """Check the min-norm solution's constraints and its optimality.
 
     Competitors are x* + u, with u the bound check's feasible draws for the same seed,
-    projected against the a-deflated copy of b, then against a once more to scrub
-    rounding; x* + u stays feasible, so none may have smaller squared norm beyond rounding slack.
+    projected against the direction of x*, then against a once more to scrub rounding;
+    x* + u stays feasible, so none may have smaller squared norm beyond rounding slack.
     """
     return _verify_feasible(space, core._pair(space, a, b), trials, tol, seed, real, [_min_norm_check])[0]
 
@@ -267,10 +248,10 @@ def _min_norm_check(space, pair, trials, tol, real, a_dir):
     res_orth = abs(complex(core._inner_rows(w, x, aa))) / (1.0 + np.sqrt(nx * na))
     res_one = abs(complex(core._inner_rows(w, x, bb)) - 1.0) / (1.0 + np.sqrt(nx * nb))
     res_value = abs(nx - value) / (1.0 + value)
-    # deflating b against a first keeps the two projections independent;
-    # projecting against raw b would undo part of the a projection
-    b_perp = core._project_rows(bb, *a_dir)
-    directions = [(b_perp, core._weigh(w, b_perp), core._sq_norm_rows(w, b_perp)), a_dir]
+    # the steps are projected against x*'s direction r_hat, then a: orthogonal to a and to r, so to b.
+    # r_hat comes from the slot's residual, so that a planted x* cannot steer its own competitors
+    r_hat = core._residual(aa, bb, g, 1.0 / np.sqrt(g.norm_r_sq))
+    directions = [(r_hat, core._weigh(w, r_hat), core._sq_norm_rows(w, r_hat)), a_dir]
 
     def score(ws, _, __, t):
         for direction in directions:
@@ -309,15 +290,15 @@ def _deflated_report(trials: int, tol: Tolerances, worst, witness) -> Verificati
 
 def _deflated_check(space, pair, trials, tol, real, a_dir):
     """The deflated check at the pair, c = a and d = b, on the unit directions of a and of b's component
-    orthogonal to a (none for a dependent pair): no figure depends on their scale.  z is a feasible draw."""
+    orthogonal to a, the extremizer (none for a dependent pair): no figure depends on their scale.
+    z is a feasible draw."""
     aa, bb, g = pair
     if core._dependent(g, tol):
         return None, None, lambda: _skipped("deflated_schwarz", tol, "dependent vectors")
-    # each direction goes in with its computed squared norm: with ||r||^2 subnormal, r_hat is not quite unit
+    # each direction goes in with its computed squared norm, which is 1 only to rounding
     w, a_hat = space.weights, aa / np.sqrt(g.norm_a_sq)
     wa, na = core._weigh(w, a_hat), core._sq_norm_rows(w, a_hat)
-    r = core._project_rows(bb, a_hat, wa, na)
-    r_hat = r / np.sqrt(core._sq_norm_rows(w, r))
+    r_hat = core._extremizer(aa, bb, g, tol)
     fixed = (a_hat, wa, na, r_hat, core._weigh(w, r_hat), core._sq_norm_rows(w, r_hat))
 
     def score(u, _, rng, t):
@@ -327,13 +308,8 @@ def _deflated_check(space, pair, trials, tol, real, a_dir):
     return score, (0.0, None), lambda v, z: _deflated_report(trials, tol, v, z)
 
 
-def verify_deflated(
-    space: SpaceDescriptor,
-    trials: int,
-    tol: Tolerances = DEFAULT_TOL,
-    seed: int = DEFAULT_SEED,
-    real: bool = False,
-) -> VerificationReport:
+def verify_deflated(space: SpaceDescriptor, trials: int, tol: Tolerances = DEFAULT_TOL, seed: int = DEFAULT_SEED,
+                    real: bool = False) -> VerificationReport:
     """Check the deflated Schwarz inequality and its equality case.
 
     Per trial: random (z, c, d) must satisfy lhs >= rhs, and a z built as
@@ -360,8 +336,8 @@ def _verify_scale_covariance(space, pair, tol: Tolerances, real: bool) -> Verifi
     bound = core._bound(g)
     scalars = [2.0, -3.0, 0.5] + ([] if real else [1j, 1.0 + 2.0j])
     worst, witness = 0.0, aa
-    # determinant rounding scales with ||a||^2 ||b||^2, so the bound's
-    # rounding scales with ||b||^2 even when the bound itself is tiny
+    # the bound ||b||^2 - |<a,b>|^2/||a||^2 rounds on the scale of ||b||^2,
+    # even when the bound itself is tiny
     scale = 1.0 + bound + g.norm_b_sq
     for s in scalars:
         sa = s * aa
@@ -378,27 +354,21 @@ def _verify_scale_covariance(space, pair, tol: Tolerances, real: bool) -> Verifi
 
 def _verify_real_consistency(space, pair, tol: Tolerances) -> VerificationReport:
     """On real inputs the extremizer must equal the explicit real formula
-    (b_k ||a||^2 - a_k <a,b>) / (||a|| sqrt(det)) with the + sign."""
+    (b_k ||a||^2 - a_k <a,b>) / (||a|| sqrt(det)) with the + sign, sqrt(det) taken
+    as ||a|| ||r||, which does not cancel as sqrt(||a||^2 ||b||^2 - <a,b>^2) does."""
     aa, bb, g = pair
     if aa.imag.any() or bb.imag.any():
         return _skipped("real_consistency", tol, "complex inputs")
     if core._dependent(g, tol):
         return _skipped("real_consistency", tol, "dependent vectors")
     x = core._extremizer(aa, bb, g, tol)
-    explicit = (bb.real * g.norm_a_sq - aa.real * g.inner_ab.real) / (np.sqrt(g.norm_a_sq) * np.sqrt(g.det))
+    explicit = (bb.real * g.norm_a_sq - aa.real * g.inner_ab.real) / (g.norm_a_sq * np.sqrt(g.norm_r_sq))
     worst = np.max(np.abs(x - explicit)) / (1.0 + np.max(np.abs(explicit)))
     return _report("real_consistency", 1, worst, tol.rel_eps, witness=x)
 
 
-def verify_all(
-    space: SpaceDescriptor,
-    a,
-    b,
-    trials: int = DEFAULT_TRIALS,
-    tol: Tolerances = DEFAULT_TOL,
-    seed: int = DEFAULT_SEED,
-    real: bool = False,
-) -> List[VerificationReport]:
+def verify_all(space: SpaceDescriptor, a, b, trials: int = DEFAULT_TRIALS, tol: Tolerances = DEFAULT_TOL,
+               seed: int = DEFAULT_SEED, real: bool = False) -> List[VerificationReport]:
     """Run every check, in the fixed order given by CHECK_ORDER.
 
     The deflated check runs on a and b, not on random triples.  Checks whose

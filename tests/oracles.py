@@ -1,10 +1,14 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the library's own code paths: plain Python
-summation for inner products, and a 2x2 linear solve for the min-norm
-problem.  Acceptance checks compare the closed forms against these.
+summation for inner products, a 2x2 linear solve for the min-norm
+problem, and high-precision mpmath arithmetic for the pair answers.
+Acceptance checks compare the closed forms against these.
 """
 
+from typing import NamedTuple
+
+import mpmath
 import numpy as np
 
 
@@ -43,25 +47,69 @@ def min_norm_by_lagrange(weights, a, b):
 
 
 # Whole-array forms of the pair functions on complex128 vectors: one numpy
-# expression per quantity over the full vectors.  Up to 2^14 elements the
-# library must reproduce these bit for bit.  The extremizer and the min-norm
-# vector are elementwise given the Gram data g = (||a||^2, ||b||^2, <a,b>, det),
-# so on longer vectors they are evaluated on the library's own g.
+# expression per quantity over the full vectors, with Python's scalar
+# arithmetic.  Up to 2^14 elements the library must reproduce these bit for
+# bit.  The extremizer and the min-norm vector are elementwise given coef and
+# ||r||^2, so on longer vectors they are evaluated on the library's own.
 
 
-def gram_whole(w, a, b):
-    """(||a||^2, ||b||^2, <a,b>, det) with det clamped at 0."""
+def residual_whole(w, a, b):
+    """(||a||^2, ||b||^2, <a,b>, coef, ||r||^2) for r = b - coef*a, coef = conj(<a,b>)/||a||^2:
+    ||r||^2 is ||b||^2 - |<a,b>| |coef| while that is at least half of ||b||^2, else r's squares summed."""
     na = float(np.add.reduce(w * np.abs(a) ** 2))
     nb = float(np.add.reduce(w * np.abs(b) ** 2))
     iab = complex(np.add.reduce(w * a * np.conj(b)))
-    return na, nb, iab, max(na * nb - abs(iab) * abs(iab), 0.0)
+    coef = iab.conjugate() / na
+    nr = nb - abs(iab) * abs(coef)
+    if nr < nb / 2:
+        nr = float(np.add.reduce(w * np.abs(b - coef * a) ** 2))
+    return na, nb, iab, coef, nr
 
 
-def extremizer_whole(a, b, g):
-    na, _, iab, det = g
-    return np.sqrt(na / det) * (b - (np.conj(iab) / na) * a)
+def gram_whole(w, a, b):
+    """(||a||^2, ||b||^2, <a,b>, det) with det taken as ||a||^2 ||r||^2."""
+    na, nb, iab, _, nr = residual_whole(w, a, b)
+    return na, nb, iab, na * nr
 
 
-def min_norm_whole(a, b, g):
-    na, _, iab, det = g
-    return (na * b - np.conj(iab) * a) / det, na / det
+def extremizer_whole(a, b, coef, nr):
+    return (b - coef * a) * complex(1 / np.sqrt(nr))
+
+
+def min_norm_whole(a, b, coef, nr):
+    return (b - coef * a) * complex(1 / nr), 1 / nr
+
+
+class PairAnswers(NamedTuple):
+    det: float
+    bound: float
+    extremizer: np.ndarray
+    min_norm: np.ndarray
+    value: float
+    kappa: float  # ||b||^2 / ||r||^2, the condition number of the bound under relative changes of b
+
+
+def pair_answers_by_mpmath(weights, a, b, digits=60) -> PairAnswers:
+    """The pair's answers from its float inputs, taken exactly as given, in digits-digit
+    arithmetic: r = b - (<b,a>/||a||^2) a, bound ||r||^2, extremizer r/||r||, min-norm
+    vector r/||r||^2 with value 1/||r||^2; each rounded to float64 at the end."""
+    with mpmath.workdps(digits):
+        w = [mpmath.mpf(float(v)) for v in weights]
+        a, b = ([mpmath.mpc(complex(v)) for v in u] for u in (a, b))
+
+        def ip(u, v):
+            return mpmath.fsum(wk * uk * mpmath.conj(vk) for wk, uk, vk in zip(w, u, v))
+
+        na = ip(a, a).real
+        coef = ip(b, a) / na
+        r = [bk - coef * ak for ak, bk in zip(a, b)]
+        nr = ip(r, r).real
+        norm_r = mpmath.sqrt(nr)
+        return PairAnswers(
+            float(na * nr),
+            float(nr),
+            np.array([complex(rk / norm_r) for rk in r]),
+            np.array([complex(rk / nr) for rk in r]),
+            float(1 / nr),
+            float(ip(b, b).real / nr),
+        )

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import numpy as np
@@ -108,7 +107,7 @@ def test_draw_stream_is_pinned():
         1.0851999415882543, 1.429827261904872, 0.3693971630665551, 0.7949994075732292,
         0.1511214033957422, 1.5071350859451056, 1.0941488069793999, -1.7225643647064122,
     ]
-    assert verify.HARNESS_FORMAT == 7
+    assert verify.HARNESS_FORMAT == 8
 
 
 def test_sample_feasible_zero_vector():
@@ -460,7 +459,8 @@ def test_verify_all_golden_dim_1024():
     which made the min-norm competitors from the bound check's draws, kept it:
     the min-norm line's worst figure is x*'s own residual.  Recaptured at format 7,
     when the three sampling checks came to share one stream drawn block by block
-    from per-block generators, and the harness's row products became einsum."""
+    from per-block generators, and the harness's row products became einsum, and
+    at format 8, when the answers became scaled copies of the residual r."""
     import hashlib
 
     from orthobound.cli import dumps_stable
@@ -469,7 +469,7 @@ def test_verify_all_golden_dim_1024():
     reports = verify_all(s, a, b, trials=130, seed=5)
     text = "\n".join(dumps_stable(r.to_dict()) for r in reports)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "a99fc217fad02db0867f1d8647ac747ffbb1e118b8cb0e26b88f57c832551fe6"
+        "db28e8d0bea41cd18bc967620493235a003f0d4b9d69326585fb160a7fee1dfb"
     )
 
 
@@ -604,24 +604,26 @@ def test_verify_all_runs_under_weights_1e_22():
 
 # --- the three sampling checks on one stream of feasible draws ----------------
 
-# sha256 of the bound and deflated lines' to_dict bytes at harness format 7, from
+# sha256 of the bound and deflated lines' to_dict bytes at harness format 8, from
 # verify_all at trials 130, seed 5 (on weighted-16-complex the bound line is the
-# extremizer's, as at format 5, and the dependent pair's deflated line a skip)
-FORMAT_7_LINES = {
+# extremizer's, as at format 5, and the dependent pair's deflated line a skip).  At
+# format 8 the trapezoid pair's bound line kept its bytes; the dependent pair's
+# bound line moved with its bound, ||r||^2 in place of det/||a||^2
+FORMAT_8_LINES = {
     "weighted-16-complex": (
-        "547e90409f57d32563075800c4d8d24cc796958248ea6b54b35a604b5bcc2ca1",
-        "277be0a8e16242ffd31ee539584f9e4aaffb3872473789b6b707078891348182",
+        "3a9a567884bf06e1856f4019ad3b56efff288b6acf80e4945d55a2ddcc0603e7",
+        "e9fce470c3df285e67f22a713bb209e77a5a85ec60ad1fae12d2a06da1922759",
     ),
     "weighted-16-real": (
-        "f5c788b1763850cd2da4a8d53708241b4c38fd7014258dcca5a28f7bcf0b9161",
-        "5b42f93e0cd753d48446ba64e359de94555bbbec97cf61edff44dc59c23097fe",
+        "8bb412577c6d7f0f08583371cb948dd46eeecef02665780a6f6b3e9c18189b85",
+        "5d488f93c007b85e1a0134160356cad66a8fe15ee280885d25f56d66554ae64a",
     ),
     "trapezoid-1024-complex": (
         "36f59b08c394032646de3a38531828c5a152b921a0b805ed97120a8ff45c17bc",
-        "c57cf3d34bdddd713475be731136a9e500df8590550ffeed98421aed2397c151",
+        "984fda55dd9d3d9d61e041a6f21b00640601287310d59238c6ea2b186c700964",
     ),
     "dependent-3-complex": (
-        "26a02ef1d10ad07c5e35c18d61fe9c4d5965a7e845b76a67bbd7954ce8f8b254",
+        "d4447680b8e5556c79594201e3d7ed2041026ffb66bf20f2424f70cda5841a2c",
         "9413a6800e19d1583d9bd10c2fe9a3ab5ae19cacc7ace2f29308e1a01cc020cc",
     ),
 }
@@ -632,7 +634,7 @@ def _deflated_at(s, a, b, trials, seed, real=False):
     return verify._verify_feasible(s, core._pair(s, a, b), trials, TOL, seed, real, [verify._deflated_check])[0]
 
 
-@pytest.mark.parametrize("name", sorted(FORMAT_7_LINES))
+@pytest.mark.parametrize("name", sorted(FORMAT_8_LINES))
 def test_verify_all_scores_bound_and_min_norm_on_one_stream(monkeypatch, name):
     import hashlib
 
@@ -651,7 +653,7 @@ def test_verify_all_scores_bound_and_min_norm_on_one_stream(monkeypatch, name):
     assert found[0] == line(verify_bound)
     assert found[2] == dumps_stable(_deflated_at(s, a, b, 130, 5, real).to_dict())
     digests = tuple(hashlib.sha256(found[i].encode()).hexdigest() for i in (0, 2))
-    assert digests == FORMAT_7_LINES[name]
+    assert digests == FORMAT_8_LINES[name]
     if name.startswith("dependent"):
         assert '"note": "dependent vectors"' in found[1]
         return
@@ -708,33 +710,24 @@ def test_deflated_check_at_the_instance_finds_planted_defects(monkeypatch, pair,
     assert not rep.passed
 
 
-# Per pair: the (k, m) where verify_all on (2^k a, 2^m b) does not pass at
-# harness format 2 either (the Gram data overflows at (270, 270); at
-# (-270, -270) the dim-16 pair's det is subnormal and its min-norm check reads
-# nan), and the point where the pair counts as dependent: there
-# ||2^-270 a||^2 ||2^-270 b||^2 underflows to 0, so det does, and the deflated
-# line is skipped, as the min-norm one is.
-SCALE_GRID = {
-    "weighted-16": (_weighted_pair_16, {(270, 270), (-270, -270)}, None),
-    "trapezoid-1024": (_pair_1024, {(270, 270)}, (-270, -270)),
-}
+# verify_all passes on (2^k a, 2^m b) at every point of the grid: up to harness
+# format 7 the Gram data overflowed at (270, 270), and at (-270, -270) the dim-16
+# pair's det was subnormal and the dim-1024 pair's det underflowed to 0, so that
+# pair counted as dependent.  The residual form has none of these.
+SCALE_GRID = {"weighted-16": _weighted_pair_16, "trapezoid-1024": _pair_1024}
 
 
 @pytest.mark.parametrize("name", sorted(SCALE_GRID))
 def test_deflated_line_does_not_depend_on_the_scale_of_a_and_b(name):
     from orthobound.cli import dumps_stable
 
-    pair, left_out, dependent_at = SCALE_GRID[name]
-    s, a, b = pair()
+    s, a, b = SCALE_GRID[name]()
     exponents = (0, 60, -60, 270, -270)
     lines = {}
     for k, m in itertools.product(exponents, exponents):
-        if (k, m) not in left_out:
-            reports = verify_all(s, 2.0**k * a, 2.0**m * b, trials=130, seed=5)
-            assert all(r.passed for r in reports), (k, m)
-            lines[k, m] = dumps_stable(reports[CHECK_ORDER.index("deflated_schwarz")].to_dict())
-    if dependent_at is not None:
-        assert '"note": "dependent vectors"' in lines.pop(dependent_at)
+        reports = verify_all(s, 2.0**k * a, 2.0**m * b, trials=130, seed=5)
+        assert all(r.passed for r in reports), (k, m)
+        lines[k, m] = dumps_stable(reports[CHECK_ORDER.index("deflated_schwarz")].to_dict())
     assert len(set(lines.values())) == 1
     assert '"skipped": false' in lines[0, 0]
 
@@ -780,11 +773,12 @@ def _times(factor):
     return lambda kernel, space: lambda *args, **kw: kernel(*args, **kw) * factor
 
 
-def _det_times(factor):
+def _norm_r_sq_times(factor):
+    # ||r||^2 is det/||a||^2: the bound, and the divisor of both vector answers
     def plant(gram, space):
         def planted(*args):
             g = gram(*args)
-            return dataclasses.replace(g, det=g.det * factor)
+            return g._replace(norm_r_sq=g.norm_r_sq * factor)
 
         return planted
 
@@ -803,8 +797,9 @@ def _min_norm_times(x_factor, value_factor):
 
 
 def _without_conj(extremizer, space):
-    # conjugating <a,b> before the extremizer conjugates it undoes its conj
-    return lambda a, b, g, tol: extremizer(a, b, dataclasses.replace(g, inner_ab=g.inner_ab.conjugate()), tol)
+    # r formed with <a,b>/||a||^2 in place of its conjugate: the slot's r is dropped, so that the
+    # extremizer forms r from the conjugated coefficient piece by piece
+    return lambda a, b, g, tol: extremizer(a, b, g._replace(coef=g.coef.conjugate(), r=None), tol)
 
 
 def _plus_norm_b_sq(bound, space):
@@ -856,8 +851,9 @@ def _dot_without_conj(dot_rows, space):
 
 
 def _non_homogeneous_bound(bound, space):
-    # det/||a||^1.98: right at ||a|| = 1, and off by a factor 2^(0.02 k) when a is scaled by 2^k
-    return lambda g: g.det / g.norm_a_sq**0.99
+    # det/||a||^1.98 = ||r||^2 ||a||^0.02: right at ||a|| = 1, and off by a factor 2^(0.02 k) when a
+    # is scaled by 2^k
+    return lambda g: g.norm_r_sq * g.norm_a_sq**0.01
 
 
 B, M, D, S, R = "bound_dominance", "min_norm_optimality", "deflated_schwarz", "scale_covariance", "real_consistency"
@@ -868,12 +864,14 @@ ESCAPE, NOT_RUN = "escape", None
 # row: (planted kernels, failing checks on each pair in POWER_PAIRS order)
 POWER_ROWS = {
     "bound-x0.99": ([("_bound", _times(0.99))], ({B}, {B}, {B})),
-    "det-x0.99": ([("_gram", _det_times(0.99))], ({B, M}, {B, M}, {B, M})),
-    "det-x1.01": ([("_gram", _det_times(1.01))], ({M}, {M}, {M})),
+    # det = ||a||^2 ||r||^2 moves with ||r||^2
+    "det-x0.99": ([("_gram", _norm_r_sq_times(0.99))], ({B, M}, {B, M}, {B, M})),
+    "det-x1.01": ([("_gram", _norm_r_sq_times(1.01))], ({M}, {M}, {M})),
     "min-norm-value-x1.01": ([("_min_norm", _min_norm_times(1.0, 1.01))], ({M}, {M}, {M})),
     "min-norm-x-x1.001": ([("_min_norm", _min_norm_times(1.001, 1.0))], ({M}, {M}, {M})),
     "extremizer-x1.001": ([("_extremizer", _times(1.001))], ({B}, {B, R}, {B})),
-    "extremizer-without-conj": ([("_extremizer", _without_conj)], ({B}, NOT_RUN, {B})),
+    # the deflated check takes its r_hat from the extremizer, which here is not orthogonal to a
+    "extremizer-without-conj": ([("_extremizer", _without_conj)], ({B, D}, NOT_RUN, {B, D})),
     "bound-x1.01": ([("_bound", _times(1.01))], (ESCAPE, ESCAPE, ESCAPE)),
     "bound-x1.5": ([("_bound", _times(1.5))], (ESCAPE, ESCAPE, ESCAPE)),
     "bound-plus-1e-6-norm-b-sq": ([("_bound", _plus_norm_b_sq)], (ESCAPE, ESCAPE, ESCAPE)),
