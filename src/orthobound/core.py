@@ -143,11 +143,11 @@ def _project_rows(z: np.ndarray, c: np.ndarray, wc: np.ndarray, nc, out=None, t=
     return np.subtract(z, np.multiply(coef[..., None], c, out=t), out=out)
 
 
-def _deflated_sides(w, zp, wdp, nc, ndp) -> Tuple[np.ndarray, np.ndarray]:
-    """(lhs, rhs) from z's component zp orthogonal to c, wdp = _weigh(w, dp) of d's, nc = ||c||^2, ndp = ||dp||^2."""
+def _deflated_sides(nzp, zdp, nc, ndp) -> Tuple[np.ndarray, np.ndarray]:
+    """(lhs, rhs) from ||zp||^2 and <zp,dp>, zp and dp the components of z and d orthogonal to c,
+    nc = ||c||^2 and ndp = ||dp||^2: lhs = nc^2 ||zp||^2 ndp, rhs = nc^2 |<zp,dp>|^2."""
     nc2 = nc * nc
-    lhs = nc2 * _sq_norm_rows(w, zp) * ndp
-    return lhs, nc2 * np.abs(_dot_rows(zp, wdp)) ** 2
+    return nc2 * nzp * ndp, nc2 * np.abs(zdp) ** 2
 
 
 # A pair's Gram data and b's residual r = b - coef*a against a, coef = conj(<a,b>)/||a||^2 (0 for a zero a),
@@ -357,7 +357,7 @@ def deflated_schwarz(space: SpaceDescriptor, z, c, d) -> Tuple[float, float]:
     w = space.weights
     nc = _require_nonzero(_norm_sq_rows(w, cc), "c")
     wc = _weigh(w, cc)
-    dp = _project_rows(dd, cc, wc, nc)
-    sides = _deflated_sides(w, _project_rows(zz, cc, wc, nc), _weigh(w, dp), nc, _norm_sq_rows(w, dp))
+    dp, zp = _project_rows(dd, cc, wc, nc), _project_rows(zz, cc, wc, nc)
+    sides = _deflated_sides(_sq_norm_rows(w, zp), _dot_rows(zp, _weigh(w, dp)), nc, _norm_sq_rows(w, dp))
     lhs, rhs = _require_finite(sides, "the deflated Schwarz sides")
     return float(lhs), float(rhs)

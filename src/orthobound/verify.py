@@ -34,7 +34,7 @@ _BLOCK_ELEMS = 1 << 16
 # Lanes of verify_all's stream, the caller and _LANES - 1 workers: dim 1024 took 71 ms on one, 40 on two (2 vCPUs).
 _LANES = 2
 # Written into every `verify` report line: the draws and the arithmetic that scores them fix its bytes.
-HARNESS_FORMAT = 8
+HARNESS_FORMAT = 9
 _SQRT3 = np.sqrt(3.0)
 
 # verify_all emits reports in exactly this order.
@@ -267,20 +267,57 @@ def _min_norm_check(space, pair, trials, tol, real, a_dir):
     )
 
 
-def _deflated_scores(w, z, mu_beta, c, wc, nc, dp, wdp, ndp, t):
-    """The first worst scaled violation, with its witness, of the deflated inequality on the rows of z
-    and of its equality case on mu*c + beta*dp, (mu, beta) the rows of mu_beta.  c, d's component dp
-    orthogonal to c, their _weigh forms and squared norms are one or one per row; t is a scratch block."""
-    lhs, rhs = core._deflated_sides(w, core._project_rows(z, c, wc, nc, out=t, t=t), wdp, nc, ndp)
-    # Equality case: mu*c + beta*dp projected against c as mu*c' + beta*dp', c' and dp' projected
-    cdp = np.stack(np.broadcast_arrays(c, dp), axis=-2)
-    basis = core._project_rows(cdp, c[..., None, :], wc[..., None, :, :], np.asarray(nc)[..., None])
-    lhs_e, rhs_e = core._deflated_sides(w, np.einsum("...k,...kj->...j", mu_beta, basis, out=t), wdp, nc, ndp)
+def _first_worst(lhs, rhs, lhs_e, rhs_e):
+    """The first worst scaled violation of a block, with its row and whether it is the equality case's,
+    from the sides of the inequality and of its equality case."""
     # v[i] holds trial i's two scaled violations, so that argmax over the
     # raveled v meets the trials in the order they ran
     v = np.column_stack((np.maximum(rhs - lhs, 0.0) / (1.0 + lhs), np.abs(lhs_e - rhs_e) / (10.0 * (1.0 + lhs_e))))
     i, eq = divmod(int(np.argmax(v)), 2)
-    return v[i, eq], np.einsum("k,kj->j", mu_beta[i], cdp[i] if cdp.ndim == 3 else cdp) if eq else z[i].copy()
+    return v[i, eq], i, eq
+
+
+def _deflated_scores(w, z, mu_beta, c, wc, nc, dp, wdp, ndp, t):
+    """The first worst scaled violation, with its witness, of the deflated inequality on the rows of z
+    and of its equality case on mu*c + beta*dp, (mu, beta) the rows of mu_beta.  Each row has its own c,
+    d's component dp orthogonal to c, their _weigh forms and squared norms; t is a scratch block."""
+    zp = core._project_rows(z, c, wc, nc, out=t, t=t)
+    sides = core._deflated_sides(core._sq_norm_rows(w, zp), core._dot_rows(zp, wdp), nc, ndp)
+    # Equality case: mu*c + beta*dp projected against c as mu*c' + beta*dp', c' and dp' projected
+    cdp = np.stack((c, dp), axis=-2)
+    basis = core._project_rows(cdp, c[:, None], wc[:, None], nc[:, None])
+    y = np.einsum("...k,...kj->...j", mu_beta, basis, out=t)
+    v, i, eq = _first_worst(*sides, *core._deflated_sides(core._sq_norm_rows(w, y), core._dot_rows(y, wdp), nc, ndp))
+    return v, np.einsum("k,kj->j", mu_beta[i], cdp[i]) if eq else z[i].copy()
+
+
+def _instance_sides(w, cdp):
+    """The sides at the instance, c = cdp[0] and dp = cdp[1] orthogonal to it, as a function that takes
+    a block z orthogonal to c, its squared norms and its equality-case coefficients mu_beta to
+    (lhs, rhs, lhs_e, rhs_e).  A block costs two row products, <z,c> and <z,dp>: z' = z - (<z,c>/||c||^2) c
+    has ||z'||^2 = ||z||^2 - |<z,c>|^2/||c||^2 (Pythagoras, which cannot cancel while z is orthogonal to c)
+    and <z',dp> = <z,dp> - (<z,c>/||c||^2) <c,dp>.  The equality case's y = mu*c' + beta*dp', c' and dp'
+    projected against c once per call, is not formed: ||y||^2 comes from the 2x2 Gram of (c', dp') and
+    <y,dp> from their products with dp."""
+    c, dp = cdp
+    wc, wdp = core._weigh(w, c), core._weigh(w, dp)
+    # each direction goes in with its computed squared norm, which is 1 only to rounding
+    nc, ndp = core._sq_norm_rows(w, cdp)
+    c_dp = core._dot_rows(c, wdp)
+    basis = core._project_rows(cdp, c, wc, nc)
+    (g11, g22), g12 = core._sq_norm_rows(w, basis), core._dot_rows(basis[0], core._weigh(w, basis[1]))
+    basis_dp = core._dot_rows(basis, wdp)
+
+    def sides(z, nz, mu_beta):
+        coef = core._dot_rows(z, wc) / nc
+        nzp = nz - np.abs(coef) ** 2 * nc
+        zdp = core._dot_rows(z, wdp) - coef * c_dp
+        mu, beta = mu_beta.T
+        ny = np.abs(mu) ** 2 * g11 + 2.0 * (mu * np.conj(beta) * g12).real + np.abs(beta) ** 2 * g22
+        ydp = mu * basis_dp[0] + beta * basis_dp[1]
+        return (*core._deflated_sides(nzp, zdp, nc, ndp), *core._deflated_sides(ny, ydp, nc, ndp))
+
+    return sides
 
 
 def _deflated_report(trials: int, tol: Tolerances, worst, witness) -> VerificationReport:
@@ -291,19 +328,18 @@ def _deflated_report(trials: int, tol: Tolerances, worst, witness) -> Verificati
 def _deflated_check(space, pair, trials, tol, real, a_dir):
     """The deflated check at the pair, c = a and d = b, on the unit directions of a and of b's component
     orthogonal to a, the extremizer (none for a dependent pair): no figure depends on their scale.
-    z is a feasible draw."""
+    z is a feasible draw, scored from its two row products (_instance_sides)."""
     aa, bb, g = pair
     if core._dependent(g, tol):
         return None, None, lambda: _skipped("deflated_schwarz", tol, "dependent vectors")
-    # each direction goes in with its computed squared norm, which is 1 only to rounding
-    w, a_hat = space.weights, aa / np.sqrt(g.norm_a_sq)
-    wa, na = core._weigh(w, a_hat), core._sq_norm_rows(w, a_hat)
-    r_hat = core._extremizer(aa, bb, g, tol)
-    fixed = (a_hat, wa, na, r_hat, core._weigh(w, r_hat), core._sq_norm_rows(w, r_hat))
+    cdp = np.stack((aa / np.sqrt(g.norm_a_sq), core._extremizer(aa, bb, g, tol)))
+    sides = _instance_sides(space.weights, cdp)
 
-    def score(u, _, rng, t):
+    def score(u, nsq, rng, _):
         # the equality case's coefficients are the block's next draws
-        return _deflated_scores(w, u, _draw(rng, (len(u), 2), real), *fixed, t)
+        mu_beta = _draw(rng, (len(u), 2), real)
+        v, i, eq = _first_worst(*sides(u, nsq, mu_beta))
+        return v, np.einsum("k,kj->j", mu_beta[i], cdp) if eq else u[i].copy()
 
     return score, (0.0, None), lambda v, z: _deflated_report(trials, tol, v, z)
 

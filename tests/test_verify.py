@@ -107,7 +107,7 @@ def test_draw_stream_is_pinned():
         1.0851999415882543, 1.429827261904872, 0.3693971630665551, 0.7949994075732292,
         0.1511214033957422, 1.5071350859451056, 1.0941488069793999, -1.7225643647064122,
     ]
-    assert verify.HARNESS_FORMAT == 8
+    assert verify.HARNESS_FORMAT == 9
 
 
 def test_sample_feasible_zero_vector():
@@ -181,6 +181,28 @@ def test_verify_deflated_passes_real_and_complex():
     for real in (True, False):
         rep = verify_deflated(s, trials=1000, seed=6, real=real)
         assert rep.passed, rep.worst_violation
+
+
+# sha256 of verify_deflated's to_dict bytes at trials 130, seed 5 (dim 1024 runs as blocks of
+# 64 + 64 + 2 rows), captured at harness format 8; the lemma check on random triples kept its
+# projection form when verify_all's deflated check moved to row products (format 9)
+VERIFY_DEFLATED_LINES = {
+    ("weighted-16", False): "7ec3b665c3825d3c2d4f516c9dc307242b5f34f4e67a0bd7df76f45d2aca5998",
+    ("weighted-16", True): "86a89737abd52d9cbc7ee76c518ec597113e5df2ea3e61d871639afec2ab707f",
+    ("trapezoid-1024", False): "29ede77c17d5ada265957816971b20dce6010241f397b81a69bd1a550d0ceebc",
+    ("trapezoid-1024", True): "bae352ee1360829d40152ae80702a0c0f9d95f569c867a9bd41636d7a1fe3a4f",
+}
+
+
+@pytest.mark.parametrize("name, real", sorted(VERIFY_DEFLATED_LINES))
+def test_verify_deflated_bytes_are_pinned(name, real):
+    import hashlib
+
+    from orthobound.cli import dumps_stable
+
+    s = {"weighted-16": _weighted_pair_16, "trapezoid-1024": _pair_1024}[name]()[0]
+    line = dumps_stable(verify_deflated(s, trials=130, seed=5, real=real).to_dict())
+    assert hashlib.sha256(line.encode()).hexdigest() == VERIFY_DEFLATED_LINES[name, real]
 
 
 def test_verify_deflated_zero_trials():
@@ -371,7 +393,9 @@ def test_row_kernels_match_summation_oracle():
     nc, wc = core._norm_sq_rows(w, c), core._weigh(w, c)
     dp = core._project_rows(d, c, wc, nc)
     projected = core._project_rows(z, c, wc, nc)
-    lhs, rhs = core._deflated_sides(w, projected, core._weigh(w, dp), nc, core._norm_sq_rows(w, dp))
+    lhs, rhs = core._deflated_sides(
+        core._sq_norm_rows(w, projected), core._dot_rows(projected, core._weigh(w, dp)), nc, core._norm_sq_rows(w, dp)
+    )
 
     def ip(u, v):
         return inner_by_summation(s.weights, u, v)
@@ -460,7 +484,9 @@ def test_verify_all_golden_dim_1024():
     the min-norm line's worst figure is x*'s own residual.  Recaptured at format 7,
     when the three sampling checks came to share one stream drawn block by block
     from per-block generators, and the harness's row products became einsum, and
-    at format 8, when the answers became scaled copies of the residual r."""
+    at format 8, when the answers became scaled copies of the residual r, and at
+    format 9, when the deflated check came to score its blocks from two row products
+    (the deflated line's worst figure went from 3.05e-16 to 1.58e-16)."""
     import hashlib
 
     from orthobound.cli import dumps_stable
@@ -469,7 +495,7 @@ def test_verify_all_golden_dim_1024():
     reports = verify_all(s, a, b, trials=130, seed=5)
     text = "\n".join(dumps_stable(r.to_dict()) for r in reports)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "db28e8d0bea41cd18bc967620493235a003f0d4b9d69326585fb160a7fee1dfb"
+        "109e986938f495173df4ee2310f62261bbaa892f41ab04e7a28b5117141763d4"
     )
 
 
@@ -604,23 +630,25 @@ def test_verify_all_runs_under_weights_1e_22():
 
 # --- the three sampling checks on one stream of feasible draws ----------------
 
-# sha256 of the bound and deflated lines' to_dict bytes at harness format 8, from
+# sha256 of the bound and deflated lines' to_dict bytes at harness format 9, from
 # verify_all at trials 130, seed 5 (on weighted-16-complex the bound line is the
 # extremizer's, as at format 5, and the dependent pair's deflated line a skip).  At
 # format 8 the trapezoid pair's bound line kept its bytes; the dependent pair's
-# bound line moved with its bound, ||r||^2 in place of det/||a||^2
-FORMAT_8_LINES = {
+# bound line moved with its bound, ||r||^2 in place of det/||a||^2.  At format 9,
+# when the deflated check came to score its blocks from two row products, only the
+# three deflated lines that are not skipped moved
+FORMAT_9_LINES = {
     "weighted-16-complex": (
         "3a9a567884bf06e1856f4019ad3b56efff288b6acf80e4945d55a2ddcc0603e7",
-        "e9fce470c3df285e67f22a713bb209e77a5a85ec60ad1fae12d2a06da1922759",
+        "c86118aa04755fae8c9e3276ad9242efb6800db5cc64de5d1c43d51e3d9e412e",
     ),
     "weighted-16-real": (
         "8bb412577c6d7f0f08583371cb948dd46eeecef02665780a6f6b3e9c18189b85",
-        "5d488f93c007b85e1a0134160356cad66a8fe15ee280885d25f56d66554ae64a",
+        "36855ef10d1887c1f9065a74790e8daeda53b27797b235587055e2dd4faa7148",
     ),
     "trapezoid-1024-complex": (
         "36f59b08c394032646de3a38531828c5a152b921a0b805ed97120a8ff45c17bc",
-        "984fda55dd9d3d9d61e041a6f21b00640601287310d59238c6ea2b186c700964",
+        "f1c6330007c075354e56adfa5c138c6b03fd1f3881191cd692a2b696e8402dbd",
     ),
     "dependent-3-complex": (
         "d4447680b8e5556c79594201e3d7ed2041026ffb66bf20f2424f70cda5841a2c",
@@ -634,7 +662,7 @@ def _deflated_at(s, a, b, trials, seed, real=False):
     return verify._verify_feasible(s, core._pair(s, a, b), trials, TOL, seed, real, [verify._deflated_check])[0]
 
 
-@pytest.mark.parametrize("name", sorted(FORMAT_8_LINES))
+@pytest.mark.parametrize("name", sorted(FORMAT_9_LINES))
 def test_verify_all_scores_bound_and_min_norm_on_one_stream(monkeypatch, name):
     import hashlib
 
@@ -653,7 +681,7 @@ def test_verify_all_scores_bound_and_min_norm_on_one_stream(monkeypatch, name):
     assert found[0] == line(verify_bound)
     assert found[2] == dumps_stable(_deflated_at(s, a, b, 130, 5, real).to_dict())
     digests = tuple(hashlib.sha256(found[i].encode()).hexdigest() for i in (0, 2))
-    assert digests == FORMAT_8_LINES[name]
+    assert digests == FORMAT_9_LINES[name]
     if name.startswith("dependent"):
         assert '"note": "dependent vectors"' in found[1]
         return
@@ -921,11 +949,14 @@ def _power_cells():
 
 @pytest.fixture(scope="module")
 def kill_count():
-    """Whether each cell run was caught; one summary line, shown under -s, once they have run."""
-    caught = []
-    yield caught
-    if caught:
-        print(f"\nplanted-defect matrix: {sum(caught)} of {len(caught)} cells caught")
+    """The failing checks of each cell run; one summary line, shown under -s, once they have run: the
+    cells caught, and each check's unique kills, the cells where it is the only check that fails."""
+    failing = []
+    yield failing
+    if failing:
+        unique = ", ".join(f"{check} {sum(f == {check} for f in failing)}" for check in CHECK_ORDER)
+        caught = sum(map(bool, failing))
+        print(f"\nplanted-defect matrix: {caught} of {len(failing)} cells caught; unique kills: {unique}")
 
 
 @pytest.mark.parametrize("row, pair, caught_by", _power_cells())
@@ -937,8 +968,83 @@ def test_planted_defect_matrix(monkeypatch, kill_count, row, pair, caught_by):
     for name, plant in POWER_ROWS[row][0]:
         monkeypatch.setattr(core, name, plant(getattr(core, name), s))
     failing = {r.check_name for r in verify_all(s, a, b, real=real) if not r.passed}
-    kill_count.append(bool(failing))
+    kill_count.append(failing)
     if caught_by is ESCAPE:
         assert failing
     else:
         assert failing == caught_by
+
+
+# --- the deflated check's instance form against its projection form ------------
+
+
+def _feasible_blocks(name, trials=1000, seed=7):
+    """The pair of POWER_PAIRS[name], and the blocks of its feasible stream: (u, ||u||^2, rng), with
+    rng ready to draw the block's equality-case coefficients."""
+    make, real = POWER_PAIRS[name]
+    s, a, b = make()
+    pair = core._pair(s, a, b)
+    a_dir = (pair[0], core._weigh(s.weights, pair[0]), pair[2].norm_a_sq)
+    blocks = []
+    for k, n in enumerate(verify._block_rows(trials, s.dim)):
+        u, t = np.empty((2, n, s.dim), complex)
+        rng = verify._block_rng(seed, k)
+        blocks.append((u, verify._usable_draws(s, rng, u, real, t, a_dir), rng))
+    return s, pair, real, a_dir, blocks
+
+
+@pytest.mark.parametrize("name", sorted(POWER_PAIRS))
+def test_deflated_instance_form_agrees_with_the_projection_form(name):
+    # the projection form projects each row against a_hat and forms mu*c' + beta*r_hat' row by row
+    s, (aa, bb, g), real, _, blocks = _feasible_blocks(name)
+    w, u_ = s.weights, np.finfo(float).eps / 2
+    cdp = np.stack((aa / np.sqrt(g.norm_a_sq), core._extremizer(aa, bb, g, TOL)))
+    c, dp = cdp
+    wc, wdp, (nc, ndp) = core._weigh(w, c), core._weigh(w, dp), core._sq_norm_rows(w, cdp)
+    basis = core._project_rows(cdp, c, wc, nc)
+    sides = verify._instance_sides(w, cdp)
+    for u, nsq, rng in blocks:
+        mu_beta = verify._draw(rng, (len(u), 2), real)
+        lhs, rhs, lhs_e, rhs_e = sides(u, nsq, mu_beta)
+        zp, y = core._project_rows(u, c, wc, nc), np.einsum("ik,kj->ij", mu_beta, basis)
+        ref_lhs, ref_rhs = core._deflated_sides(core._sq_norm_rows(w, zp), core._dot_rows(zp, wdp), nc, ndp)
+        ref_lhs_e, ref_rhs_e = core._deflated_sides(core._sq_norm_rows(w, y), core._dot_rows(y, wdp), nc, ndp)
+        assert np.all(np.abs(lhs - ref_lhs) <= 8 * u_ * ref_lhs)
+        assert np.all(np.abs(rhs - ref_rhs) <= 8 * u_ * ref_lhs)
+        # each equality-case figure is a row sum of 2*dim products in either form (the rows of y, or
+        # the Gram entries of c' and r_hat'), which may round by up to 2*dim*u (Higham, Accuracy and
+        # Stability of Numerical Algorithms, 2nd ed., sec. 4.2); at dim 1024 the two forms differed
+        # by up to 47u, against 11u from the instance form to an extended-precision reference
+        slack = 8 * u_ * (1 + s.dim) * ref_lhs_e
+        assert np.all(np.abs(lhs_e - ref_lhs_e) <= slack)
+        assert np.all(np.abs(rhs_e - ref_rhs_e) <= slack)
+
+
+@pytest.mark.parametrize("name", sorted(POWER_PAIRS))
+def test_deflated_check_takes_two_row_products_per_block(monkeypatch, name):
+    s, pair, real, a_dir, blocks = _feasible_blocks(name, trials=130)
+    score, _, _ = verify._deflated_check(s, pair, 130, TOL, real, a_dir)
+    u, nsq, rng = blocks[0]
+    calls, einsum_shapes = [], []
+
+    def counting(kernel, run):
+        def counted(*args, **kw):
+            calls.append((kernel, [np.shape(x) for x in args]))
+            return run(*args, **kw)
+
+        return counted
+
+    for kernel in ("_dot_rows", "_project_rows", "_sq_norm_rows", "_norm_sq_rows"):
+        monkeypatch.setattr(core, kernel, counting(kernel, getattr(core, kernel)))
+    einsum = np.einsum
+
+    def counted_einsum(*args, **kw):
+        out = einsum(*args, **kw)
+        einsum_shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(np, "einsum", counted_einsum)
+    score(u, nsq, rng, np.empty_like(u))
+    # the two row products <z,a_hat> and <z,r_hat>, and no other kernel: the rest is once per call
+    assert calls == [("_dot_rows", [u.shape, (2, 2 * s.dim)])] * 2
+    assert einsum_shapes and u.shape not in einsum_shapes
