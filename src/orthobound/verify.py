@@ -168,9 +168,9 @@ def verify_min_norm(space: SpaceDescriptor, a, b, trials: int, tol: Tolerances =
                     real: bool = False) -> VerificationReport:
     """Check the min-norm solution's constraints and its optimality.
 
-    Competitors are x* + u, with u the bound check's feasible draws for the same seed,
-    projected against the direction of x*, then against a once more to scrub rounding;
-    x* + u stays feasible, so none may have smaller squared norm beyond rounding slack.
+    Competitors are x* + w, w a feasible draw of the bound check's stream for the same seed less its
+    component along x*'s direction: x* + w stays feasible, so none may have smaller squared norm beyond
+    rounding slack.  A block is scored from two row products, and its worst competitor is formed.
     """
     return _verify_feasible(space, core._pair(space, a, b), trials, tol, seed, real, [_min_norm_check])[0]
 
@@ -183,8 +183,8 @@ def _rank(state):
 
 def _verify_feasible(space, pair, trials, tol, seed, real, checks) -> List[VerificationReport]:
     """The reports of checks on one stream of feasible draws, the same whichever checks read it.  A check
-    gives (score, start, report): score(u, ||u||^2, rng, t), None if skipped, returns the first worst
-    (violation, witness) of the block u, changing u only if last; report(*worst) takes the worst of start
+    gives (score, start, report): score(u, ||u||^2, rng), None if skipped, returns the first worst
+    (violation, witness) of the block u, which it leaves as it is; report(*worst) takes the worst of start
     and the blocks.  Block k draws from _block_rng(seed, k) on lane k % _LANES, the caller or a worker in
     a copy of its context (with its np.errstate): the first worst over the lanes is one lane's, and the
     error raised the lowest block's, once every lane has stopped."""
@@ -200,7 +200,7 @@ def _verify_feasible(space, pair, trials, tol, seed, real, checks) -> List[Verif
             try:
                 rng, n = _block_rng(seed, k), rows[k]
                 nsq = _usable_draws(space, rng, u[:n], real, t[:n], a_dir)
-                scores = [score(u[:n], nsq, rng, t[:n]) for score, _ in scored]
+                scores = [score(u[:n], nsq, rng) for score, _ in scored]
                 states = [max(state, (*new, k), key=_rank) for state, new in zip(states, scores)]
             except Exception as exc:
                 return states, (k, exc)
@@ -248,23 +248,51 @@ def _min_norm_check(space, pair, trials, tol, real, a_dir):
     res_orth = abs(complex(core._inner_rows(w, x, aa))) / (1.0 + np.sqrt(nx * na))
     res_one = abs(complex(core._inner_rows(w, x, bb)) - 1.0) / (1.0 + np.sqrt(nx * nb))
     res_value = abs(nx - value) / (1.0 + value)
-    # the steps are projected against x*'s direction r_hat, then a: orthogonal to a and to r, so to b.
-    # r_hat comes from the slot's residual, so that a planted x* cannot steer its own competitors
+    # the steps ws are the draws, orthogonal to a, less their components along x*'s direction r_hat: orthogonal
+    # to a and to r, so to b.  r_hat comes from the slot's residual, so that a planted x* cannot steer its own
+    # competitors
     r_hat = core._residual(aa, bb, g, 1.0 / np.sqrt(g.norm_r_sq))
-    directions = [(r_hat, core._weigh(w, r_hat), core._sq_norm_rows(w, r_hat)), a_dir]
+    r_dir = (r_hat, core._weigh(w, r_hat), core._sq_norm_rows(w, r_hat))
+    undercuts = _competitor_undercuts(w, x, nx, r_dir)
 
-    def score(ws, _, __, t):
-        for direction in directions:
-            core._project_rows(ws, *direction, out=ws, t=t)
-        # t holds the competitors x + ws
-        n_comp = core._sq_norm_rows(w, np.add(x, ws, out=t))
-        undercut = (nx - n_comp) / (1.0 + nx + core._sq_norm_rows(w, ws))
+    def competitors(u):  # (undercuts, competitors x + ws), ws being u projected against r_hat, then a
+        ws = core._project_rows(core._project_rows(u, *r_dir), *a_dir)
+        comps = np.add(x, ws)
+        return (nx - core._sq_norm_rows(w, comps)) / (1.0 + nx + core._sq_norm_rows(w, ws)), comps
+
+    def score(u, nsq, _):
+        undercut, direct = undercuts(u, nsq)
+        if direct.any():
+            undercut[direct] = competitors(u[direct])[0]
         k = int(np.argmax(undercut))
-        return undercut[k], x + ws[k]
+        v, comps = competitors(u[k : k + 1])  # the worst row, re-scored as its competitor
+        return v[0], comps[0]
 
     return score, (max(res_orth, res_one, res_value), x.copy()), lambda v, y: _report(
         "min_norm_optimality", trials + 1, v, tol.rel_eps, witness=y, value=value
     )
+
+
+def _competitor_undercuts(w, x, nx, r_dir):
+    """A function of a block u orthogonal to a and its squared norms, to the scaled undercuts of the competitors
+    x + ws, ws = u - c1 r_hat with c1 = <u,r_hat>/||r_hat||^2, and the rows to score directly instead.  A block
+    costs two row products: ||ws||^2 = ||u||^2 - |c1|^2 ||r_hat||^2 (Pythagoras) and <ws,x> = <u,x> - c1 <r_hat,x>
+    give ||x||^2 - ||x + ws||^2 = -(2 Re<ws,x> + ||ws||^2).  Rows are scored directly where Pythagoras cancels,
+    leaving under half of ||u||^2, and where 4 (1 + ||x||^2 + ||ws||^2) overflows: there the direct form's
+    ||x + ws||^2 <= 2 (||x||^2 + ||ws||^2) may, while below it no figure here can, as |<ws,x>| <= ||ws|| ||x||."""
+    r_hat, wr, nr = r_dir
+    wx = core._weigh(w, x)
+    r_x = core._dot_rows(r_hat, wx)
+
+    def undercuts(u, nsq):
+        c1 = core._dot_rows(u, wr) / nr
+        nws = nsq - np.square(np.abs(c1) * np.sqrt(nr))
+        wsx = core._dot_rows(u, wx) - c1 * r_x
+        scale = 1.0 + nx + nws
+        undercut = -(2.0 * wsx.real + nws) / scale
+        return undercut, ~((nws >= 0.5 * nsq) & np.isfinite(4.0 * scale))
+
+    return undercuts
 
 
 def _first_worst(lhs, rhs, lhs_e, rhs_e):
@@ -335,7 +363,7 @@ def _deflated_check(space, pair, trials, tol, real, a_dir):
     cdp = np.stack((aa / np.sqrt(g.norm_a_sq), core._extremizer(aa, bb, g, tol)))
     sides = _instance_sides(space.weights, cdp)
 
-    def score(u, nsq, rng, _):
+    def score(u, nsq, rng):
         # the equality case's coefficients are the block's next draws
         mu_beta = _draw(rng, (len(u), 2), real)
         v, i, eq = _first_worst(*sides(u, nsq, mu_beta))
@@ -413,10 +441,8 @@ def verify_all(space: SpaceDescriptor, a, b, trials: int = DEFAULT_TRIALS, tol: 
     check) come back as skipped entries, not errors.
     """
     pair = core._pair(space, a, b)
-    # the deflated check scores each block before the min-norm check, which projects it in place
-    checks = [_bound_check, _deflated_check, _min_norm_check]
+    checks = [_bound_check, _min_norm_check, _deflated_check]
     if core._dependent(pair[2], tol):
-        checks[2] = lambda *_: (None, None, lambda: _skipped("min_norm_optimality", tol, "dependent vectors"))
-    bound, deflated, min_norm = _verify_feasible(space, pair, trials, tol, seed, real, checks)
-    covariance = _verify_scale_covariance(space, pair, tol, real)
-    return [bound, min_norm, deflated, covariance, _verify_real_consistency(space, pair, tol)]
+        checks[1] = lambda *_: (None, None, lambda: _skipped("min_norm_optimality", tol, "dependent vectors"))
+    reports = _verify_feasible(space, pair, trials, tol, seed, real, checks)
+    return reports + [_verify_scale_covariance(space, pair, tol, real), _verify_real_consistency(space, pair, tol)]

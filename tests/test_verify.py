@@ -326,7 +326,7 @@ def test_verify_all_memory_stays_flat_in_trials():
             tracemalloc.stop()
 
     def one_lane(n):
-        checks = [verify._bound_check, verify._deflated_check, verify._min_norm_check]
+        checks = [verify._bound_check, verify._min_norm_check, verify._deflated_check]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(verify, "_LANES", 1)
             verify._verify_feasible(s, pair, n, TOL, 6, False, checks)
@@ -693,6 +693,69 @@ def test_verify_all_scores_bound_and_min_norm_on_one_stream(monkeypatch, name):
     assert found[1] == line(verify_min_norm) and '"passed": false' in found[1]
 
 
+# sha256 of verify_all's min_norm_optimality line at trials 300, with x* shifted shift ||x*|| off the
+# optimum by _feasible_not_minimal(shift), by (shift, seed).  The 11 lines of shift 100, and of shift 10 on
+# the real pair at seed 5, fail: a competitor sets them, so they pin the competitors' figures and witness.
+# Captured at harness format 9 while the min-norm check still formed each competitor block, and held
+# when it came to score its blocks from two row products
+PLANTED_UNDERCUT_LINES = {
+    "weighted-16-complex": {
+        (100.0, 5): "e544580ec6fc43248aed2f066e596b2102d6cb31ade112fa72970395525372a5",
+        (100.0, 6): "6e11f9fde3887c5134e72a652ed0b9555c641d9762e3351bc714a31cf68e3974",
+        (100.0, 7): "32ac0e369cb1691b2348493e3cf6b8fb16089c126aa309efa6675b2f0b51171b",
+        (10.0, 5): "35ac3970d4ce310c1be2597d661e2d2d239c47f89c01f51f77e1cdfac2c60ad7",
+        (10.0, 6): "35ac3970d4ce310c1be2597d661e2d2d239c47f89c01f51f77e1cdfac2c60ad7",
+        (10.0, 7): "35ac3970d4ce310c1be2597d661e2d2d239c47f89c01f51f77e1cdfac2c60ad7",
+        (3.0, 5): "22d801f209605f7d703d0a010921aea9f1e812cf6f49041fb1796edca0724b0c",
+        (3.0, 6): "22d801f209605f7d703d0a010921aea9f1e812cf6f49041fb1796edca0724b0c",
+        (3.0, 7): "22d801f209605f7d703d0a010921aea9f1e812cf6f49041fb1796edca0724b0c",
+    },
+    "weighted-16-real": {
+        (100.0, 5): "c613ad811acce1dc270c2e054579a475db8390835a5f5772134167b887fbbc3a",
+        (100.0, 6): "62f78c87a37058a765454e82ebdf7e3e936fa0e0027c2a19942ece635077ee38",
+        (100.0, 7): "9d36468a3088391876354f401ea8195c059bb79b9ac64e79ca5510780ff5231c",
+        (10.0, 5): "35d81c267b7eca1b9e7a5c268a484b3105f02d2dc1f8d92456ed96cbf91a7126",
+        (10.0, 6): "0738ea997ee51be2ba34d3a0079bd3de518b4a13c24efc76b25befc0fe4f94b6",
+        (10.0, 7): "5e09205374742ce038f47a7cbb468e101805ca081a36b14b7ffe31c86baa3cc1",
+        (3.0, 5): "e90b9b2deb9fc778039664a0739a4feb278477fcc8b08a864793e914798f5804",
+        (3.0, 6): "e90b9b2deb9fc778039664a0739a4feb278477fcc8b08a864793e914798f5804",
+        (3.0, 7): "e90b9b2deb9fc778039664a0739a4feb278477fcc8b08a864793e914798f5804",
+    },
+    "trapezoid-1024-complex": {
+        (100.0, 5): "43fde6f63f4a63b787e8fa0ce025ac44194e760b9c565097c6c30642c9214ec2",
+        (100.0, 6): "f16126edcd91510b06fce5e2bdf4b623510b6c628bf8cfbd415c4ae83f9a325f",
+        (100.0, 7): "557bead491dcbea8020acd17ef9b69842cbb67ee0bc07f602f34aa89ee924e38",
+        (10.0, 5): "47743cd04be0aba42c053054e57e4ce62d634989a3a3a6245e538a2662c6924f",
+        (10.0, 6): "47743cd04be0aba42c053054e57e4ce62d634989a3a3a6245e538a2662c6924f",
+        (10.0, 7): "47743cd04be0aba42c053054e57e4ce62d634989a3a3a6245e538a2662c6924f",
+        (3.0, 5): "10999b7465c88d73b1c3548b95ab8b7bd99c2b14ccee1f7d30ba5c1b22787c47",
+        (3.0, 6): "10999b7465c88d73b1c3548b95ab8b7bd99c2b14ccee1f7d30ba5c1b22787c47",
+        (3.0, 7): "10999b7465c88d73b1c3548b95ab8b7bd99c2b14ccee1f7d30ba5c1b22787c47",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED_UNDERCUT_LINES))
+def test_min_norm_lines_with_a_planted_undercut_are_pinned(monkeypatch, name):
+    import hashlib
+
+    from orthobound.cli import dumps_stable
+
+    make, real = POWER_PAIRS[name]
+    s, a, b = make()
+    digests, failing = {}, set()
+    for shift, seed in itertools.product((100.0, 10.0, 3.0), (5, 6, 7)):
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "_min_norm", _feasible_not_minimal(shift)(core._min_norm, s))
+            line = dumps_stable(verify_all(s, a, b, trials=300, seed=seed, real=real)[1].to_dict())
+        assert '"check": "min_norm_optimality"' in line
+        digests[shift, seed] = hashlib.sha256(line.encode()).hexdigest()
+        if '"passed": false' in line:
+            failing.add((shift, seed))
+    assert digests == PLANTED_UNDERCUT_LINES[name]
+    assert {(100.0, seed) for seed in (5, 6, 7)} <= failing
+
+
 # --- the deflated check at the instance ----------------------------------------
 
 
@@ -978,10 +1041,27 @@ def test_planted_defect_matrix(monkeypatch, kill_count, row, pair, caught_by):
 # --- the deflated check's instance form against its projection form ------------
 
 
+def _dense_pair_3_real():
+    return make_dense(3), np.array([1.0, 1.0, 1.0]), np.array([1.0, 2.0, 3.0])
+
+
+def _near_overflow_pair_4_real():
+    return make_weighted([4e307, 4e307, 1.0, 4e307]), np.array([1.0, 1.0, 0.0, 0.0]), np.array([0.0, 0.0, 2e-154, 0.0])
+
+
+# pairs for the min-norm check's row form, beside the power pairs.  On the dense dim-3 real pair the steps u,
+# orthogonal to a, lie in a plane, and about half of them keep under half their squared norm once projected
+# against r_hat; on the near-overflow pair ||x*||^2 = 1/||b||^2 = 2.5e307 and ||u||^2 runs up to 3.6e308
+ROW_FORM_PAIRS = {
+    "dense-3-real": (_dense_pair_3_real, True),
+    "near-overflow-4-real": (_near_overflow_pair_4_real, True),
+}
+
+
 def _feasible_blocks(name, trials=1000, seed=7):
-    """The pair of POWER_PAIRS[name], and the blocks of its feasible stream: (u, ||u||^2, rng), with
-    rng ready to draw the block's equality-case coefficients."""
-    make, real = POWER_PAIRS[name]
+    """The pair of POWER_PAIRS[name] or ROW_FORM_PAIRS[name], and the blocks of its feasible stream:
+    (u, ||u||^2, rng), with rng ready to draw the block's equality-case coefficients."""
+    make, real = {**POWER_PAIRS, **ROW_FORM_PAIRS}[name]
     s, a, b = make()
     pair = core._pair(s, a, b)
     a_dir = (pair[0], core._weigh(s.weights, pair[0]), pair[2].norm_a_sq)
@@ -1044,7 +1124,123 @@ def test_deflated_check_takes_two_row_products_per_block(monkeypatch, name):
         return out
 
     monkeypatch.setattr(np, "einsum", counted_einsum)
-    score(u, nsq, rng, np.empty_like(u))
+    score(u, nsq, rng)
     # the two row products <z,a_hat> and <z,r_hat>, and no other kernel: the rest is once per call
     assert calls == [("_dot_rows", [u.shape, (2, 2 * s.dim)])] * 2
     assert einsum_shapes and u.shape not in einsum_shapes
+
+
+# --- the min-norm check's row form against its projection form ----------------
+
+
+def _competitors_by_projection(w, x, nx, r_dir, a_dir, u):
+    """The projection form on every row of u, which the min-norm check keeps for a block's worst row and the
+    rows its row form leaves out: the undercuts of the competitors x + ws, ws the rows of u projected against
+    r_hat and then against a, the competitors and ||ws||^2."""
+    ws = core._project_rows(core._project_rows(u, *r_dir), *a_dir)
+    comps = x + ws
+    nws = core._sq_norm_rows(w, ws)
+    return (nx - core._sq_norm_rows(w, comps)) / (1.0 + nx + nws), comps, nws
+
+
+def _min_norm_forms(s, pair, real, a_dir, trials):
+    """The min-norm check's score on the pair, its row form, and the projection form as a function of u."""
+    (aa, bb, g), w = pair, s.weights
+    x, _ = core._min_norm(aa, bb, g, TOL)
+    nx = float(core._norm_sq_rows(w, x))
+    r_hat = core._residual(aa, bb, g, 1.0 / np.sqrt(g.norm_r_sq))
+    r_dir = (r_hat, core._weigh(w, r_hat), core._sq_norm_rows(w, r_hat))
+    score, _, _ = verify._min_norm_check(s, pair, trials, TOL, real, a_dir)
+    undercuts = verify._competitor_undercuts(w, x, nx, r_dir)
+    return score, undercuts, lambda u: _competitors_by_projection(w, x, nx, r_dir, a_dir, u)
+
+
+@pytest.fixture(scope="module")
+def worst_row_form_gap():
+    """Each pair's largest gap between the row form's undercut and the projection form's, in units of
+    u (1 + dim); one line, shown under -s, once the agreement tests have run."""
+    worst = {}
+    yield worst
+    if worst:
+        print("\nmin-norm row form, worst gap / (u (1 + dim)): " + ", ".join(f"{k} {v:.3g}" for k, v in worst.items()))
+
+
+@pytest.mark.parametrize("name", sorted(POWER_PAIRS) + ["dense-3-real"])
+def test_min_norm_row_form_agrees_with_the_projection_form(worst_row_form_gap, name):
+    s, pair, real, a_dir, blocks = _feasible_blocks(name)
+    score, undercuts, by_projection = _min_norm_forms(s, pair, real, a_dir, 1000)
+    gap, fallback, u_ = 0.0, 0, np.finfo(float).eps / 2
+    for u, nsq, rng in blocks:
+        undercut, direct = undercuts(u, nsq)
+        ref, comps, nws = by_projection(u)
+        # the rows scored directly are exactly those the projection leaves with under half of ||u||^2
+        np.testing.assert_array_equal(direct, nws < 0.5 * nsq)
+        fallback += int(direct.sum())
+        # each form's numerator is a row sum of about 2*dim products, none larger than the denominator,
+        # which may round by up to 2*dim*u (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+        # ed., sec. 4.2); the projection against a that the row form leaves out moves them by O(u^2)
+        kept = ~direct
+        gap = max(gap, float(np.max(np.abs(undercut - ref)[kept], initial=0.0)) / (u_ * (1 + s.dim)))
+        # the block's first worst figure and witness are the projection form's, to the bit
+        k = int(np.argmax(ref))
+        v, witness = score(u, nsq, rng)
+        assert v == ref[k]
+        np.testing.assert_array_equal(witness, comps[k])
+    worst_row_form_gap[name] = gap
+    assert gap <= 4.0
+    if name == "dense-3-real":
+        assert 300 < fallback < 700
+    elif s.dim > 16:
+        assert fallback == 0
+
+
+def test_min_norm_rows_near_overflow_are_scored_directly():
+    # ||u||^2 overflows in some rows; in others ||x* + ws||^2 does while ||ws||^2 fits, where the
+    # projection form's figure is nan and the row form's would be -0.0, as -(finite)/inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, pair, real, a_dir, blocks = _feasible_blocks("near-overflow-4-real", trials=2000, seed=1)
+        score, undercuts, by_projection = _min_norm_forms(s, pair, real, a_dir, 2000)
+        (u, nsq, rng), = blocks
+        undercut, direct = undercuts(u, nsq)
+        ref, comps, nws = by_projection(u)
+        v, witness = score(u, nsq, rng)
+    assert np.any(np.isinf(nsq)) and np.any(np.isnan(ref) & np.isfinite(nsq) & (nws >= 0.5 * nsq))
+    # every row the row form keeps has finite figures in both forms, and the worst row is the same
+    assert np.all(np.isfinite(undercut[~direct])) and np.all(np.isfinite(ref[~direct]))
+    k = int(np.argmax(ref))
+    assert np.isnan(ref[k]) and np.isnan(v)
+    np.testing.assert_array_equal(witness, comps[k])
+
+
+def test_min_norm_check_takes_two_row_products_per_block(monkeypatch):
+    s, pair, real, a_dir, blocks = _feasible_blocks("trapezoid-1024-complex", trials=130)
+    score, _, _ = verify._min_norm_check(s, pair, 130, TOL, real, a_dir)
+    u, nsq, rng = blocks[0]
+    calls, add_shapes = [], []
+
+    def counting(kernel, run):
+        def counted(*args, **kw):
+            calls.append((kernel, [np.shape(x) for x in args]))
+            return run(*args, **kw)
+
+        return counted
+
+    for kernel in ("_dot_rows", "_project_rows", "_sq_norm_rows", "_norm_sq_rows"):
+        monkeypatch.setattr(core, kernel, counting(kernel, getattr(core, kernel)))
+
+    class CountedAdd:
+        def __call__(self, *args, **kw):
+            out = add(*args, **kw)
+            add_shapes.append(np.shape(out))
+            return out
+
+        def __getattr__(self, name):
+            return getattr(add, name)
+
+    add = np.add
+    monkeypatch.setattr(np, "add", CountedAdd())
+    score(u, nsq, rng)
+    # the two row products <u,r_hat> and <u,x*>; only the worst row is projected and formed
+    assert [call for call in calls if u.shape in call[1]] == [("_dot_rows", [u.shape, (2, 2 * s.dim)])] * 2
+    assert u.shape not in add_shapes
+    assert ("_project_rows", [(1, s.dim), (s.dim,), (2, 2 * s.dim), ()]) in calls
