@@ -12,6 +12,7 @@ The bound, min-norm and deflated checks score one stream of feasible draws, whic
 from __future__ import annotations
 
 import contextvars
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional
@@ -28,13 +29,13 @@ from .spaces import SpaceDescriptor
 _DEGENERATE = 1e-20
 _MAX_RETRIES = 100
 # The sampling checks draw their trials in consecutive row blocks of at most _BLOCK_ELEMS complex
-# elements (1 MiB per array), so memory stays flat in trials.  Each lane of verify_all's stream holds two,
-# its draws and a scratch block (four in all; format 6 held five): with none held, ops/s fell 53.7 to 42.4.
+# elements (1 MiB per array), so memory stays flat in trials.  Each lane of verify_all's stream holds one,
+# its draws, which it scores without forming another: with no block held, ops/s fell 53.7 to 42.4.
 _BLOCK_ELEMS = 1 << 16
 # Lanes of verify_all's stream, the caller and _LANES - 1 workers: dim 1024 took 71 ms on one, 40 on two (2 vCPUs).
 _LANES = 2
 # Written into every `verify` report line: the draws and the arithmetic that scores them fix its bytes.
-HARNESS_FORMAT = 9
+HARNESS_FORMAT = 10
 _SQRT3 = np.sqrt(3.0)
 
 # verify_all emits reports in exactly this order.
@@ -113,31 +114,60 @@ def _block_rng(seed: int, k: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
 
 
-def _usable_draws(space: SpaceDescriptor, rng, u, real: bool, t, against=None) -> np.ndarray:
-    """Fill the block u with draws, projected against a when against = (a, _weigh(w, a),
-    ||a||^2) is given, on the buffer t (unread otherwise), and return their squared norms.
-    Rows left with under half their drawn squared norm are projected again: "twice is enough"
-    (Parlett 1980).  Rows left under the degenerate floor are redrawn, up to the retry cap."""
-    w, v, bad, lost = space.weights, u, None, 0.0
-    nsq = vsq = np.empty(len(u))
+def _directions(w: np.ndarray, a: np.ndarray, na, cs) -> tuple:
+    """What a block is projected and scored with: (a, the _weigh forms of a and of the directions cs
+    stacked in that order, ||a||^2, and the products <a,c> with the stack)."""
+    wcs = core._weigh(w, np.stack((a, *cs)))
+    return a, wcs, na, core._dot_rows(a[None], wcs)
+
+
+# A block of draws z and their components u = z - coef*a orthogonal to a, which are not formed: a row in
+# formed holds its u in place of its z.  nsq holds ||u||^2, and uc the products <u,c> with the stack.
+_Table = namedtuple("_Table", "z coef formed nsq uc")
+
+
+def _usable_draws(space: SpaceDescriptor, rng, z, real: bool, dirs=None) -> _Table:
+    """Fill the block z with draws and return their table, projected against a when dirs = _directions(...)
+    is given.  A block takes one product with the stack and one squared norm: with coef = <z,a>/||a||^2,
+    ||u||^2 = ||z||^2 - |coef|^2 ||a||^2 (Pythagoras) and <u,c> = <z,c> - coef <a,c>.  Rows that keep under
+    a quarter of ||z||^2 are formed, projected again and their figures summed directly: "twice is enough"
+    (Parlett 1980); so are rows whose ||z||^2 overflows, as their ||u||^2 may fit.  Rows left under the
+    degenerate floor are redrawn, up to the retry cap."""
+    w, v, table, bad = space.weights, z, None, None
     for _ in range(_MAX_RETRIES):
         _draw(rng, v.shape, real, v)
-        if against is not None:  # lost = |<v,a>|^2/||a||^2 <= ||v||^2 fits where ||v||^2 does
-            a, wa, na = against
-            coef = core._dot_rows(v, wa) / na
-            np.subtract(v, np.multiply(coef[:, None], a, out=t[: len(v)]), out=v)
-            lost = np.square(np.abs(coef) * np.sqrt(na))
-        vsq[:] = core._sq_norm_rows(w, v)
-        if np.any(again := vsq < lost / 3.0):  # by Pythagoras, the drawn ||v||^2 is vsq + lost
-            v[again] = core._project_rows(v[again], *against)
-            vsq[again] = core._sq_norm_rows(w, v[again])
-        if bad is not None:
-            u[bad], nsq[bad] = v, vsq
-        bad = nsq < _DEGENERATE * w.min()
+        n, nsq = len(v), core._sq_norm_rows(w, v)
+        coef, formed, uc = np.zeros(n, complex), np.zeros(n, bool), np.empty((n, 0), complex)
+        if dirs is not None:
+            a, wcs, na, ac = dirs
+            zc = core._dot_rows(v[:, None], wcs)
+            coef = zc[:, 0] / na
+            lost = np.square(np.abs(coef) * np.sqrt(na))  # |<z,a>|^2/||a||^2 <= ||z||^2 fits where ||z||^2 does
+            nsq, uc = nsq - lost, zc - coef[:, None] * ac
+            if np.any(formed := (nsq < lost / 3.0) | ~np.isfinite(nsq)):  # ||z||^2 is nsq + lost
+                v[formed] = u = core._project_rows(v[formed] - coef[formed, None] * a, a, wcs[0], na)
+                nsq[formed], uc[formed] = core._sq_norm_rows(w, u), core._dot_rows(u[:, None], wcs)
+        if table is None:
+            table = _Table(v, coef, formed, nsq, uc)
+        else:  # the redrawn rows
+            for held, new in zip(table, (v, coef, formed, nsq, uc)):
+                held[bad] = new
+        bad = table.nsq < _DEGENERATE * w.min()
         if not np.any(bad):
-            return nsq
-        v, vsq = np.empty((int(bad.sum()), space.dim), dtype=np.complex128), np.empty(int(bad.sum()))
+            return table
+        v = np.empty((int(bad.sum()), space.dim), dtype=np.complex128)
     raise DegenerateSample(f"no usable draw in {_MAX_RETRIES} attempts (dim too small or pathological a)")
+
+
+def _rows(t: _Table, a: np.ndarray, rows) -> np.ndarray:
+    """The draws u orthogonal to a of the given rows of a table, formed: the only rows of a block that are."""
+    z = t.z[rows]
+    return np.where(t.formed[rows, None], z, z - t.coef[rows, None] * a)
+
+
+def _unit_row(w: np.ndarray, t: _Table, a: np.ndarray, i: int) -> np.ndarray:
+    u = _rows(t, a, [i])
+    return u[0] / np.sqrt(core._sq_norm_rows(w, u)[0])
 
 
 def sample_feasible(space: SpaceDescriptor, a, seed: int, real: bool = False) -> np.ndarray:
@@ -148,9 +178,8 @@ def sample_feasible(space: SpaceDescriptor, a, seed: int, real: bool = False) ->
     """
     w, aa = space.weights, core.as_vector(space, a, "a")
     na = core._require_nonzero(core._norm_sq_rows(w, aa), "a")  # first: w*conj(a) overflows only if this does
-    u, t = np.empty((2, 1, space.dim), complex)
-    nsq = _usable_draws(space, np.random.default_rng(seed), u, real, t, (aa, core._weigh(w, aa), na))
-    return u[0] / np.sqrt(nsq[0])
+    z = np.empty((1, space.dim), complex)
+    return _unit_row(w, _usable_draws(space, np.random.default_rng(seed), z, real, _directions(w, aa, na, ())), aa, 0)
 
 
 def verify_bound(space: SpaceDescriptor, a, b, trials: int, tol: Tolerances = DEFAULT_TOL, seed: int = DEFAULT_SEED,
@@ -170,7 +199,7 @@ def verify_min_norm(space: SpaceDescriptor, a, b, trials: int, tol: Tolerances =
 
     Competitors are x* + w, w a feasible draw of the bound check's stream for the same seed less its
     component along x*'s direction: x* + w stays feasible, so none may have smaller squared norm beyond
-    rounding slack.  A block is scored from two row products, and its worst competitor is formed.
+    rounding slack.  Each competitor is scored from its block's product table; only the worst is formed.
     """
     return _verify_feasible(space, core._pair(space, a, b), trials, tol, seed, real, [_min_norm_check])[0]
 
@@ -182,26 +211,29 @@ def _rank(state):
 
 
 def _verify_feasible(space, pair, trials, tol, seed, real, checks) -> List[VerificationReport]:
-    """The reports of checks on one stream of feasible draws, the same whichever checks read it.  A check
-    gives (score, start, report): score(u, ||u||^2, rng), None if skipped, returns the first worst
-    (violation, witness) of the block u, which it leaves as it is; report(*worst) takes the worst of start
-    and the blocks.  Block k draws from _block_rng(seed, k) on lane k % _LANES, the caller or a worker in
-    a copy of its context (with its np.errstate): the first worst over the lanes is one lane's, and the
-    error raised the lowest block's, once every lane has stopped."""
+    """The reports of checks on one stream of feasible draws, the same whichever checks read it.  A check gives
+    (score, start, report, cs): score(t, uc, rng), None if skipped, takes a block's table t and the columns uc
+    of t.uc for its directions cs to the block's scaled violations, met in raveled order, and a function of the
+    first worst's index to its witness; report(*worst) takes the worst of start and the blocks.  Block k draws
+    from _block_rng(seed, k) on lane k % _LANES, the caller or a worker in a copy of its context (np.errstate
+    too): the first worst over the lanes is one lane's, the error raised the lowest block's once all stop."""
     (aa, bb, g), trials = pair, _require_trials(trials)
-    a_dir = (aa, core._weigh(space.weights, aa), g.norm_a_sq)
-    made = [check(space, pair, trials, tol, real, a_dir) for check in checks]
-    scored = [(score, (*start, -1)) for score, start, _ in made if score]
+    made = [check(space, pair, trials, tol, real) for check in checks]
+    ends = np.cumsum([1] + [len(cs) for *_, cs in made])  # each check's columns of the stack, after a's
+    scored = [(m[0], (*m[1], -1), slice(lo, hi)) for m, lo, hi in zip(made, ends, ends[1:]) if m[0]]
     rows = _block_rows(trials, space.dim) if scored else []
+    dirs = _directions(space.weights, aa, g.norm_a_sq, [c for *_, cs in made for c in cs]) if rows else None
 
     def lane(first):  # its first worst state per scoring check, and its error as (block, error)
-        (u, t), states = np.empty((2, max(rows, default=0), space.dim), complex), [start for _, start in scored]
+        z, states = np.empty((max(rows, default=0), space.dim), complex), [start for _, start, _ in scored]
         for k in range(first, len(rows), _LANES):
             try:
                 rng, n = _block_rng(seed, k), rows[k]
-                nsq = _usable_draws(space, rng, u[:n], real, t[:n], a_dir)
-                scores = [score(u[:n], nsq, rng) for score, _ in scored]
-                states = [max(state, (*new, k), key=_rank) for state, new in zip(states, scores)]
+                t = _usable_draws(space, rng, z[:n], real, dirs)
+                for j, (score, _, cols) in enumerate(scored):
+                    v, witness = score(t, t.uc[:, cols], rng)
+                    i = int(np.argmax(v))
+                    states[j] = max(states[j], (v.flat[i], witness(i), k), key=_rank)
             except Exception as exc:
                 return states, (k, exc)
         return states, None
@@ -215,32 +247,33 @@ def _verify_feasible(space, pair, trials, tol, seed, real, checks) -> List[Verif
     if errors := [error for _, error in outcomes if error]:
         raise min(errors, key=lambda error: error[0])[1]
     worst = iter(max(states, key=_rank)[:2] for states in zip(*(states for states, _ in outcomes)))
-    return [report(*next(worst)) if score else report() for score, _, report in made]
+    return [report(*next(worst)) if score else report() for score, _, report, _ in made]
 
 
-def _bound_check(space, pair, trials, tol, real, a_dir):
+def _bound_check(space, pair, trials, tol, real):
     aa, bb, g = pair
     bound = core._bound(g)
     if space.dim == 1 and trials > 0:
-        return None, None, lambda: _skipped("bound_dominance", tol, "no unit vector is orthogonal to a in dimension 1")
+        skip = "no unit vector is orthogonal to a in dimension 1"
+        return None, None, lambda: _skipped("bound_dominance", tol, skip), ()
     tolerance = tol.rel_eps * (1.0 + bound)
-    wb, extremal = core._weigh(space.weights, bb), not core._dependent(g, tol)
+    extremal = not core._dependent(g, tol)
 
-    def score(xs, norms, *_):
+    def score(t, ub, _):
         # |<x,b>|^2 at x = u/||u||, squared last: it fits where ||b||^2 does, |<u,b>|^2 may not
-        attained = np.square(np.abs(core._dot_rows(xs, wb)) / np.sqrt(norms))
-        violations = np.maximum(attained - bound, 0.0)
-        k = int(np.argmax(violations))
-        return violations[k], xs[k] / np.sqrt(norms[k])
+        attained = np.square(np.abs(ub[:, 0]) / np.sqrt(t.nsq))
+        return np.maximum(attained - bound, 0.0), lambda i: _unit_row(space.weights, t, aa, i)
 
-    # the extremizer, unit by construction, is scored as it is
-    start = score(core._extremizer(aa, bb, g, tol)[None, :], np.ones(1)) if extremal else (0.0, None)
+    start = (0.0, None)
+    if extremal:  # the extremizer, unit by construction, is scored as it is
+        x = core._extremizer(aa, bb, g, tol)
+        start = (np.maximum(np.square(np.abs(core._dot_rows(x, core._weigh(space.weights, bb)))) - bound, 0.0), x)
     return score, start, lambda v, x: _report(
         "bound_dominance", trials + extremal, v, tolerance, witness=x, bound=bound
-    )
+    ), (bb,)
 
 
-def _min_norm_check(space, pair, trials, tol, real, a_dir):
+def _min_norm_check(space, pair, trials, tol, real):
     aa, bb, g = pair
     x, value = core._min_norm(aa, bb, g, tol)
     w, na, nb = space.weights, g.norm_a_sq, g.norm_b_sq
@@ -252,57 +285,39 @@ def _min_norm_check(space, pair, trials, tol, real, a_dir):
     # to a and to r, so to b.  r_hat comes from the slot's residual, so that a planted x* cannot steer its own
     # competitors
     r_hat = core._residual(aa, bb, g, 1.0 / np.sqrt(g.norm_r_sq))
-    r_dir = (r_hat, core._weigh(w, r_hat), core._sq_norm_rows(w, r_hat))
-    undercuts = _competitor_undercuts(w, x, nx, r_dir)
+    wr, wx = core._weigh(w, r_hat), core._weigh(w, x)
+    nr, r_x = core._sq_norm_rows(w, r_hat), core._dot_rows(r_hat, wx)
 
-    def competitors(u):  # (undercuts, competitors x + ws), ws being u projected against r_hat, then a
-        ws = core._project_rows(core._project_rows(u, *r_dir), *a_dir)
-        comps = np.add(x, ws)
-        return (nx - core._sq_norm_rows(w, comps)) / (1.0 + nx + core._sq_norm_rows(w, ws)), comps
+    def score(t, uc, _):
+        # ws = u - c1 r_hat with c1 = <u,r_hat>/||r_hat||^2: ||ws||^2 = ||u||^2 - |c1|^2 ||r_hat||^2
+        # (Pythagoras) and <ws,x> = <u,x> - c1 <r_hat,x>.  Where that keeps under half of ||u||^2, or does not
+        # fit, ws is formed, projected against r_hat once more and its figures summed directly
+        c1 = uc[:, 0] / nr
+        nws, wsx = t.nsq - np.square(np.abs(c1) * np.sqrt(nr)), uc[:, 1] - c1 * r_x
+        again = ~((nws >= 0.5 * t.nsq) & np.isfinite(nws))
 
-    def score(u, nsq, _):
-        undercut, direct = undercuts(u, nsq)
-        if direct.any():
-            undercut[direct] = competitors(u[direct])[0]
-        k = int(np.argmax(undercut))
-        v, comps = competitors(u[k : k + 1])  # the worst row, re-scored as its competitor
-        return v[0], comps[0]
+        def steps(rows):
+            ws, redo = _rows(t, aa, rows) - c1[rows, None] * r_hat, again[rows]
+            ws[redo] = core._project_rows(ws[redo], r_hat, wr, nr)
+            return ws
+
+        if np.any(again):
+            ws = steps(np.flatnonzero(again))
+            nws[again], wsx[again] = core._sq_norm_rows(w, ws), core._dot_rows(ws, wx)
+        # ||x||^2 - ||x + ws||^2 = -(2 Re<ws,x> + ||ws||^2), over 1 + ||x||^2 + ||ws||^2; each term is quartered,
+        # so that none overflows where ||ws||^2 fits (|<ws,x>| <= ||ws|| ||x||)
+        undercut = -(0.5 * wsx.real + 0.25 * nws) / (0.25 + 0.25 * nx + 0.25 * nws)
+        return undercut, lambda i: x + steps([i])[0]
 
     return score, (max(res_orth, res_one, res_value), x.copy()), lambda v, y: _report(
         "min_norm_optimality", trials + 1, v, tol.rel_eps, witness=y, value=value
-    )
+    ), (r_hat, x)
 
 
-def _competitor_undercuts(w, x, nx, r_dir):
-    """A function of a block u orthogonal to a and its squared norms, to the scaled undercuts of the competitors
-    x + ws, ws = u - c1 r_hat with c1 = <u,r_hat>/||r_hat||^2, and the rows to score directly instead.  A block
-    costs two row products: ||ws||^2 = ||u||^2 - |c1|^2 ||r_hat||^2 (Pythagoras) and <ws,x> = <u,x> - c1 <r_hat,x>
-    give ||x||^2 - ||x + ws||^2 = -(2 Re<ws,x> + ||ws||^2).  Rows are scored directly where Pythagoras cancels,
-    leaving under half of ||u||^2, and where 4 (1 + ||x||^2 + ||ws||^2) overflows: there the direct form's
-    ||x + ws||^2 <= 2 (||x||^2 + ||ws||^2) may, while below it no figure here can, as |<ws,x>| <= ||ws|| ||x||."""
-    r_hat, wr, nr = r_dir
-    wx = core._weigh(w, x)
-    r_x = core._dot_rows(r_hat, wx)
-
-    def undercuts(u, nsq):
-        c1 = core._dot_rows(u, wr) / nr
-        nws = nsq - np.square(np.abs(c1) * np.sqrt(nr))
-        wsx = core._dot_rows(u, wx) - c1 * r_x
-        scale = 1.0 + nx + nws
-        undercut = -(2.0 * wsx.real + nws) / scale
-        return undercut, ~((nws >= 0.5 * nsq) & np.isfinite(4.0 * scale))
-
-    return undercuts
-
-
-def _first_worst(lhs, rhs, lhs_e, rhs_e):
-    """The first worst scaled violation of a block, with its row and whether it is the equality case's,
-    from the sides of the inequality and of its equality case."""
-    # v[i] holds trial i's two scaled violations, so that argmax over the
-    # raveled v meets the trials in the order they ran
-    v = np.column_stack((np.maximum(rhs - lhs, 0.0) / (1.0 + lhs), np.abs(lhs_e - rhs_e) / (10.0 * (1.0 + lhs_e))))
-    i, eq = divmod(int(np.argmax(v)), 2)
-    return v[i, eq], i, eq
+def _violations(lhs, rhs, lhs_e, rhs_e):
+    """Each trial's two scaled violations, of the deflated inequality and of its equality case, in a row,
+    so that argmax over the raveled rows meets the trials in the order they ran."""
+    return np.column_stack((np.maximum(rhs - lhs, 0.0) / (1.0 + lhs), np.abs(lhs_e - rhs_e) / (10.0 * (1.0 + lhs_e))))
 
 
 def _deflated_scores(w, z, mu_beta, c, wc, nc, dp, wdp, ndp, t):
@@ -315,37 +330,9 @@ def _deflated_scores(w, z, mu_beta, c, wc, nc, dp, wdp, ndp, t):
     cdp = np.stack((c, dp), axis=-2)
     basis = core._project_rows(cdp, c[:, None], wc[:, None], nc[:, None])
     y = np.einsum("...k,...kj->...j", mu_beta, basis, out=t)
-    v, i, eq = _first_worst(*sides, *core._deflated_sides(core._sq_norm_rows(w, y), core._dot_rows(y, wdp), nc, ndp))
-    return v, np.einsum("k,kj->j", mu_beta[i], cdp[i]) if eq else z[i].copy()
-
-
-def _instance_sides(w, cdp):
-    """The sides at the instance, c = cdp[0] and dp = cdp[1] orthogonal to it, as a function that takes
-    a block z orthogonal to c, its squared norms and its equality-case coefficients mu_beta to
-    (lhs, rhs, lhs_e, rhs_e).  A block costs two row products, <z,c> and <z,dp>: z' = z - (<z,c>/||c||^2) c
-    has ||z'||^2 = ||z||^2 - |<z,c>|^2/||c||^2 (Pythagoras, which cannot cancel while z is orthogonal to c)
-    and <z',dp> = <z,dp> - (<z,c>/||c||^2) <c,dp>.  The equality case's y = mu*c' + beta*dp', c' and dp'
-    projected against c once per call, is not formed: ||y||^2 comes from the 2x2 Gram of (c', dp') and
-    <y,dp> from their products with dp."""
-    c, dp = cdp
-    wc, wdp = core._weigh(w, c), core._weigh(w, dp)
-    # each direction goes in with its computed squared norm, which is 1 only to rounding
-    nc, ndp = core._sq_norm_rows(w, cdp)
-    c_dp = core._dot_rows(c, wdp)
-    basis = core._project_rows(cdp, c, wc, nc)
-    (g11, g22), g12 = core._sq_norm_rows(w, basis), core._dot_rows(basis[0], core._weigh(w, basis[1]))
-    basis_dp = core._dot_rows(basis, wdp)
-
-    def sides(z, nz, mu_beta):
-        coef = core._dot_rows(z, wc) / nc
-        nzp = nz - np.abs(coef) ** 2 * nc
-        zdp = core._dot_rows(z, wdp) - coef * c_dp
-        mu, beta = mu_beta.T
-        ny = np.abs(mu) ** 2 * g11 + 2.0 * (mu * np.conj(beta) * g12).real + np.abs(beta) ** 2 * g22
-        ydp = mu * basis_dp[0] + beta * basis_dp[1]
-        return (*core._deflated_sides(nzp, zdp, nc, ndp), *core._deflated_sides(ny, ydp, nc, ndp))
-
-    return sides
+    v = _violations(*sides, *core._deflated_sides(core._sq_norm_rows(w, y), core._dot_rows(y, wdp), nc, ndp))
+    i, eq = divmod(int(np.argmax(v)), 2)
+    return v[i, eq], np.einsum("k,kj->j", mu_beta[i], cdp[i]) if eq else z[i].copy()
 
 
 def _deflated_report(trials: int, tol: Tolerances, worst, witness) -> VerificationReport:
@@ -353,23 +340,34 @@ def _deflated_report(trials: int, tol: Tolerances, worst, witness) -> Verificati
     return _report("deflated_schwarz", trials, worst, tol.rel_eps, witness=witness, note=note)
 
 
-def _deflated_check(space, pair, trials, tol, real, a_dir):
+def _deflated_check(space, pair, trials, tol, real):
     """The deflated check at the pair, c = a and d = b, on the unit directions of a and of b's component
-    orthogonal to a, the extremizer (none for a dependent pair): no figure depends on their scale.
-    z is a feasible draw, scored from its two row products (_instance_sides)."""
+    orthogonal to a, the extremizer dp (none for a dependent pair): no figure depends on their scale.  z is
+    a feasible draw, orthogonal to c, so its sides come from ||z||^2 and <z,dp> in the table.  The equality
+    case's y = mu*c' + beta*dp', c' and dp' projected against c once per call, is not formed: ||y||^2 comes
+    from the 2x2 Gram of (c', dp') and <y,dp> from their products with dp."""
     aa, bb, g = pair
     if core._dependent(g, tol):
-        return None, None, lambda: _skipped("deflated_schwarz", tol, "dependent vectors")
+        return None, None, lambda: _skipped("deflated_schwarz", tol, "dependent vectors"), ()
+    w = space.weights
     cdp = np.stack((aa / np.sqrt(g.norm_a_sq), core._extremizer(aa, bb, g, tol)))
-    sides = _instance_sides(space.weights, cdp)
+    c, dp = cdp
+    wc, wdp = core._weigh(w, c), core._weigh(w, dp)
+    # each direction goes in with its computed squared norm, which is 1 only to rounding
+    nc, ndp = core._sq_norm_rows(w, cdp)
+    basis = core._project_rows(cdp, c, wc, nc)
+    (g11, g22), g12 = core._sq_norm_rows(w, basis), core._dot_rows(basis[0], core._weigh(w, basis[1]))
+    basis_dp = core._dot_rows(basis, wdp)
 
-    def score(u, nsq, rng):
+    def score(t, udp, rng):
         # the equality case's coefficients are the block's next draws
-        mu_beta = _draw(rng, (len(u), 2), real)
-        v, i, eq = _first_worst(*sides(u, nsq, mu_beta))
-        return v, np.einsum("k,kj->j", mu_beta[i], cdp) if eq else u[i].copy()
+        mu, beta = (mu_beta := _draw(rng, (len(udp), 2), real)).T
+        ny = np.abs(mu) ** 2 * g11 + 2.0 * (mu * np.conj(beta) * g12).real + np.abs(beta) ** 2 * g22
+        ydp = mu * basis_dp[0] + beta * basis_dp[1]
+        v = _violations(*core._deflated_sides(t.nsq, udp[:, 0], nc, ndp), *core._deflated_sides(ny, ydp, nc, ndp))
+        return v, lambda i: np.einsum("k,kj->j", mu_beta[i // 2], cdp) if i % 2 else _rows(t, aa, [i // 2])[0]
 
-    return score, (0.0, None), lambda v, z: _deflated_report(trials, tol, v, z)
+    return score, (0.0, None), lambda v, z: _deflated_report(trials, tol, v, z), (dp,)
 
 
 def verify_deflated(space: SpaceDescriptor, trials: int, tol: Tolerances = DEFAULT_TOL, seed: int = DEFAULT_SEED,
@@ -385,7 +383,7 @@ def verify_deflated(space: SpaceDescriptor, trials: int, tol: Tolerances = DEFAU
     w, rng, worst = space.weights, np.random.default_rng(seed), (0.0, None, -1)
     for k, n in enumerate(_block_rows(_require_trials(trials), space.dim)):
         z, c = _draw(rng, (n, space.dim), real), np.empty((n, space.dim), complex)
-        nc = _usable_draws(space, rng, c, real, None)
+        nc = _usable_draws(space, rng, c, real).nsq
         d, mu_beta = _draw(rng, (n, space.dim), real), _draw(rng, (n, 2), real)
         wc = core._weigh(w, c)
         dp = core._project_rows(d, c, wc, nc, out=d)  # d becomes its component orthogonal to c
@@ -443,6 +441,6 @@ def verify_all(space: SpaceDescriptor, a, b, trials: int = DEFAULT_TRIALS, tol: 
     pair = core._pair(space, a, b)
     checks = [_bound_check, _min_norm_check, _deflated_check]
     if core._dependent(pair[2], tol):
-        checks[1] = lambda *_: (None, None, lambda: _skipped("min_norm_optimality", tol, "dependent vectors"))
+        checks[1] = lambda *_: (None, None, lambda: _skipped("min_norm_optimality", tol, "dependent vectors"), ())
     reports = _verify_feasible(space, pair, trials, tol, seed, real, checks)
     return reports + [_verify_scale_covariance(space, pair, tol, real), _verify_real_consistency(space, pair, tol)]

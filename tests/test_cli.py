@@ -656,30 +656,32 @@ def test_pair_subcommands_golden_stdout(tmp_path, capsys, instance, command):
 # extremizer's last bit moved (the bound and real-consistency lines), and on
 # weighted_complex every line but the skipped one.  At format 9 the deflated check came
 # to score its blocks from two row products: only the deflated lines moved (worst figure
-# 2.10e-17 to 2.49e-17 on dense_real, 6.58e-17 to 7.48e-17 on weighted_complex).
+# 2.10e-17 to 2.49e-17 on dense_real, 6.58e-17 to 7.48e-17 on weighted_complex).  At
+# format 10 every block came to be scored from one product table, and only "harness_format"
+# moved.
 GOLDEN_VERIFY_LINES = {
     "dense_real": [
         '{"check": "bound_dominance", "trials": 201, "worst_violation": 0, "tolerance": '
         '3.0000000000000004e-09, "passed": true, "skipped": false, "witness": '
         '[[-0.70710678118654746, 0], [0, 0], [0.70710678118654746, 0]], "bound": 2, '
-        '"harness_format": 9, "settings": {"trials": 200, "seed": 1, "tol": '
+        '"harness_format": 10, "settings": {"trials": 200, "seed": 1, "tol": '
         '1.0000000000000001e-09}}',
         '{"check": "min_norm_optimality", "trials": 201, "worst_violation": 0, "tolerance": '
         '1.0000000000000001e-09, "passed": true, "skipped": false, "witness": [[-0.5, 0], [0, '
-        '0], [0.5, 0]], "value": 0.5, "harness_format": 9, "settings": {"trials": 200, "seed": '
+        '0], [0.5, 0]], "value": 0.5, "harness_format": 10, "settings": {"trials": 200, "seed": '
         '1, "tol": 1.0000000000000001e-09}}',
         '{"check": "deflated_schwarz", "trials": 200, "worst_violation": 2.4883535100424913e-17, '
         '"tolerance": 1.0000000000000001e-09, "passed": true, "skipped": false, "witness": '
         '[[-0.50135975228670226, 0], [0.63207348354431725, 0], [1.7655067193753369, 0]], "note": '
-        '"equality-case slack is 10x rel_eps, folded in at 1/10 weight", "harness_format": 9, '
+        '"equality-case slack is 10x rel_eps, folded in at 1/10 weight", "harness_format": 10, '
         '"settings": {"trials": 200, "seed": 1, "tol": 1.0000000000000001e-09}}',
         '{"check": "scale_covariance", "trials": 3, "worst_violation": 0, "tolerance": '
         '1.0000000000000001e-09, "passed": true, "skipped": false, "witness": [[1, 0], [1, 0], '
-        '[1, 0]], "harness_format": 9, "settings": {"trials": 200, "seed": 1, "tol": '
+        '[1, 0]], "harness_format": 10, "settings": {"trials": 200, "seed": 1, "tol": '
         '1.0000000000000001e-09}}',
         '{"check": "real_consistency", "trials": 1, "worst_violation": 0, "tolerance": '
         '1.0000000000000001e-09, "passed": true, "skipped": false, "witness": '
-        '[[-0.70710678118654746, 0], [0, 0], [0.70710678118654746, 0]], "harness_format": 9, '
+        '[[-0.70710678118654746, 0], [0, 0], [0.70710678118654746, 0]], "harness_format": 10, '
         '"settings": {"trials": 200, "seed": 1, "tol": 1.0000000000000001e-09}}',
     ],
     "weighted_complex": [
@@ -688,29 +690,29 @@ GOLDEN_VERIFY_LINES = {
         '[[0.27290407632647051, 0.071098693569264682], [0.23017304332272057, '
         '-0.12567950883455883], [0.31575480410053919, 0.051229361696372565], '
         '[0.064754870742377429, 0.47686396494941169]], "bound": 21.735700334821427, '
-        '"harness_format": 9, "settings": {"trials": 200, "seed": 1, "tol": '
+        '"harness_format": 10, "settings": {"trials": 200, "seed": 1, "tol": '
         '1.0000000000000001e-09}}',
         '{"check": "min_norm_optimality", "trials": 201, "worst_violation": '
         '6.0130604447875949e-17, "tolerance": 1.0000000000000001e-09, "passed": true, "skipped": '
         'false, "witness": [[0.058536021796966008, 0.015250174099735879], [0.049370513120862131, '
         '-0.026957378459129093], [0.067727204166840513, 0.010988340933816433], '
         '[0.013889468329894128, 0.10228399598206693]], "value": 0.046007259236913643, '
-        '"harness_format": 9, "settings": {"trials": 200, "seed": 1, "tol": '
+        '"harness_format": 10, "settings": {"trials": 200, "seed": 1, "tol": '
         '1.0000000000000001e-09}}',
         '{"check": "deflated_schwarz", "trials": 200, "worst_violation": 7.4837233094254853e-17, '
         '"tolerance": 1.0000000000000001e-09, "passed": true, "skipped": false, "witness": '
         '[[-0.34354132504632023, -0.32476747491245439], [-0.90625824819276601, '
         '-0.50363245204471463], [-0.11216630593855922, -0.85880951229687652], '
         '[0.52461527664708207, -0.74195923146317178]], "note": "equality-case slack is 10x '
-        'rel_eps, folded in at 1/10 weight", "harness_format": 9, "settings": {"trials": 200, '
+        'rel_eps, folded in at 1/10 weight", "harness_format": 10, "settings": {"trials": 200, '
         '"seed": 1, "tol": 1.0000000000000001e-09}}',
         '{"check": "scale_covariance", "trials": 5, "worst_violation": 1.5388713145443544e-16, '
         '"tolerance": 1.0000000000000001e-09, "passed": true, "skipped": false, "witness": [[2, '
-        '1.5], [-3.75, 2.5], [-1.5, -3], [-0.25, 2]], "harness_format": 9, "settings": '
+        '1.5], [-3.75, 2.5], [-1.5, -3], [-0.25, 2]], "harness_format": 10, "settings": '
         '{"trials": 200, "seed": 1, "tol": 1.0000000000000001e-09}}',
         '{"check": "real_consistency", "trials": 0, "worst_violation": 0, "tolerance": '
         '1.0000000000000001e-09, "passed": true, "skipped": true, "note": "complex inputs", '
-        '"harness_format": 9, "settings": {"trials": 200, "seed": 1, "tol": '
+        '"harness_format": 10, "settings": {"trials": 200, "seed": 1, "tol": '
         '1.0000000000000001e-09}}',
     ],
 }

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -107,7 +108,22 @@ def test_draw_stream_is_pinned():
         1.0851999415882543, 1.429827261904872, 0.3693971630665551, 0.7949994075732292,
         0.1511214033957422, 1.5071350859451056, 1.0941488069793999, -1.7225643647064122,
     ]
-    assert verify.HARNESS_FORMAT == 9
+    assert verify.HARNESS_FORMAT == 10
+
+
+def test_sample_feasible_bytes_are_pinned():
+    # sha256 of sample_feasible's bytes on weighted pairs of dims 2, 16 and 1024, at seeds 0 and 42, complex
+    # and real, captured at harness format 9: its one row is formed as a witness row of the stream is
+    import hashlib
+
+    digest = hashlib.sha256()
+    for dim in (2, 16, 1024):
+        rng = np.random.default_rng(dim)
+        s = make_weighted(rng.uniform(0.5, 2.0, dim))
+        a = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        for seed, real in itertools.product((0, 42), (False, True)):
+            digest.update(sample_feasible(s, a.real if real else a, seed=seed, real=real).tobytes())
+    assert digest.hexdigest() == "3bbe49cd363214c03644fe983fa629c4e50dc87206664c7109408bc25400f2c1"
 
 
 def test_sample_feasible_zero_vector():
@@ -309,9 +325,10 @@ def test_blocked_checks_deterministic():
 
 def test_verify_all_memory_stays_flat_in_trials():
     # the feasible stream of the three sampling checks is traced on one lane, the
-    # calling thread's.  Inside verify_all the worker lane's block buffers add to
-    # the caller's only while the two overlap, which varies from run to run, so
-    # there only the cap is asserted
+    # calling thread's, which holds one 1 MiB block of draws and the directions it
+    # is scored with, and forms no other block.  Inside verify_all the worker
+    # lane's block adds to the caller's only while the two overlap, which varies
+    # from run to run, so there only the cap is asserted
     import tracemalloc
 
     s, a, b = _pair_1024()
@@ -334,6 +351,7 @@ def test_verify_all_memory_stays_flat_in_trials():
     mib = 1 << 20
     peaks = [peak(one_lane, trials) for trials in (130, 4000)]
     assert abs(peaks[1] - peaks[0]) < mib
+    assert max(peaks) < 2 * mib
     assert max(peak(lambda n: verify_all(s, a, b, trials=n, seed=6), trials) for trials in (130, 4000)) < 12 * mib
 
 
@@ -486,7 +504,8 @@ def test_verify_all_golden_dim_1024():
     from per-block generators, and the harness's row products became einsum, and
     at format 8, when the answers became scaled copies of the residual r, and at
     format 9, when the deflated check came to score its blocks from two row products
-    (the deflated line's worst figure went from 3.05e-16 to 1.58e-16)."""
+    (the deflated line's worst figure went from 3.05e-16 to 1.58e-16).  Format 10,
+    which scores every block from one product table, kept it."""
     import hashlib
 
     from orthobound.cli import dumps_stable
@@ -588,7 +607,7 @@ def test_usable_draws_redraws_only_the_degenerate_rows(monkeypatch):
     # them, while the floor relative to the least weight redraws none
     s = make_weighted([1e-20] * 3)
     a = np.array([1.0, 2.0, 1j])
-    against = (a, core._weigh(s.weights, a), core._norm_sq_rows(s.weights, a))
+    against = verify._directions(s.weights, a, core._norm_sq_rows(s.weights, a), ())
     planted = [3, 50, 151]
     draws = []
     draw = verify._draw
@@ -601,8 +620,8 @@ def test_usable_draws_redraws_only_the_degenerate_rows(monkeypatch):
         return z
 
     def usable():
-        u, t = np.empty((2, 200, s.dim), complex)
-        return u, verify._usable_draws(s, np.random.default_rng(4), u, False, t, against)
+        t = verify._usable_draws(s, np.random.default_rng(4), np.empty((200, s.dim), complex), False, against)
+        return verify._rows(t, a, np.arange(200)), t.nsq
 
     clean, clean_nsq = usable()
     monkeypatch.setattr(verify, "_draw", planting)
@@ -630,14 +649,16 @@ def test_verify_all_runs_under_weights_1e_22():
 
 # --- the three sampling checks on one stream of feasible draws ----------------
 
-# sha256 of the bound and deflated lines' to_dict bytes at harness format 9, from
+# sha256 of the bound and deflated lines' to_dict bytes at harness format 10, from
 # verify_all at trials 130, seed 5 (on weighted-16-complex the bound line is the
 # extremizer's, as at format 5, and the dependent pair's deflated line a skip).  At
 # format 8 the trapezoid pair's bound line kept its bytes; the dependent pair's
 # bound line moved with its bound, ||r||^2 in place of det/||a||^2.  At format 9,
 # when the deflated check came to score its blocks from two row products, only the
-# three deflated lines that are not skipped moved
-FORMAT_9_LINES = {
+# three deflated lines that are not skipped moved.  At format 10, when every figure
+# came from one product table per block, only the dependent pair's bound line moved:
+# its worst figure, a draw's, went from 2.81e-30 to 7.02e-30 against a bound of 0
+FORMAT_10_LINES = {
     "weighted-16-complex": (
         "3a9a567884bf06e1856f4019ad3b56efff288b6acf80e4945d55a2ddcc0603e7",
         "c86118aa04755fae8c9e3276ad9242efb6800db5cc64de5d1c43d51e3d9e412e",
@@ -651,7 +672,7 @@ FORMAT_9_LINES = {
         "f1c6330007c075354e56adfa5c138c6b03fd1f3881191cd692a2b696e8402dbd",
     ),
     "dependent-3-complex": (
-        "d4447680b8e5556c79594201e3d7ed2041026ffb66bf20f2424f70cda5841a2c",
+        "ef4c69caaea9dd97384aff55721be9790b3a5cc5f488394177c442f6b87305f8",
         "9413a6800e19d1583d9bd10c2fe9a3ab5ae19cacc7ace2f29308e1a01cc020cc",
     ),
 }
@@ -662,7 +683,7 @@ def _deflated_at(s, a, b, trials, seed, real=False):
     return verify._verify_feasible(s, core._pair(s, a, b), trials, TOL, seed, real, [verify._deflated_check])[0]
 
 
-@pytest.mark.parametrize("name", sorted(FORMAT_9_LINES))
+@pytest.mark.parametrize("name", sorted(FORMAT_10_LINES))
 def test_verify_all_scores_bound_and_min_norm_on_one_stream(monkeypatch, name):
     import hashlib
 
@@ -681,7 +702,7 @@ def test_verify_all_scores_bound_and_min_norm_on_one_stream(monkeypatch, name):
     assert found[0] == line(verify_bound)
     assert found[2] == dumps_stable(_deflated_at(s, a, b, 130, 5, real).to_dict())
     digests = tuple(hashlib.sha256(found[i].encode()).hexdigest() for i in (0, 2))
-    assert digests == FORMAT_9_LINES[name]
+    assert digests == FORMAT_10_LINES[name]
     if name.startswith("dependent"):
         assert '"note": "dependent vectors"' in found[1]
         return
@@ -697,12 +718,15 @@ def test_verify_all_scores_bound_and_min_norm_on_one_stream(monkeypatch, name):
 # optimum by _feasible_not_minimal(shift), by (shift, seed).  The 11 lines of shift 100, and of shift 10 on
 # the real pair at seed 5, fail: a competitor sets them, so they pin the competitors' figures and witness.
 # Captured at harness format 9 while the min-norm check still formed each competitor block, and held
-# when it came to score its blocks from two row products
+# when it came to score its blocks from two row products.  Recaptured at format 10, when the worst
+# competitor's figure came from the block's product table and its witness from the table's draw less its
+# component along r_hat: the 9 lines of shift 100, and of shift 10 at seeds 6 and 7 on the real pair, moved
+# in their last bits
 PLANTED_UNDERCUT_LINES = {
     "weighted-16-complex": {
-        (100.0, 5): "e544580ec6fc43248aed2f066e596b2102d6cb31ade112fa72970395525372a5",
-        (100.0, 6): "6e11f9fde3887c5134e72a652ed0b9555c641d9762e3351bc714a31cf68e3974",
-        (100.0, 7): "32ac0e369cb1691b2348493e3cf6b8fb16089c126aa309efa6675b2f0b51171b",
+        (100.0, 5): "d8fd0441f3c26c647a0f819a2f9b70521121707cf469c6c40f8cc4eb199de030",
+        (100.0, 6): "b356fe9e11b55c3ebccf7e3f474ad174e270b6fa1dd09166b9c690b7040974fd",
+        (100.0, 7): "629e19ffdb16c2761959e15f91a60e5d8ec59f163ef5ef855389c3c77eb9ec23",
         (10.0, 5): "35ac3970d4ce310c1be2597d661e2d2d239c47f89c01f51f77e1cdfac2c60ad7",
         (10.0, 6): "35ac3970d4ce310c1be2597d661e2d2d239c47f89c01f51f77e1cdfac2c60ad7",
         (10.0, 7): "35ac3970d4ce310c1be2597d661e2d2d239c47f89c01f51f77e1cdfac2c60ad7",
@@ -711,20 +735,20 @@ PLANTED_UNDERCUT_LINES = {
         (3.0, 7): "22d801f209605f7d703d0a010921aea9f1e812cf6f49041fb1796edca0724b0c",
     },
     "weighted-16-real": {
-        (100.0, 5): "c613ad811acce1dc270c2e054579a475db8390835a5f5772134167b887fbbc3a",
-        (100.0, 6): "62f78c87a37058a765454e82ebdf7e3e936fa0e0027c2a19942ece635077ee38",
-        (100.0, 7): "9d36468a3088391876354f401ea8195c059bb79b9ac64e79ca5510780ff5231c",
+        (100.0, 5): "21a226ab1199fde63f117fb1eabd876f281b415b34c11840f9d1a28d496aa422",
+        (100.0, 6): "3e6a2721bfdbf3731edd77f8132d0521f48b1f9211f9a66a1fc863c7b7d0c703",
+        (100.0, 7): "62185668b31018d7b47e97a4bbdd09857faede33d5e572de6b7dbba62e549a98",
         (10.0, 5): "35d81c267b7eca1b9e7a5c268a484b3105f02d2dc1f8d92456ed96cbf91a7126",
-        (10.0, 6): "0738ea997ee51be2ba34d3a0079bd3de518b4a13c24efc76b25befc0fe4f94b6",
-        (10.0, 7): "5e09205374742ce038f47a7cbb468e101805ca081a36b14b7ffe31c86baa3cc1",
+        (10.0, 6): "3a61b0411ccb9598480be3543695f16e91a21bb1514c42b9b58446b73c33b656",
+        (10.0, 7): "f69e6af2d60f6f04baec0a0b9a763f541c4d8465fe64e8a9b18455e078d4f155",
         (3.0, 5): "e90b9b2deb9fc778039664a0739a4feb278477fcc8b08a864793e914798f5804",
         (3.0, 6): "e90b9b2deb9fc778039664a0739a4feb278477fcc8b08a864793e914798f5804",
         (3.0, 7): "e90b9b2deb9fc778039664a0739a4feb278477fcc8b08a864793e914798f5804",
     },
     "trapezoid-1024-complex": {
-        (100.0, 5): "43fde6f63f4a63b787e8fa0ce025ac44194e760b9c565097c6c30642c9214ec2",
-        (100.0, 6): "f16126edcd91510b06fce5e2bdf4b623510b6c628bf8cfbd415c4ae83f9a325f",
-        (100.0, 7): "557bead491dcbea8020acd17ef9b69842cbb67ee0bc07f602f34aa89ee924e38",
+        (100.0, 5): "bab572be766c609b387e1f3d1c83e2c0722e3156efadc9c7b5285f1152c7a3fd",
+        (100.0, 6): "9eac2b86e16fbade74ce0426ca4c309633c80905f343e36a5d5ee62d713abda5",
+        (100.0, 7): "2eaa16dd92d7701d24ee8635bd52b062cb6d1da8d5d4a96e3af9e3b484197dd5",
         (10.0, 5): "47743cd04be0aba42c053054e57e4ce62d634989a3a3a6245e538a2662c6924f",
         (10.0, 6): "47743cd04be0aba42c053054e57e4ce62d634989a3a3a6245e538a2662c6924f",
         (10.0, 7): "47743cd04be0aba42c053054e57e4ce62d634989a3a3a6245e538a2662c6924f",
@@ -1038,7 +1062,7 @@ def test_planted_defect_matrix(monkeypatch, kill_count, row, pair, caught_by):
         assert failing == caught_by
 
 
-# --- the deflated check's instance form against its projection form ------------
+# --- the product table against the projection form ------------------------------
 
 
 def _dense_pair_3_real():
@@ -1049,198 +1073,228 @@ def _near_overflow_pair_4_real():
     return make_weighted([4e307, 4e307, 1.0, 4e307]), np.array([1.0, 1.0, 0.0, 0.0]), np.array([0.0, 0.0, 2e-154, 0.0])
 
 
-# pairs for the min-norm check's row form, beside the power pairs.  On the dense dim-3 real pair the steps u,
-# orthogonal to a, lie in a plane, and about half of them keep under half their squared norm once projected
-# against r_hat; on the near-overflow pair ||x*||^2 = 1/||b||^2 = 2.5e307 and ||u||^2 runs up to 3.6e308
+# pairs for the table beside the power pairs.  On the dense dim-3 real pair the draws u, orthogonal to a, lie in
+# a plane, and about half of them keep under half their squared norm once projected against r_hat; on the
+# near-overflow pair ||x*||^2 = 1/||b||^2 = 2.5e307 and ||u||^2 runs up to 3.6e308
 ROW_FORM_PAIRS = {
     "dense-3-real": (_dense_pair_3_real, True),
     "near-overflow-4-real": (_near_overflow_pair_4_real, True),
 }
+STREAM_CHECKS = (verify._bound_check, verify._min_norm_check, verify._deflated_check)
 
 
 def _feasible_blocks(name, trials=1000, seed=7):
-    """The pair of POWER_PAIRS[name] or ROW_FORM_PAIRS[name], and the blocks of its feasible stream:
-    (u, ||u||^2, rng), with rng ready to draw the block's equality-case coefficients."""
+    """The pair of POWER_PAIRS[name] or ROW_FORM_PAIRS[name], the three sampling checks as verify_all makes
+    them, the stream's directions, and the blocks of its feasible stream: (table, rng), with rng ready to
+    draw the block's equality-case coefficients.  The table's columns hold a, b, r_hat, x* and the extremizer."""
     make, real = {**POWER_PAIRS, **ROW_FORM_PAIRS}[name]
     s, a, b = make()
     pair = core._pair(s, a, b)
-    a_dir = (pair[0], core._weigh(s.weights, pair[0]), pair[2].norm_a_sq)
+    made = [check(s, pair, trials, TOL, real) for check in STREAM_CHECKS]
+    dirs = verify._directions(s.weights, pair[0], pair[2].norm_a_sq, [c for *_, cs in made for c in cs])
     blocks = []
     for k, n in enumerate(verify._block_rows(trials, s.dim)):
-        u, t = np.empty((2, n, s.dim), complex)
         rng = verify._block_rng(seed, k)
-        blocks.append((u, verify._usable_draws(s, rng, u, real, t, a_dir), rng))
-    return s, pair, real, a_dir, blocks
+        blocks.append((verify._usable_draws(s, rng, np.empty((n, s.dim), complex), real, dirs), rng))
+    return s, pair, real, made, dirs, blocks
+
+
+def _competitors_by_projection(w, x, nx, r_dir, a_dir, u, one=1.0):
+    """The min-norm check's projection form up to harness format 9, on every row of u: the undercuts of the
+    competitors x + ws, ws the rows of u projected against r_hat and then against a, over one + ||x||^2 +
+    ||ws||^2, the competitors and ||ws||^2."""
+    ws = core._project_rows(core._project_rows(u, *r_dir), *a_dir)
+    comps = x + ws
+    nws = core._sq_norm_rows(w, ws)
+    return (nx - core._sq_norm_rows(w, comps)) / (one + nx + nws), comps, nws
+
+
+def _min_norm_reference(s, pair, scale=1.0):
+    """The projection form as a function of u, from the answers and directions the min-norm check uses.  With
+    scale a power of two it runs on scale x* and scale u, with its 1 scaled by scale^2: the same undercuts,
+    to the bit, but for those whose ||x* + ws||^2 overflows unscaled."""
+    (aa, bb, g), w = pair, s.weights
+    x, _ = core._min_norm(aa, bb, g, TOL)
+    r_hat = core._residual(aa, bb, g, 1.0 / np.sqrt(g.norm_r_sq))
+    r_dir = (r_hat, core._weigh(w, r_hat), core._sq_norm_rows(w, r_hat))
+    a_dir = (aa, core._weigh(w, aa), g.norm_a_sq)
+    nx = float(core._norm_sq_rows(w, scale * x))
+    return lambda u: _competitors_by_projection(w, scale * x, nx, r_dir, a_dir, scale * u, scale**2)
+
+
+@pytest.fixture(scope="module")
+def worst_table_gap():
+    """Each pair's largest gap between a table figure and its projection form, in units of u (1 + dim) of the
+    figure's scale; one line, shown under -s, once the agreement tests have run."""
+    worst = {}
+    yield worst
+    if worst:
+        gaps = ", ".join(f"{k} {v:.3g}" for k, v in worst.items())
+        print(f"\nproduct table, worst gap / (u (1 + dim) scale): {gaps}")
+
+
+TABLE_PAIRS = sorted(POWER_PAIRS) + sorted(ROW_FORM_PAIRS)
+
+
+@functools.lru_cache(maxsize=None)
+def _table_gaps(name):
+    """Each figure's largest gap between the product table and its projection form, over every block of 1000
+    trials on the pair of TABLE_PAIRS, in units of u (1 + dim) of the figure's scale: the bound's attained value,
+    the min-norm undercut and the four deflated sides.  One pass per pair serves the three agreement tests,
+    each of which asserts its own figures."""
+    # the projection form forms every feasible draw u and sums its figures directly: the bound's |<u,b>|^2/||u||^2,
+    # the min-norm undercut of x* + ws, ws = u projected against r_hat and a, and the deflated sides of u
+    # projected against a_hat and of y = mu*c' + beta*r_hat' formed row by row.  Each figure is a row sum of
+    # about 2*dim products in either form, which may round by up to 2*dim*u of its scale (Higham, Accuracy
+    # and Stability of Numerical Algorithms, 2nd ed., sec. 4.2)
+    import copy
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, (aa, bb, g), real, made, dirs, blocks = _feasible_blocks(name)
+    w, u_ = s.weights, np.finfo(float).eps / 2
+    by_projection = _min_norm_reference(s, (aa, bb, g), 0.25)
+    cdp = np.stack((aa / np.sqrt(g.norm_a_sq), core._extremizer(aa, bb, g, TOL)))
+    (c, dp), wb = cdp, core._weigh(w, bb)
+    wc, wdp, (nc, ndp) = core._weigh(w, c), core._weigh(w, dp), core._sq_norm_rows(w, cdp)
+    basis = core._project_rows(cdp, c, wc, nc)
+    sides, deflated_sides = [], core._deflated_sides
+
+    def spied(*args):  # the deflated check's sides, as it passes them on
+        sides.append(deflated_sides(*args))
+        return sides[-1]
+
+    gaps = {}
+
+    def gap(figure, found, ref, scale):
+        ok = np.isfinite(ref) & np.isfinite(scale)
+        gaps[figure] = max(gaps.get(figure, 0.0), float(np.max(np.abs(found - ref)[ok] / scale[ok], initial=0.0)))
+
+    with np.errstate(over="ignore", invalid="ignore"), pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(core, "_deflated_sides", spied)
+        for t, rng in blocks:
+            n = len(t.nsq)
+            u = verify._rows(t, aa, np.arange(n))
+            nsq = core._sq_norm_rows(w, u)
+            # the bound's attained value from the columns the bound check reads, on the scale of ||b||^2
+            attained = np.square(np.abs(t.uc[:, 1]) / np.sqrt(t.nsq))
+            gap("bound", attained, np.abs(core._dot_rows(u, wb)) ** 2 / nsq, np.full(n, g.norm_b_sq))
+            # the min-norm undercut, a figure already scaled by 1 + ||x*||^2 + ||ws||^2
+            undercut = made[1][0](t, t.uc[:, 2:4], rng)[0]
+            gap("min_norm", undercut, by_projection(u)[0], np.ones(n))
+            # the deflated sides, on the scale of each lhs
+            mu_beta = verify._draw(copy.deepcopy(rng), (n, 2), real)
+            sides.clear()
+            made[2][0](t, t.uc[:, 4:5], rng)
+            (lhs, rhs), (lhs_e, rhs_e) = sides
+            zp, y = core._project_rows(u, c, wc, nc), np.einsum("ik,kj->ij", mu_beta, basis)
+            ref_lhs, ref_rhs = deflated_sides(core._sq_norm_rows(w, zp), core._dot_rows(zp, wdp), nc, ndp)
+            ref_lhs_e, ref_rhs_e = deflated_sides(core._sq_norm_rows(w, y), core._dot_rows(y, wdp), nc, ndp)
+            gap("lhs", lhs, ref_lhs, ref_lhs)
+            gap("rhs", rhs, ref_rhs, ref_lhs)
+            gap("lhs_e", lhs_e, ref_lhs_e, ref_lhs_e)
+            gap("rhs_e", rhs_e, ref_rhs_e, ref_lhs_e)
+    return {figure: v / (u_ * (1 + s.dim)) for figure, v in gaps.items()}
+
+
+@pytest.mark.parametrize("name", TABLE_PAIRS)
+def test_table_agrees_with_the_projection_form(worst_table_gap, name):
+    # the bound's attained value; the min-norm and deflated figures of the same pass are asserted below
+    worst = _table_gaps(name)
+    worst_table_gap[name] = max(worst.values())
+    assert worst["bound"] <= 8.0, worst
+
+
+@pytest.mark.parametrize("name", TABLE_PAIRS)
+def test_min_norm_row_form_agrees_with_the_projection_form(name):
+    # the min-norm undercut the check derives row by row from the table's columns for r_hat and x*
+    worst = _table_gaps(name)
+    assert worst["min_norm"] <= 8.0, worst
+
+
+@pytest.mark.parametrize("name", TABLE_PAIRS)
+def test_deflated_instance_form_agrees_with_the_projection_form(name):
+    # the deflated sides at the instance, from ||u||^2 and the table's column for the extremizer, and those of
+    # the equality case from the once-per-call basis
+    worst = _table_gaps(name)
+    assert all(worst[figure] <= 8.0 for figure in ("lhs", "rhs", "lhs_e", "rhs_e")), worst
+
+
+def test_min_norm_rows_near_overflow_are_scored_directly():
+    # in some rows ||x* + ws||^2 overflows while ||u||^2 fits: the projection form, up to harness format 9,
+    # read nan there (92 rows of the first block at seed 1), and an unscaled row form reads -0.0, as
+    # -(finite)/inf.  The table's undercut, with every term quartered, is finite and right wherever ||u||^2
+    # fits; rows whose ||u||^2 itself overflows still read nan (ROADMAP item 10)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, pair, real, made, dirs, ((t, rng),) = _feasible_blocks("near-overflow-4-real", trials=2000, seed=1)
+        undercut = made[1][0](t, t.uc[:, 2:4], rng)[0]
+        u = verify._rows(t, pair[0], np.arange(len(t.nsq)))
+        ref, quartered = (_min_norm_reference(s, pair, scale)(u)[0] for scale in (1.0, 0.25))
+    fits = np.isfinite(t.nsq)
+    assert np.any(~fits) and np.sum(np.isnan(ref) & fits) > 50
+    assert np.all(np.isfinite(undercut[fits]))
+    assert np.all(np.abs(undercut - quartered)[fits] <= 8 * np.finfo(float).eps / 2 * (1 + s.dim))
+
+
+def _assert_one_product_table_per_block(monkeypatch, name, checks, stacked):
+    """Per block of the checks' stream, one product of the draws with the stack of a and the checks' `stacked`
+    directions, and one squared norm, and no other kernel or explicit np.subtract or np.add call on a whole
+    block: only witness rows and rows where Pythagoras cancels are formed.  The one-lane memory cap of
+    test_verify_all_memory_stays_flat_in_trials holds out block-sized temporaries made with operators."""
+    make, real = POWER_PAIRS[name]
+    s, a, b = make()
+    pair = core._pair(s, a, b)
+    rows, calls, drawing = verify._block_rows(200, s.dim), [], []
+
+    class Counted:
+        def __init__(self, name, run):
+            self.name, self.run = name, run
+
+        def __call__(self, *args, **kw):
+            if not drawing:
+                calls.append((self.name, [np.shape(x) for x in args]))
+            return self.run(*args, **kw)
+
+        def __getattr__(self, attr):  # np.add.reduce and the like
+            return getattr(self.run, attr)
+
+    def draw(*args, **kw):  # the draws themselves are made in place, block by block
+        drawing.append(True)
+        try:
+            return run_draw(*args, **kw)
+        finally:
+            drawing.pop()
+
+    for kernel in ("_dot_rows", "_project_rows", "_sq_norm_rows", "_norm_sq_rows"):
+        monkeypatch.setattr(core, kernel, Counted(kernel, getattr(core, kernel)))
+    for ufunc in ("subtract", "add"):
+        monkeypatch.setattr(np, ufunc, Counted(ufunc, getattr(np, ufunc)))
+    run_draw = verify._draw
+    monkeypatch.setattr(verify, "_draw", draw)
+    monkeypatch.setattr(verify, "_LANES", 1)
+    verify._verify_feasible(s, pair, 200, TOL, 5, real, list(checks))
+
+    def block_shaped(shape):
+        return len(shape) >= 2 and shape[0] in rows and int(np.prod(shape)) == shape[0] * s.dim
+
+    blocked = [call for call in calls if any(map(block_shaped, call[1]))]
+    assert sorted(blocked) == sorted(
+        [("_dot_rows", [(n, 1, s.dim), (1 + stacked, 2, 2 * s.dim)]) for n in rows]
+        + [("_sq_norm_rows", [(s.dim,), (n, s.dim)]) for n in rows]
+    )
 
 
 @pytest.mark.parametrize("name", sorted(POWER_PAIRS))
-def test_deflated_instance_form_agrees_with_the_projection_form(name):
-    # the projection form projects each row against a_hat and forms mu*c' + beta*r_hat' row by row
-    s, (aa, bb, g), real, _, blocks = _feasible_blocks(name)
-    w, u_ = s.weights, np.finfo(float).eps / 2
-    cdp = np.stack((aa / np.sqrt(g.norm_a_sq), core._extremizer(aa, bb, g, TOL)))
-    c, dp = cdp
-    wc, wdp, (nc, ndp) = core._weigh(w, c), core._weigh(w, dp), core._sq_norm_rows(w, cdp)
-    basis = core._project_rows(cdp, c, wc, nc)
-    sides = verify._instance_sides(w, cdp)
-    for u, nsq, rng in blocks:
-        mu_beta = verify._draw(rng, (len(u), 2), real)
-        lhs, rhs, lhs_e, rhs_e = sides(u, nsq, mu_beta)
-        zp, y = core._project_rows(u, c, wc, nc), np.einsum("ik,kj->ij", mu_beta, basis)
-        ref_lhs, ref_rhs = core._deflated_sides(core._sq_norm_rows(w, zp), core._dot_rows(zp, wdp), nc, ndp)
-        ref_lhs_e, ref_rhs_e = core._deflated_sides(core._sq_norm_rows(w, y), core._dot_rows(y, wdp), nc, ndp)
-        assert np.all(np.abs(lhs - ref_lhs) <= 8 * u_ * ref_lhs)
-        assert np.all(np.abs(rhs - ref_rhs) <= 8 * u_ * ref_lhs)
-        # each equality-case figure is a row sum of 2*dim products in either form (the rows of y, or
-        # the Gram entries of c' and r_hat'), which may round by up to 2*dim*u (Higham, Accuracy and
-        # Stability of Numerical Algorithms, 2nd ed., sec. 4.2); at dim 1024 the two forms differed
-        # by up to 47u, against 11u from the instance form to an extended-precision reference
-        slack = 8 * u_ * (1 + s.dim) * ref_lhs_e
-        assert np.all(np.abs(lhs_e - ref_lhs_e) <= slack)
-        assert np.all(np.abs(rhs_e - ref_rhs_e) <= slack)
+def test_stream_takes_one_product_table_per_block(monkeypatch, name):
+    # verify_all's stream: b, r_hat, x* and the extremizer
+    _assert_one_product_table_per_block(monkeypatch, name, STREAM_CHECKS, 4)
 
 
 @pytest.mark.parametrize("name", sorted(POWER_PAIRS))
 def test_deflated_check_takes_two_row_products_per_block(monkeypatch, name):
-    s, pair, real, a_dir, blocks = _feasible_blocks(name, trials=130)
-    score, _, _ = verify._deflated_check(s, pair, 130, TOL, real, a_dir)
-    u, nsq, rng = blocks[0]
-    calls, einsum_shapes = [], []
-
-    def counting(kernel, run):
-        def counted(*args, **kw):
-            calls.append((kernel, [np.shape(x) for x in args]))
-            return run(*args, **kw)
-
-        return counted
-
-    for kernel in ("_dot_rows", "_project_rows", "_sq_norm_rows", "_norm_sq_rows"):
-        monkeypatch.setattr(core, kernel, counting(kernel, getattr(core, kernel)))
-    einsum = np.einsum
-
-    def counted_einsum(*args, **kw):
-        out = einsum(*args, **kw)
-        einsum_shapes.append(out.shape)
-        return out
-
-    monkeypatch.setattr(np, "einsum", counted_einsum)
-    score(u, nsq, rng)
-    # the two row products <z,a_hat> and <z,r_hat>, and no other kernel: the rest is once per call
-    assert calls == [("_dot_rows", [u.shape, (2, 2 * s.dim)])] * 2
-    assert einsum_shapes and u.shape not in einsum_shapes
-
-
-# --- the min-norm check's row form against its projection form ----------------
-
-
-def _competitors_by_projection(w, x, nx, r_dir, a_dir, u):
-    """The projection form on every row of u, which the min-norm check keeps for a block's worst row and the
-    rows its row form leaves out: the undercuts of the competitors x + ws, ws the rows of u projected against
-    r_hat and then against a, the competitors and ||ws||^2."""
-    ws = core._project_rows(core._project_rows(u, *r_dir), *a_dir)
-    comps = x + ws
-    nws = core._sq_norm_rows(w, ws)
-    return (nx - core._sq_norm_rows(w, comps)) / (1.0 + nx + nws), comps, nws
-
-
-def _min_norm_forms(s, pair, real, a_dir, trials):
-    """The min-norm check's score on the pair, its row form, and the projection form as a function of u."""
-    (aa, bb, g), w = pair, s.weights
-    x, _ = core._min_norm(aa, bb, g, TOL)
-    nx = float(core._norm_sq_rows(w, x))
-    r_hat = core._residual(aa, bb, g, 1.0 / np.sqrt(g.norm_r_sq))
-    r_dir = (r_hat, core._weigh(w, r_hat), core._sq_norm_rows(w, r_hat))
-    score, _, _ = verify._min_norm_check(s, pair, trials, TOL, real, a_dir)
-    undercuts = verify._competitor_undercuts(w, x, nx, r_dir)
-    return score, undercuts, lambda u: _competitors_by_projection(w, x, nx, r_dir, a_dir, u)
-
-
-@pytest.fixture(scope="module")
-def worst_row_form_gap():
-    """Each pair's largest gap between the row form's undercut and the projection form's, in units of
-    u (1 + dim); one line, shown under -s, once the agreement tests have run."""
-    worst = {}
-    yield worst
-    if worst:
-        print("\nmin-norm row form, worst gap / (u (1 + dim)): " + ", ".join(f"{k} {v:.3g}" for k, v in worst.items()))
-
-
-@pytest.mark.parametrize("name", sorted(POWER_PAIRS) + ["dense-3-real"])
-def test_min_norm_row_form_agrees_with_the_projection_form(worst_row_form_gap, name):
-    s, pair, real, a_dir, blocks = _feasible_blocks(name)
-    score, undercuts, by_projection = _min_norm_forms(s, pair, real, a_dir, 1000)
-    gap, fallback, u_ = 0.0, 0, np.finfo(float).eps / 2
-    for u, nsq, rng in blocks:
-        undercut, direct = undercuts(u, nsq)
-        ref, comps, nws = by_projection(u)
-        # the rows scored directly are exactly those the projection leaves with under half of ||u||^2
-        np.testing.assert_array_equal(direct, nws < 0.5 * nsq)
-        fallback += int(direct.sum())
-        # each form's numerator is a row sum of about 2*dim products, none larger than the denominator,
-        # which may round by up to 2*dim*u (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
-        # ed., sec. 4.2); the projection against a that the row form leaves out moves them by O(u^2)
-        kept = ~direct
-        gap = max(gap, float(np.max(np.abs(undercut - ref)[kept], initial=0.0)) / (u_ * (1 + s.dim)))
-        # the block's first worst figure and witness are the projection form's, to the bit
-        k = int(np.argmax(ref))
-        v, witness = score(u, nsq, rng)
-        assert v == ref[k]
-        np.testing.assert_array_equal(witness, comps[k])
-    worst_row_form_gap[name] = gap
-    assert gap <= 4.0
-    if name == "dense-3-real":
-        assert 300 < fallback < 700
-    elif s.dim > 16:
-        assert fallback == 0
-
-
-def test_min_norm_rows_near_overflow_are_scored_directly():
-    # ||u||^2 overflows in some rows; in others ||x* + ws||^2 does while ||ws||^2 fits, where the
-    # projection form's figure is nan and the row form's would be -0.0, as -(finite)/inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        s, pair, real, a_dir, blocks = _feasible_blocks("near-overflow-4-real", trials=2000, seed=1)
-        score, undercuts, by_projection = _min_norm_forms(s, pair, real, a_dir, 2000)
-        (u, nsq, rng), = blocks
-        undercut, direct = undercuts(u, nsq)
-        ref, comps, nws = by_projection(u)
-        v, witness = score(u, nsq, rng)
-    assert np.any(np.isinf(nsq)) and np.any(np.isnan(ref) & np.isfinite(nsq) & (nws >= 0.5 * nsq))
-    # every row the row form keeps has finite figures in both forms, and the worst row is the same
-    assert np.all(np.isfinite(undercut[~direct])) and np.all(np.isfinite(ref[~direct]))
-    k = int(np.argmax(ref))
-    assert np.isnan(ref[k]) and np.isnan(v)
-    np.testing.assert_array_equal(witness, comps[k])
+    # the deflated check alone: <z,a> and <z,x_ext>, in one stacked product
+    _assert_one_product_table_per_block(monkeypatch, name, [verify._deflated_check], 1)
 
 
 def test_min_norm_check_takes_two_row_products_per_block(monkeypatch):
-    s, pair, real, a_dir, blocks = _feasible_blocks("trapezoid-1024-complex", trials=130)
-    score, _, _ = verify._min_norm_check(s, pair, 130, TOL, real, a_dir)
-    u, nsq, rng = blocks[0]
-    calls, add_shapes = [], []
-
-    def counting(kernel, run):
-        def counted(*args, **kw):
-            calls.append((kernel, [np.shape(x) for x in args]))
-            return run(*args, **kw)
-
-        return counted
-
-    for kernel in ("_dot_rows", "_project_rows", "_sq_norm_rows", "_norm_sq_rows"):
-        monkeypatch.setattr(core, kernel, counting(kernel, getattr(core, kernel)))
-
-    class CountedAdd:
-        def __call__(self, *args, **kw):
-            out = add(*args, **kw)
-            add_shapes.append(np.shape(out))
-            return out
-
-        def __getattr__(self, name):
-            return getattr(add, name)
-
-    add = np.add
-    monkeypatch.setattr(np, "add", CountedAdd())
-    score(u, nsq, rng)
-    # the two row products <u,r_hat> and <u,x*>; only the worst row is projected and formed
-    assert [call for call in calls if u.shape in call[1]] == [("_dot_rows", [u.shape, (2, 2 * s.dim)])] * 2
-    assert u.shape not in add_shapes
-    assert ("_project_rows", [(1, s.dim), (s.dim,), (2, 2 * s.dim), ()]) in calls
+    # the min-norm check alone, as verify_min_norm runs it: <u,r_hat> and <u,x*>, beside <z,a>
+    _assert_one_product_table_per_block(monkeypatch, "trapezoid-1024-complex", [verify._min_norm_check], 2)
