@@ -219,10 +219,13 @@ def _verify_feasible(space, pair, trials, tol, seed, real, checks) -> List[Verif
     too): the first worst over the lanes is one lane's, the error raised the lowest block's once all stop."""
     (aa, bb, g), trials = pair, _require_trials(trials)
     made = [check(space, pair, trials, tol, real) for check in checks]
-    ends = np.cumsum([1] + [len(cs) for *_, cs in made])  # each check's columns of the stack, after a's
-    scored = [(m[0], (*m[1], -1), slice(lo, hi)) for m, lo, hi in zip(made, ends, ends[1:]) if m[0]]
+    # each distinct direction is stacked once, keyed on its bytes (the extremizer's are r_hat's unless planted):
+    # a column of the product table has the same bits whatever the stack's width and its position in it
+    stack = {c.tobytes(): c for c in (aa, *(c for *_, cs in made for c in cs))}
+    scored = [(m[0], (*m[1], -1), [list(stack).index(c.tobytes()) for c in m[3]]) for m in made if m[0]]
+    stack = list(stack.values())  # its keys are full-length copies: not held while the blocks run
     rows = _block_rows(trials, space.dim) if scored else []
-    dirs = _directions(space.weights, aa, g.norm_a_sq, [c for *_, cs in made for c in cs]) if rows else None
+    dirs = _directions(space.weights, aa, g.norm_a_sq, stack[1:]) if rows else None
 
     def lane(first):  # its first worst state per scoring check, and its error as (block, error)
         z, states = np.empty((max(rows, default=0), space.dim), complex), [start for _, start, _ in scored]
@@ -233,7 +236,8 @@ def _verify_feasible(space, pair, trials, tol, seed, real, checks) -> List[Verif
                 for j, (score, _, cols) in enumerate(scored):
                     v, witness = score(t, t.uc[:, cols], rng)
                     i = int(np.argmax(v))
-                    states[j] = max(states[j], (v.flat[i], witness(i), k), key=_rank)
+                    if _rank((v.flat[i], True, k)) > _rank(states[j]):  # a witness only for the lane's new worst
+                        states[j] = (v.flat[i], witness(i), k)
             except Exception as exc:
                 return states, (k, exc)
         return states, None

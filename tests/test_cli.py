@@ -789,6 +789,27 @@ def test_gram_overflow_is_a_typed_error(tmp_path, capsys, repro):
     assert "NaN or Inf" not in err
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1's prescaling: ||a||^2 is subnormal, so it keeps only part of its bits")
+def test_bound_with_a_subnormal_norm_a_sq_is_right_or_a_typed_error(tmp_path, capsys):
+    # ||a||^2 = 9.88e-324 keeps one bit: `orthobound bound` prints 1.5652849378392693e+138 and exits 0,
+    # while the exact bound is 7.9264818976885208e+137.  A right answer is within 64 u sqrt(kappa) of
+    # 60-digit mpmath, kappa = ||b||^2 / ||r||^2; a refusal is an input error with nothing on stdout
+    from oracles import pair_answers_by_mpmath
+
+    doc = {"space": {"kind": "weighted",
+                     "weights": [2.4308653429145085e-63, 3.0385816786431356e-64, 2.3182538441796384e-69]},
+           "a": [6.081402205419874e-131, 4.355193124512868e-131, 3.415892627066334e-131],
+           "b": [5.380924391251224e+101, 4.380409149626355e+101, 2.8679456602382584e+101], "mode": "real"}
+    ref = pair_answers_by_mpmath(doc["space"]["weights"], doc["a"], doc["b"])
+    assert ref.bound == 7.9264818976885208e+137
+    code, out, _ = run(capsys, ["bound", write_instance(tmp_path, doc)])
+    if code != 0:
+        assert code == 2 and out == ""
+    else:
+        assert abs(json.loads(out)["bound"] - ref.bound) <= 64 * 2.0**-53 * np.sqrt(ref.kappa) * ref.bound
+
+
 def _dim_4096_instance(kind):
     """A dim-4096 instance from a fixed seed: a real pair on a trapezoid rule
     over [0, 2], or a complex weighted pair whose vectors mix [re, im] pairs

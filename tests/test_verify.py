@@ -492,6 +492,52 @@ def test_verify_all_bytes_equal_a_one_lane_run(monkeypatch, trials):
     assert lines() == two
 
 
+def test_witnesses_are_formed_only_for_a_lanes_new_worst(monkeypatch):
+    # at dim 1024, 1000 trials run as 16 blocks on two lanes.  A check's witness is formed only when a block's
+    # first worst outranks what its lane holds, which the start (the extremizer, x*'s residuals) mostly does
+    import threading
+    from collections import Counter, defaultdict
+
+    from orthobound.cli import dumps_stable
+
+    s, a, b = _pair_1024()
+    formed, worsts, starts = Counter(), defaultdict(list), {}
+
+    def counted(check):
+        def made(*args):
+            score, start, report, cs = check(*args)
+
+            def scored(t, uc, rng):
+                v, witness = score(t, uc, rng)
+                worsts[check, threading.get_ident()].append(float(v.flat[np.argmax(v)]))
+
+                def counted_witness(i):
+                    formed[check] += 1
+                    return witness(i)
+
+                return v, counted_witness
+
+            starts[check] = start
+            return scored, start, report, cs
+
+        return made
+
+    with monkeypatch.context() as patch:
+        for name in ("_bound_check", "_min_norm_check", "_deflated_check"):
+            patch.setattr(verify, name, counted(getattr(verify, name)))
+        lines = [dumps_stable(r.to_dict()) for r in verify_all(s, a, b, trials=1000, seed=5)]
+    assert len({thread for _, thread in worsts}) == 2 and sum(map(len, worsts.values())) == 3 * 16
+    improvements = Counter()
+    for (check, _), found in worsts.items():
+        held = (*starts[check], -1)
+        for k, v in enumerate(found):  # a lane's blocks in order: k ranks them as their block numbers do
+            if verify._rank((v, True, k)) > verify._rank(held):
+                improvements[check], held = improvements[check] + 1, (v, True, k)
+    assert all(formed[check] <= improvements[check] for check in starts) and sum(improvements.values()) < 16
+    monkeypatch.setattr(verify, "_LANES", 1)
+    assert [dumps_stable(r.to_dict()) for r in verify_all(s, a, b, trials=1000, seed=5)] == lines
+
+
 def test_verify_all_golden_dim_1024():
     """verify_all at dim 1024, trials 130 (blocks of 64 + 64 + 2 rows), pinned
     by a digest of its exact report bytes.  Recaptured when the deflated check
@@ -1285,8 +1331,38 @@ def _assert_one_product_table_per_block(monkeypatch, name, checks, stacked):
 
 @pytest.mark.parametrize("name", sorted(POWER_PAIRS))
 def test_stream_takes_one_product_table_per_block(monkeypatch, name):
-    # verify_all's stream: b, r_hat, x* and the extremizer
+    # verify_all's stream: b, r_hat and x*; the extremizer has r_hat's bytes, so it reads r_hat's column
+    _assert_one_product_table_per_block(monkeypatch, name, STREAM_CHECKS, 3)
+
+
+@pytest.mark.parametrize("name", sorted(POWER_PAIRS))
+def test_stream_stacks_a_planted_extremizer_in_its_own_column(monkeypatch, name):
+    # an extremizer whose bytes differ from r_hat's is multiplied on its own, so the deflated check reads the
+    # planted answer's products and not r_hat's
+    monkeypatch.setattr(core, "_extremizer", _times(1.0 - 1e-3)(core._extremizer, None))
     _assert_one_product_table_per_block(monkeypatch, name, STREAM_CHECKS, 4)
+
+
+@pytest.mark.parametrize("rows", [64, 1000])
+@pytest.mark.parametrize("name", sorted(POWER_PAIRS))
+def test_product_columns_do_not_depend_on_the_stack(name, rows):
+    # the stream stacks each distinct direction once, and a check reads its columns by index: that holds each
+    # figure to the bit only if a column's products have the same bits whatever the stack's width and the
+    # column's position in it.  CI runs this also with numpy's wider SIMD kernels disabled
+    make, real = POWER_PAIRS[name]
+    s, a, b = make()
+    pair = core._pair(s, a, b)
+    directions = [pair[0]] + [c for *_, cs in (check(s, pair, 1000, TOL, real) for check in STREAM_CHECKS) for c in cs]
+    z = verify._draw(np.random.default_rng(rows), (rows, s.dim), real)[:, None]
+    full = core._dot_rows(z, core._weigh(s.weights, np.stack(directions)))
+    backwards = core._dot_rows(z, core._weigh(s.weights, np.stack(directions[::-1])))
+    n = len(directions)
+    for j, c in enumerate(directions):
+        alone = core._dot_rows(z, core._weigh(s.weights, c[None]))
+        beside_a = core._dot_rows(z, core._weigh(s.weights, np.stack((directions[0], c))))
+        bits = alone[:, 0].tobytes()
+        assert full[:, j].tobytes() == bits and backwards[:, n - 1 - j].tobytes() == bits
+        assert beside_a[:, 1].tobytes() == bits
 
 
 @pytest.mark.parametrize("name", sorted(POWER_PAIRS))
