@@ -182,26 +182,43 @@ def _gram(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> _Pair:
     return _Pair(na, nb, iab, coef, nr, r)
 
 
-# the Gram data of the last pair of at most _PIECE elements (a longer key would be a
-# full-length copy), keyed on the bytes of (weights, a, b): -0.0 is not taken for 0.0 and
-# a change made in place is seen; read once and replaced whole, so threads stay apart
+# the Gram data of the last pair of at most _PIECE elements, keyed on the bytes of (weights, a, b),
+# and of the last longer pair, held as (the space's weights array, read-only copies of a and b, _Pair):
+# its weights are matched by identity (a space's own read-only array, held, so its id is not reused)
+# and a and b byte for byte.  So -0.0 is not taken for 0.0 and a change made in place is seen; each
+# entry is read once and replaced whole, so threads stay apart
 _last_pair = ((), None)
+_last_long = None
+
+
+def _same_bytes(u: np.ndarray, held: np.ndarray) -> bool:
+    """u has the bytes of held, a contiguous copy; compared a _PIECE at a time, so a miss stops at the first
+    piece that differs (uint64 views, as == takes -0.0 for 0.0; a strided piece is made contiguous first)."""
+    return all(np.array_equal(np.ascontiguousarray(u[i : i + _PIECE]).view(np.uint64),
+                              held[i : i + _PIECE].view(np.uint64)) for i in range(0, u.size, _PIECE))
 
 
 def _pair(space: SpaceDescriptor, a, b, names: str = "ab") -> Tuple[np.ndarray, np.ndarray, _Pair]:
     """Check a and b and build their Gram data, or reuse the last call's on the same bytes.
     A NaN or Inf entry shows as a non-finite norm, so the entries are checked (as_vector
     on a, then b) only after a fault; names are the names of a and b in error messages."""
-    global _last_pair
+    global _last_pair, _last_long
     try:
-        aa, bb = _shaped(space, a, names[0]), _shaped(space, b, names[1])
-        key = (space.weights.tobytes(), aa.tobytes(), bb.tobytes()) if aa.size <= _PIECE else None
-        last_key, g = _last_pair
-        if key != last_key:
-            g = _gram(space.weights, aa, bb)
-            if key:
+        aa, bb, w = _shaped(space, a, names[0]), _shaped(space, b, names[1]), space.weights
+        if aa.size <= _PIECE:
+            key = (w.tobytes(), aa.tobytes(), bb.tobytes())
+            last_key, g = _last_pair
+            if key != last_key:
+                g = _gram(w, aa, bb)
                 _last_pair = key, g
-        return aa, bb, g
+            return aa, bb, g
+        held = _last_long
+        if not (held and held[0] is w and _same_bytes(aa, held[1]) and _same_bytes(bb, held[2])):
+            held = _last_long = None  # the old copies are freed before the new ones are made
+            aa, bb = aa.copy(), bb.copy()
+            aa.flags.writeable = bb.flags.writeable = False
+            held = _last_long = w, aa, bb, _gram(w, aa, bb)
+        return held[1:]
     except (DimensionMismatch, GramOverflow) as exc:
         fault = exc  # raised after the checks, so that their error does not chain to it
     as_vector(space, a, names[0])

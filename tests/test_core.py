@@ -519,10 +519,13 @@ def test_long_reductions_are_near_exact_sums(n):
         assert abs(got - math.fsum(terms)) <= 64 * 2.0**-53 * math.fsum(np.abs(terms))
 
 
+def _summary_bytes(g) -> bytes:
+    return np.array([g.norm_a_sq, g.norm_b_sq, g.inner_ab.real, g.inner_ab.imag, g.det]).tobytes()
+
+
 def _pair_bytes(fn, s, a, b) -> bytes:
     if fn is gram2:
-        g = gram2(s, a, b)
-        return np.array([g.norm_a_sq, g.norm_b_sq, g.inner_ab.real, g.inner_ab.imag, g.det]).tobytes()
+        return _summary_bytes(gram2(s, a, b))
     if fn is extremizer:
         return extremizer(s, a, b).tobytes()
     x, value = min_norm_solution(s, a, b)
@@ -566,16 +569,22 @@ def test_long_path_digests(fn, dim, mode):
 @pytest.mark.parametrize(
     "fn, limit_mib", [(gram2, 1), (ostrowski_bound, 1), (extremizer, 5), (min_norm_solution, 5)]
 )
-def test_long_pair_calls_allocate_no_full_length_temporary(fn, limit_mib):
-    # one complex vector of dim 2^18 is 4 MiB; the last two return one
+def test_long_pair_calls_allocate_no_full_length_temporary(monkeypatch, fn, limit_mib):
+    # one complex vector of dim 2^18 is 4 MiB; the last two return one.  The long entry's
+    # copies of a and b are held from one call to the next, not temporaries: they are
+    # taken off the peak, once they are shown to be what the call left in the entry
+    monkeypatch.setattr(core, "_last_long", None)
     s, a, b = _long_pair(1 << 18, True)
     tracemalloc.start()
     try:
         fn(s, a, b)
-        peak = tracemalloc.get_traced_memory()[1]
+        current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < limit_mib * 2**20
+    w, ca, cb, _ = core._last_long
+    held = a.nbytes + b.nbytes
+    assert w is s.weights and ca.nbytes + cb.nbytes == held and current >= held
+    assert peak - held < limit_mib * 2**20
 
 
 # --- non-finite and overflowing input --------------------------------------
@@ -732,8 +741,9 @@ def test_non_pair_functions_refuse_overflow(call, message):
 
 @pytest.fixture
 def gram_calls(monkeypatch):
-    """The lengths of the pairs core._gram builds while the test runs, from an empty slot."""
+    """The lengths of the pairs core._gram builds while the test runs, from empty entries."""
     monkeypatch.setattr(core, "_last_pair", ((), None))
+    monkeypatch.setattr(core, "_last_long", None)
     calls = []
     build = core._gram
 
@@ -750,78 +760,127 @@ def _whole_bytes(s, a, b) -> bytes:
     return np.array([na, nb, iab.real, iab.imag, det]).tobytes()
 
 
+def _built_bytes(s, a, b) -> bytes:
+    """The bytes of a fresh build's GramSummary, for pairs the whole-array oracle does not sum exactly."""
+    return _summary_bytes(core._summary(core._gram(s.weights, np.asarray(a, complex), np.asarray(b, complex))))
+
+
+# each slot test runs its short pair, then the same pair tiled past _PIECE, which the long entry
+# holds; small integers and weights of 1/2 to 3 sum exactly, so the whole-array oracle still holds
+SLOT_DIMS = (None, core._PIECE + 1)
+
+
+def _tiled(n, *vs):
+    """vs as arrays, tiled to n elements (as they are for n None)."""
+    return [np.asarray(v) if n is None else np.resize(np.asarray(v), n) for v in vs]
+
+
 @pytest.mark.parametrize("order, builds", [("PPP", 1), ("PQP", 3)])
 def test_pair_calls_on_the_same_bytes_build_the_gram_data_once(gram_calls, order, builds):
-    s = make_weighted([1.0, 2.0, 0.5])
-    pairs = {"P": ([1, 2, 3], [1, -1, 2j]), "Q": ([1, 2, 3], [1, -1, 2])}
-    for name, fn in zip(order, (ostrowski_bound, extremizer, min_norm_solution)):
-        fn(s, *pairs[name])
-    assert len(gram_calls) == builds
+    for n in SLOT_DIMS:
+        s = make_weighted(*_tiled(n, [1.0, 2.0, 0.5]))
+        pairs = {"P": _tiled(n, [1, 2, 3], [1, -1, 2j]), "Q": _tiled(n, [1, 2, 3], [1, -1, 2])}
+        for name, fn in zip(order, (ostrowski_bound, extremizer, min_norm_solution)):
+            fn(s, *pairs[name])
+    assert gram_calls == [3] * builds + [core._PIECE + 1] * builds
 
 
 def test_a_change_made_in_place_is_seen(gram_calls):
-    s = make_weighted([1.0, 2.0, 0.5, 3.0])
-    a, b = np.array([1, 2, 3, 4j]), np.array([1, -1, 2j, 0])
-    # a -0.0 in place of 0.0 changes the bytes, not the value
-    for change in (None, (a, 1, 5.0), (b, 3, -0.0), (b, 2, -2j), (a, 0, -1.0)):
-        if change:
-            v, i, value = change
-            v[i] = value
-        assert _pair_bytes(gram2, s, a, b) == _whole_bytes(s, a, b)
-        assert _pair_bytes(gram2, s, a, b) == _whole_bytes(s, a, b)
-    assert len(gram_calls) == 5
+    # a strided long a is compared a piece at a time through a contiguous copy of the piece
+    for n, strided in [(None, False), (core._PIECE + 1, False), (core._PIECE + 1, True)]:
+        gram_calls.clear()
+        s = make_weighted(*_tiled(n, [1.0, 2.0, 0.5, 3.0]))
+        a, b = _tiled(n, np.array([1, 2, 3, 4j]), np.array([1, -1, 2j, 0]))
+        if strided:
+            a = np.repeat(a, 2)[::2]
+        # a -0.0 in place of 0.0 changes the bytes, not the value; a long a's last entry is in a piece of its own
+        for change in (None, (a, 1, 5.0), (b, 3, -0.0), (b, 2, -2j), (a, 0, -1.0), (a, -1, 7.0)):
+            if change:
+                v, i, value = change
+                v[i] = value
+            assert _pair_bytes(gram2, s, a, b) == _whole_bytes(s, a, b), (n, strided, change)
+            assert _pair_bytes(gram2, s, a, b) == _whole_bytes(s, a, b), (n, strided, change)
+        assert len(gram_calls) == 6, (n, strided)
 
 
 def test_spaces_with_other_weights_get_their_own_gram_data(gram_calls):
-    a, b = [1, 2, 3], [1, -1, 2j]
-    spaces = [make_dense(3), make_weighted([1.0, 2.0, 0.5]), make_dense(3)]
-    for s in spaces:
-        assert _pair_bytes(gram2, s, a, b) == _whole_bytes(s, a, b)
-    assert len(gram_calls) == 3
+    # a long pair's weights are matched by identity: a second dense space of the same bytes builds its own
+    for n in SLOT_DIMS:
+        a, b = _tiled(n, [1, 2, 3], [1, -1, 2j])
+        dim = a.size
+        spaces = [make_dense(dim), make_weighted(*_tiled(n, [1.0, 2.0, 0.5])), make_dense(dim)]
+        for s in spaces:
+            assert _pair_bytes(gram2, s, a, b) == _whole_bytes(s, a, b), n
+    assert gram_calls == [3] * 3 + [core._PIECE + 1] * 3
+    assert core._last_long[0] is spaces[-1].weights
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_errors_are_not_stored(gram_calls):
-    for _ in range(3):
-        with pytest.raises(GramOverflow):
-            ostrowski_bound(D2, [1e200, 0], [0, 1e200])
-    assert len(gram_calls) == 3
-    a, b = np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0, 1.0])
-    gram2(D3, a, b)
-    a[1] = np.nan
-    for _ in range(2):
-        with pytest.raises(NonFiniteInput, match="^a contains NaN or Inf$"):
-            extremizer(D3, a, b)
-    assert len(gram_calls) == 6
+    for n in SLOT_DIMS:
+        gram_calls.clear()
+        s = make_dense(2 if n is None else n)
+        for _ in range(3):
+            with pytest.raises(GramOverflow):
+                ostrowski_bound(s, *_tiled(n, [1e200, 0], [0, 1e200]))
+        assert len(gram_calls) == 3, n
+        s = make_dense(3 if n is None else n)
+        a, b = _tiled(n, [1.0, 2.0, 3.0], [0.0, 1.0, 1.0])
+        gram2(s, a, b)
+        a[1] = np.nan
+        for _ in range(2):
+            with pytest.raises(NonFiniteInput, match="^a contains NaN or Inf$"):
+                extremizer(s, a, b)
+        assert len(gram_calls) == 6, n
+
+
+def test_near_dependent_long_pair_sums_its_residuals_squares_once(gram_calls, monkeypatch):
+    # ||r||^2 < ||b||^2 / 2, so _gram sums r's squares as well as a's and b's: the three pair
+    # calls together make one pass of _norm_sq_rows over each of a, b and r, in pieces
+    n = core._PIECE + 1
+    rng = np.random.default_rng(29)
+    s = make_weighted(rng.uniform(0.5, 2.0, n))
+    a, q = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2))
+    b = (2 - 1j) * a + 0.01 * q
+    pieces, squares = core._norm_sq_rows, []
+    monkeypatch.setattr(core, "_norm_sq_rows", lambda w, u: squares.append(u.shape[-1]) or pieces(w, u))
+    bound = ostrowski_bound(s, a, b)
+    extremizer(s, a, b)
+    min_norm_solution(s, a, b)
+    assert bound < 0.5 * gram2(s, a, b).norm_b_sq
+    assert gram_calls == [n]
+    assert squares == [core._PIECE, 1] * 3
 
 
 def test_concurrent_callers_each_get_their_own_pairs_gram_data():
     # more threads than a two-core machine has cores, switching often; each
     # alternates between the same two pairs, twice each, so that one thread's
-    # hits interleave with another's builds
-    rng = np.random.default_rng(13)
-    s = make_weighted(rng.uniform(0.5, 2.0, 8))
-    pairs = [tuple(rng.standard_normal(8) + 1j * rng.standard_normal(8) for _ in range(2)) for _ in range(2)]
-    expected = [_whole_bytes(s, a, b) for a, b in pairs]
-    wrong, done = [], []
+    # hits interleave with another's builds; long pairs, which take the long
+    # entry, make fewer calls
+    for n, calls in [(8, 2000), (core._PIECE + 1, 100)]:
+        rng = np.random.default_rng(13)
+        s = make_weighted(rng.uniform(0.5, 2.0, n))
+        pairs = [tuple(rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2)) for _ in range(2)]
+        expected = [(_whole_bytes if n <= core._PIECE else _built_bytes)(s, a, b) for a, b in pairs]
+        wrong, done = [], []
 
-    def caller(k):
-        for i in range(2000):
-            j = (i // 2 + k) % len(pairs)
-            if _pair_bytes(gram2, s, *pairs[j]) != expected[j]:
-                wrong.append((k, i))
-        done.append(k)
+        def caller(k):
+            for i in range(calls):
+                j = (i // 2 + k) % len(pairs)
+                if _pair_bytes(gram2, s, *pairs[j]) != expected[j]:
+                    wrong.append((k, i))
+            done.append(k)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert sorted(done) == [0, 1, 2, 3]
-    assert wrong == []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(done) == [0, 1, 2, 3]
+        assert wrong == [], n

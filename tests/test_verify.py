@@ -1096,8 +1096,9 @@ def kill_count():
 def test_planted_defect_matrix(monkeypatch, kill_count, row, pair, caught_by):
     make, real = POWER_PAIRS[pair]
     s, a, b = make()
-    # an empty slot, so that no Gram data built before the defect was planted is reused
+    # empty entries, so that no Gram data built before the defect was planted is reused
     monkeypatch.setattr(core, "_last_pair", ((), None))
+    monkeypatch.setattr(core, "_last_long", None)
     for name, plant in POWER_ROWS[row][0]:
         monkeypatch.setattr(core, name, plant(getattr(core, name), s))
     failing = {r.check_name for r in verify_all(s, a, b, real=real) if not r.passed}
