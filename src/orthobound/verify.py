@@ -32,7 +32,8 @@ _MAX_RETRIES = 100
 # elements (1 MiB per array), so memory stays flat in trials.  Each lane of verify_all's stream holds one,
 # its draws, which it scores without forming another: with no block held, ops/s fell 53.7 to 42.4.
 _BLOCK_ELEMS = 1 << 16
-# Lanes of verify_all's stream, the caller and _LANES - 1 workers: dim 1024 took 71 ms on one, 40 on two (2 vCPUs).
+# Lanes of verify_all's stream, the caller and _LANES - 1 workers: perfbench's harness workload ran
+# 117-121 ops/s on one lane and 160-164 on two (2 vCPUs), though in-process timings put one lane ahead.
 _LANES = 2
 # Written into every `verify` report line: the draws and the arithmetic that scores them fix its bytes.
 HARNESS_FORMAT = 10
@@ -288,7 +289,7 @@ def _min_norm_check(space, pair, trials, tol, real):
     # the steps ws are the draws, orthogonal to a, less their components along x*'s direction r_hat: orthogonal
     # to a and to r, so to b.  r_hat comes from the slot's residual, so that a planted x* cannot steer its own
     # competitors
-    r_hat = core._residual(aa, bb, g, 1.0 / np.sqrt(g.norm_r_sq))
+    r_hat = core._residual(g, 1.0 / np.sqrt(g.norm_r_sq))
     wr, wx = core._weigh(w, r_hat), core._weigh(w, x)
     nr, r_x = core._sq_norm_rows(w, r_hat), core._dot_rows(r_hat, wx)
 
@@ -324,16 +325,16 @@ def _violations(lhs, rhs, lhs_e, rhs_e):
     return np.column_stack((np.maximum(rhs - lhs, 0.0) / (1.0 + lhs), np.abs(lhs_e - rhs_e) / (10.0 * (1.0 + lhs_e))))
 
 
-def _deflated_scores(w, z, mu_beta, c, wc, nc, dp, wdp, ndp, t):
+def _deflated_scores(w, z, mu_beta, c, wc, nc, dp, wdp, ndp):
     """The first worst scaled violation, with its witness, of the deflated inequality on the rows of z
     and of its equality case on mu*c + beta*dp, (mu, beta) the rows of mu_beta.  Each row has its own c,
-    d's component dp orthogonal to c, their _weigh forms and squared norms; t is a scratch block."""
-    zp = core._project_rows(z, c, wc, nc, out=t, t=t)
+    d's component dp orthogonal to c, their _weigh forms and squared norms."""
+    zp = core._project_rows(z, c, wc, nc)
     sides = core._deflated_sides(core._sq_norm_rows(w, zp), core._dot_rows(zp, wdp), nc, ndp)
     # Equality case: mu*c + beta*dp projected against c as mu*c' + beta*dp', c' and dp' projected
     cdp = np.stack((c, dp), axis=-2)
     basis = core._project_rows(cdp, c[:, None], wc[:, None], nc[:, None])
-    y = np.einsum("...k,...kj->...j", mu_beta, basis, out=t)
+    y = np.einsum("...k,...kj->...j", mu_beta, basis)
     v = _violations(*sides, *core._deflated_sides(core._sq_norm_rows(w, y), core._dot_rows(y, wdp), nc, ndp))
     i, eq = divmod(int(np.argmax(v)), 2)
     return v[i, eq], np.einsum("k,kj->j", mu_beta[i], cdp[i]) if eq else z[i].copy()
@@ -390,9 +391,9 @@ def verify_deflated(space: SpaceDescriptor, trials: int, tol: Tolerances = DEFAU
         nc = _usable_draws(space, rng, c, real).nsq
         d, mu_beta = _draw(rng, (n, space.dim), real), _draw(rng, (n, 2), real)
         wc = core._weigh(w, c)
-        dp = core._project_rows(d, c, wc, nc, out=d)  # d becomes its component orthogonal to c
+        dp = core._project_rows(d, c, wc, nc)  # d's component orthogonal to c
         fixed = (c, wc, nc, dp, core._weigh(w, dp), core._sq_norm_rows(w, dp))
-        worst = max(worst, (*_deflated_scores(w, z, mu_beta, *fixed, np.empty_like(z)), k), key=_rank)
+        worst = max(worst, (*_deflated_scores(w, z, mu_beta, *fixed), k), key=_rank)
     return _deflated_report(trials, tol, *worst[:2])
 
 

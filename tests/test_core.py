@@ -488,14 +488,16 @@ def test_pair_functions_match_whole_array_forms(dim, mode):
     g, p = gram2(s, a, b), core._pair(s, a, b)[2]
     # longer vectors are summed in pieces, which test_long_reductions_are_near_exact_sums
     # judges; what follows from coef and ||r||^2 is elementwise
+    coef = p.inner_ab.conjugate() / p.norm_a_sq
     if dim <= core._PIECE:
-        assert (p.norm_a_sq, p.norm_b_sq, p.inner_ab, p.coef, p.norm_r_sq) == residual_whole(s.weights, a, b)
+        assert (p.norm_a_sq, p.norm_b_sq, p.inner_ab, coef, p.norm_r_sq) == residual_whole(s.weights, a, b)
         assert (g.norm_a_sq, g.norm_b_sq, g.inner_ab, g.det) == gram_whole(s.weights, a, b)
     assert ostrowski_bound(s, a, b) == p.norm_r_sq
-    # bytes, not assert_array_equal, which takes -0.0 for 0.0
-    assert extremizer(s, a, b).tobytes() == extremizer_whole(a, b, p.coef, p.norm_r_sq).tobytes()
+    # bytes, not assert_array_equal, which takes -0.0 for 0.0; the held residual is formed at every length
+    assert p.r.tobytes() == (b - coef * a).tobytes()
+    assert extremizer(s, a, b).tobytes() == extremizer_whole(a, b, coef, p.norm_r_sq).tobytes()
     x, value = min_norm_solution(s, a, b)
-    x_ref, value_ref = min_norm_whole(a, b, p.coef, p.norm_r_sq)
+    x_ref, value_ref = min_norm_whole(a, b, coef, p.norm_r_sq)
     assert x.tobytes() == x_ref.tobytes()
     assert value == value_ref
 
@@ -571,8 +573,9 @@ def test_long_path_digests(fn, dim, mode):
 )
 def test_long_pair_calls_allocate_no_full_length_temporary(monkeypatch, fn, limit_mib):
     # one complex vector of dim 2^18 is 4 MiB; the last two return one.  The long entry's
-    # copies of a and b are held from one call to the next, not temporaries: they are
-    # taken off the peak, once they are shown to be what the call left in the entry
+    # copies of a and b and its residual r are held from one call to the next, not
+    # temporaries: they are taken off the peak, once they are shown to be what the call
+    # left in the entry
     monkeypatch.setattr(core, "_last_long", None)
     s, a, b = _long_pair(1 << 18, True)
     tracemalloc.start()
@@ -581,9 +584,10 @@ def test_long_pair_calls_allocate_no_full_length_temporary(monkeypatch, fn, limi
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    w, ca, cb, _ = core._last_long
-    held = a.nbytes + b.nbytes
-    assert w is s.weights and ca.nbytes + cb.nbytes == held and current >= held
+    w, ca, cb, g = core._last_long
+    assert g.r.nbytes == b.nbytes
+    held = a.nbytes + b.nbytes + g.r.nbytes
+    assert w is s.weights and ca.nbytes + cb.nbytes == a.nbytes + b.nbytes and current >= held
     assert peak - held < limit_mib * 2**20
 
 

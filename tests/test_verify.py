@@ -958,9 +958,8 @@ def _min_norm_times(x_factor, value_factor):
 
 
 def _without_conj(extremizer, space):
-    # r formed with <a,b>/||a||^2 in place of its conjugate: the slot's r is dropped, so that the
-    # extremizer forms r from the conjugated coefficient piece by piece
-    return lambda a, b, g, tol: extremizer(a, b, g._replace(coef=g.coef.conjugate(), r=None), tol)
+    # r formed with <a,b>/||a||^2 in place of its conjugate
+    return lambda a, b, g, tol: extremizer(a, b, g._replace(r=b - (g.inner_ab / g.norm_a_sq) * a), tol)
 
 
 def _plus_norm_b_sq(bound, space):
@@ -1162,7 +1161,7 @@ def _min_norm_reference(s, pair, scale=1.0):
     to the bit, but for those whose ||x* + ws||^2 overflows unscaled."""
     (aa, bb, g), w = pair, s.weights
     x, _ = core._min_norm(aa, bb, g, TOL)
-    r_hat = core._residual(aa, bb, g, 1.0 / np.sqrt(g.norm_r_sq))
+    r_hat = core._residual(g, 1.0 / np.sqrt(g.norm_r_sq))
     r_dir = (r_hat, core._weigh(w, r_hat), core._sq_norm_rows(w, r_hat))
     a_dir = (aa, core._weigh(w, aa), g.norm_a_sq)
     nx = float(core._norm_sq_rows(w, scale * x))
