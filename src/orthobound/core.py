@@ -19,8 +19,13 @@ proportional.  Its squared norm is the 2x2 Gram determinant
 from __future__ import annotations
 
 import cmath
+import contextvars
+import itertools
 import math
+import os
+import queue
 import sys
+import threading
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -92,14 +97,87 @@ def _shaped(space: SpaceDescriptor, u, name: str) -> np.ndarray:
 # pair kernels handle vectors longer than this in pieces of at most this many
 # elements (256 KiB complex), so that no call allocates a full-length temporary
 _PIECE = 1 << 14
+# Lanes of verify's stream, the caller and _LANES - 1 workers, and of a long vector's pieces, the caller and
+# one worker unless _LANES is 1: perfbench's harness workload ran 117-121 ops/s on one lane and 160-164 on two
+# (2 vCPUs), though in-process timings put one lane ahead; pairs-large (dim 2^18) ran 87.7-88.7 ops/s on one
+# lane and 133.5-140.3 on two.
+_LANES = 2
+# the jobs queue of the one worker thread that shares a long vector's pieces with the caller: started by
+# the first long call, not at import, and started afresh in a forked child, which has no copy of the thread
+_worker = None
+_starting = threading.Lock()
+
+
+def _forget_worker():
+    global _worker, _starting
+    _worker, _starting = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # not on Windows, which has no fork
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _work(jobs: queue.SimpleQueue):
+    while True:  # each job catches its errors, so the thread runs until the process ends
+        jobs.get()()
+
+
+def _jobs() -> queue.SimpleQueue:
+    global _worker
+    with _starting:
+        if _worker is None:
+            _worker = queue.SimpleQueue()
+            threading.Thread(target=_work, args=(_worker,), daemon=True).start()
+        return _worker
+
+
+def _pieces(fn, size: int, start: int = 0) -> list:
+    """[fn(p) for the slices p of range(start, size) of _PIECE elements], in order.  The caller runs the first
+    piece (a fault there is raised before the worker is asked), then the caller and the worker, in a copy of the
+    caller's context (np.errstate too), take the next piece in turn until none is left or one fails.  A lane
+    runs each piece it takes, so every piece below a failed one runs, and the lowest piece's error is raised.
+    A job never waits on another, so callers share the worker; the caller waits for it before it returns or
+    raises, unless the worker has not started by then, and then never will."""
+    pieces = [slice(i, i + _PIECE) for i in range(start, size, _PIECE)]
+    results = [fn(pieces[0])] + [None] * (len(pieces) - 1)
+    claims, errors = itertools.count(1), []
+
+    def lane():
+        while not errors:
+            i = next(claims)  # one C call, atomic under the GIL: no two lanes take the same piece
+            if i >= len(pieces):
+                return
+            try:
+                results[i] = fn(pieces[i])
+            except BaseException as exc:
+                errors.append((i, exc))
+
+    if _LANES < 2 or len(pieces) < 3:  # the caller would take the second piece before the worker woke
+        lane()
+    else:
+        context, gate = contextvars.copy_context(), threading.Lock()
+
+        def job():
+            if gate.acquire(blocking=False):  # else the caller has shut it out
+                try:
+                    context.run(lane)
+                finally:
+                    gate.release()
+
+        _jobs().put(job)
+        lane()
+        gate.acquire()  # waits while the worker runs, and shuts out a worker that has not started
+    if errors:
+        raise min(errors)[1]  # each piece runs once, so no two errors share an index
+    return results
 
 
 def _piecewise(kernel, w: np.ndarray, *vs: np.ndarray):
     """kernel(w, *vs), a sum over the elements, taken in pieces of at most _PIECE elements."""
     if w.size <= _PIECE:
         return kernel(w, *vs)
-    pieces = (slice(i, i + _PIECE) for i in range(0, w.size, _PIECE))
-    return np.add.reduce([kernel(w[p], *(v[p] for v in vs)) for p in pieces])  # sum() lost an ulp more at 2^18
+    sums = _pieces(lambda p: kernel(w[p], *(v[p] for v in vs)), w.size)
+    return np.add.reduce(sums)  # sum() lost an ulp more at 2^18
 
 
 def _inner_rows(w: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -175,9 +253,7 @@ def _gram(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> _Pair:
         r = b - coef * a
     else:  # piece by piece into r, with no other temporary
         r = np.empty_like(b)
-        for i in range(0, b.size, _PIECE):
-            p = r[i : i + _PIECE]
-            np.subtract(b[i : i + _PIECE], np.multiply(coef, a[i : i + _PIECE], out=p), out=p)
+        _pieces(lambda p: np.subtract(b[p], np.multiply(coef, a[p], out=r[p]), out=r[p]), b.size)
     # Pythagoras, ||b||^2 - |<a,b>|^2/||a||^2, while it keeps half of ||b||^2 (<a,b> is not squared: its
     # square may underflow where the answer fits); below that it cancels, and r's own squares are summed
     nr = nb - abs(iab) * abs(coef)
@@ -195,11 +271,24 @@ _last_pair = ((), None)
 _last_long = None
 
 
-def _same_bytes(u: np.ndarray, held: np.ndarray) -> bool:
-    """u has the bytes of held, a contiguous copy; compared a _PIECE at a time, so a miss stops at the first
-    piece that differs (uint64 views, as == takes -0.0 for 0.0; a strided piece is made contiguous first)."""
-    return all(np.array_equal(np.ascontiguousarray(u[i : i + _PIECE]).view(np.uint64),
-                              held[i : i + _PIECE].view(np.uint64)) for i in range(0, u.size, _PIECE))
+def _same_bytes(vs, helds) -> bool:
+    """Each long u of vs has the bytes of its held contiguous copy, compared a _PIECE at a time: the first piece
+    of each on the caller, so a miss mostly stops there, then the rest on both lanes (uint64 views, as == takes
+    -0.0 for 0.0; a strided piece is made contiguous first)."""
+    def same(p):
+        return all(np.array_equal(np.ascontiguousarray(u[p]).view(np.uint64), held[p].view(np.uint64))
+                   for u, held in zip(vs, helds))
+
+    return same(slice(0, _PIECE)) and all(_pieces(same, vs[0].size, _PIECE))
+
+
+def _held_copies(*vs) -> list:
+    """Read-only contiguous copies of long vectors, written a piece at a time on both lanes."""
+    copies = [np.empty_like(v, order="C") for v in vs]
+    _pieces(lambda p: [np.copyto(c[p], v[p]) for c, v in zip(copies, vs)], vs[0].size)
+    for c in copies:
+        c.flags.writeable = False
+    return copies
 
 
 def _pair(space: SpaceDescriptor, a, b, names: str = "ab") -> Tuple[np.ndarray, np.ndarray, _Pair]:
@@ -217,10 +306,9 @@ def _pair(space: SpaceDescriptor, a, b, names: str = "ab") -> Tuple[np.ndarray, 
                 _last_pair = key, g
             return aa, bb, g
         held = _last_long
-        if not (held and held[0] is w and _same_bytes(aa, held[1]) and _same_bytes(bb, held[2])):
+        if not (held and held[0] is w and _same_bytes((aa, bb), held[1:3])):
             held = _last_long = None  # the old copies are freed before the new ones are made
-            aa, bb = aa.copy(), bb.copy()
-            aa.flags.writeable = bb.flags.writeable = False
+            aa, bb = _held_copies(aa, bb)
             held = _last_long = w, aa, bb, _gram(w, aa, bb)
         return held[1:]
     except (DimensionMismatch, GramOverflow) as exc:
@@ -278,8 +366,13 @@ def _bound(g: _Pair) -> float:
 
 
 def _residual(g: _Pair, scale: float) -> np.ndarray:
-    """scale * r for a real scale."""
-    return g.r * complex(scale)  # numpy casts a real scalar to complex anyway, at more cost
+    """scale * r for a real scale; beyond _PIECE elements written a piece at a time into one array."""
+    s, r = complex(scale), g.r  # numpy casts a real scalar to complex anyway, at more cost
+    if r.size <= _PIECE:
+        return r * s
+    x = np.empty_like(r)
+    _pieces(lambda p: np.multiply(r[p], s, out=x[p]), r.size)
+    return x
 
 
 def _extremizer(a: np.ndarray, b: np.ndarray, g: _Pair, tol: Tolerances) -> np.ndarray:

@@ -20,7 +20,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import core
-from .core import DEFAULT_SEED, DEFAULT_TOL, DEFAULT_TRIALS, Tolerances
+from .core import _LANES, DEFAULT_SEED, DEFAULT_TOL, DEFAULT_TRIALS, Tolerances
 from .errors import DegenerateSample, GramOverflow
 from .spaces import SpaceDescriptor
 
@@ -32,9 +32,6 @@ _MAX_RETRIES = 100
 # elements (1 MiB per array), so memory stays flat in trials.  Each lane of verify_all's stream holds one,
 # its draws, which it scores without forming another: with no block held, ops/s fell 53.7 to 42.4.
 _BLOCK_ELEMS = 1 << 16
-# Lanes of verify_all's stream, the caller and _LANES - 1 workers: perfbench's harness workload ran
-# 117-121 ops/s on one lane and 160-164 on two (2 vCPUs), though in-process timings put one lane ahead.
-_LANES = 2
 # Written into every `verify` report line: the draws and the arithmetic that scores them fix its bytes.
 HARNESS_FORMAT = 10
 _SQRT3 = np.sqrt(3.0)

@@ -1,8 +1,13 @@
 import hashlib
 import math
+import multiprocessing
+import os
+import subprocess
 import sys
 import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -888,3 +893,108 @@ def test_concurrent_callers_each_get_their_own_pairs_gram_data():
         assert not any(t.is_alive() for t in threads)
         assert sorted(done) == [0, 1, 2, 3]
         assert wrong == [], n
+
+
+# --- the two lanes of a long vector's pieces --------------------------------
+
+def _with_the_worker(kernel):
+    """kernel, wrapped so that the caller's second call waits (up to 10 s) until the worker has made one:
+    the caller runs a long vector's first piece alone, so the worker then takes the third piece."""
+    caller, joined, threads = threading.get_ident(), threading.Event(), []
+
+    def wrapped(*args):
+        threads.append(threading.get_ident())
+        if threads[-1] != caller:
+            joined.set()
+        elif threads.count(caller) == 2:
+            joined.wait(10)
+        return kernel(*args)
+
+    return wrapped, threads
+
+
+def test_long_pieces_raise_the_lowest_error_once_both_lanes_stop():
+    # six pieces: the caller runs piece 0, then takes 1 while the worker takes 2; each lane runs every piece
+    # it takes, stops at its first error, and the caller raises only once no piece of either lane is running
+    size = 6 * core._PIECE
+    assert core._pieces(lambda p: p.start, size) == list(range(0, size, core._PIECE))
+    # (pieces that fail, seconds that pieces take, the piece whose error is raised); in the last row piece 2
+    # fails on the worker before piece 3 does on the caller, and in the one before it after
+    for failing, slow, raised in [({2}, {1: 0.1}, 2), ({1}, {2: 0.1}, 1), ({3, 4, 5}, {2: 0.1}, 3),
+                                  ({2, 3}, {2: 0.2, 3: 0.1}, 2), ({2, 3}, {2: 0.1, 3: 0.2}, 2)]:
+        ran, running = {}, set()
+
+        def piece(p):
+            k = p.start // core._PIECE
+            running.add(k)
+            try:
+                time.sleep(slow.get(k, 0))
+                ran[k] = threading.get_ident()
+                if k in failing:
+                    raise RuntimeError(f"planted failure in piece {k}")
+                return k
+            finally:
+                running.discard(k)
+
+        wrapped, threads = _with_the_worker(piece)
+        with pytest.raises(RuntimeError, match=f"piece {raised}$"):
+            core._pieces(wrapped, size)
+        assert not running and set(range(raised + 1)) <= set(ran), failing
+        assert ran[2] != ran[0] == ran[1] == threading.get_ident(), failing
+    # a fault in the first piece is raised before the worker is asked
+    wrapped, threads = _with_the_worker(piece)
+    failing = {0, 2}
+    with pytest.raises(RuntimeError, match="piece 0$"):
+        core._pieces(wrapped, size)
+    assert threads == [threading.get_ident()]
+
+
+@pytest.mark.filterwarnings("error")
+def test_errstate_holds_in_the_worker_half_of_a_long_pair(monkeypatch):
+    # ||a||^2 overflows in the third piece, which the worker sums: under the caller's np.errstate that is
+    # GramOverflow and no warning, as it is on one lane
+    n = 4 * core._PIECE
+    s, a, b = make_dense(n), np.ones(n, complex), np.ones(n, complex)
+    a[2 * core._PIECE] = 1e200
+    kernel, threads = _with_the_worker(core._norm_sq_rows)
+    monkeypatch.setattr(core, "_norm_sq_rows", kernel)
+    with np.errstate(over="ignore"):
+        with pytest.raises(GramOverflow, match=r"\|\|a\|\|\^2=inf"):
+            ostrowski_bound(s, a, b)
+    assert threads[2] != threads[0]
+
+
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_child_computes_a_long_bound():
+    # the parent's worker thread is not copied into a forked child, which starts its own
+    s, a, b = _long_pair(4 * core._PIECE, True)
+    ostrowski_bound(s, a, b)
+    assert core._worker is not None
+    context = multiprocessing.get_context("fork")
+    reader, writer = context.Pipe(duplex=False)
+    # (b, a) misses the held pair, so the child makes every pass; its own worker is the one other thread
+    child = context.Process(target=lambda: writer.send((ostrowski_bound(s, b, a), threading.active_count())))
+    child.start()
+    try:
+        child.join(timeout=60)
+        assert not child.is_alive() and child.exitcode == 0
+        assert reader.poll(0) and reader.recv() == (ostrowski_bound(s, b, a), 2)
+    finally:
+        child.kill()
+        child.join()
+
+
+def test_the_worker_starts_with_the_first_long_call():
+    code = (
+        "import threading, numpy as np, orthobound as ob\n"
+        "counts = [threading.active_count()]\n"
+        "for n in (16, 1 << 14, (1 << 14) + 1, 3 << 14):\n"
+        "    ob.ostrowski_bound(ob.make_dense(n), np.ones(n), np.arange(n))\n"
+        "    counts.append(threading.active_count())\n"
+        "print(counts)"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[1, 1, 1, 1, 2]\n"  # two pieces run on the caller alone

@@ -122,6 +122,17 @@ def test_bound_scale_covariance_when_norm_a_sq_is_subnormal():
     _assert_scale_covariant([1.7388233028670826e-161j, 0j], [1j, 0j], 2.0, 1.0)
 
 
+@pytest.mark.xfail(strict=True, raises=GramOverflow,
+                   reason="ROADMAP item 1's prescaling: a subnormal ||r||^2 is refused as underflowing")
+def test_extremizer_phase_invariance_when_norm_r_sq_is_subnormal():
+    # found by test_extremizer_phase_invariance: b is orthogonal to a, so r = b, and ||r||^2 = 2.47e-323 is
+    # subnormal on an independent pair; the extremizer (0, i) and the bound (to one subnormal ulp) both fit
+    s, a, b = make_dense(2), [1j, 0j], [0j, 5.033966415398804e-162j]
+    x = extremizer(s, a, b)
+    assert np.isfinite(x).all() and norm_sq(s, x) == pytest.approx(1.0, rel=1e-12)
+    assert ostrowski_bound(s, a, b) == pytest.approx(abs(b[1]) ** 2, rel=0.25)
+
+
 @given(complex_pairs(dim_min=2), st.sampled_from([1.0, -1.0, 1j, -1j, np.exp(0.7j)]))
 @settings(max_examples=200)
 def test_extremizer_phase_invariance(pair, phase):
