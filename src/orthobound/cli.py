@@ -170,18 +170,18 @@ def cmd_pair(args) -> int:
         summary = core._summary(g)
         iab = summary.inner_ab
         gram = dict(vars(summary), inner_ab=iab.real if real_mode else [iab.real, iab.imag])
-        doc = {"bound": core._bound(g), "gram": gram}
+        doc = {"bound": core._norm_r_sq(g), "gram": gram}
     elif args.command == "extremize":
-        x = core._extremizer(a, b, g, core.DEFAULT_TOL)
+        x = core._extremizer(g, core.DEFAULT_TOL)
         doc = {
             "x": _emit_vector(x, real_mode),
             "attained": abs(inner(x, b)) ** 2,
-            "bound": core._bound(g),
+            "bound": core._norm_r_sq(g),
             "residual_orth": abs(inner(x, a)),
             "residual_norm": abs(np.sqrt(float(core._piecewise(core._norm_sq_rows, space.weights, x))) - 1.0),
         }
     else:
-        x, value = core._min_norm(a, b, g, core.DEFAULT_TOL)
+        x, value = core._min_norm(g, core.DEFAULT_TOL)
         doc = {
             "x": _emit_vector(x, real_mode),
             "value": value,
@@ -314,15 +314,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         # GramOverflow and dumps_stable's refusal of inf and nan stand for numpy's warnings
         with np.errstate(over="ignore", invalid="ignore"):
             return args.fn(args)
-    except ZeroVector as exc:
-        diag(str(exc))
-        return 3
-    except DependentVectors as exc:
-        diag(str(exc))
-        return 4
     except OrthoboundError as exc:
-        diag(f"input error: {exc}")
-        return 2
+        code = {ZeroVector: 3, DependentVectors: 4}.get(type(exc), 2)
+        diag(f"input error: {exc}" if code == 2 else str(exc))
+        return code
 
 
 if __name__ == "__main__":

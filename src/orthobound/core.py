@@ -361,10 +361,6 @@ def _norm_r_sq(g: _Pair, tol: Optional[Tolerances] = None) -> float:
     return g.norm_r_sq
 
 
-def _bound(g: _Pair) -> float:
-    return _norm_r_sq(g)
-
-
 def _residual(g: _Pair, scale: float) -> np.ndarray:
     """scale * r for a real scale; beyond _PIECE elements written a piece at a time into one array."""
     s, r = complex(scale), g.r  # numpy casts a real scalar to complex anyway, at more cost
@@ -375,11 +371,11 @@ def _residual(g: _Pair, scale: float) -> np.ndarray:
     return x
 
 
-def _extremizer(a: np.ndarray, b: np.ndarray, g: _Pair, tol: Tolerances) -> np.ndarray:
+def _extremizer(g: _Pair, tol: Tolerances) -> np.ndarray:
     return _residual(g, 1.0 / math.sqrt(_norm_r_sq(g, tol)))
 
 
-def _min_norm(a: np.ndarray, b: np.ndarray, g: _Pair, tol: Tolerances) -> Tuple[np.ndarray, float]:
+def _min_norm(g: _Pair, tol: Tolerances) -> Tuple[np.ndarray, float]:
     value = 1.0 / _norm_r_sq(g, tol)
     return _residual(g, value), value
 
@@ -413,7 +409,7 @@ def schwarz_gap(space: SpaceDescriptor, u, v) -> float:
 
 def ostrowski_bound(space: SpaceDescriptor, a, b) -> float:
     """Supremum of |<x,b>|^2 over unit x with <x,a> = 0: ||r||^2."""
-    return _bound(_pair(space, a, b)[2])
+    return _norm_r_sq(_pair(space, a, b)[2])
 
 
 def extremizer(space: SpaceDescriptor, a, b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -423,7 +419,7 @@ def extremizer(space: SpaceDescriptor, a, b, tol: Tolerances = DEFAULT_TOL) -> n
     scaled by the real positive ``1 / ||r||``, which makes the output
     deterministic (any unit-modulus rotation is equally extremal).
     """
-    return _extremizer(*_pair(space, a, b), tol)
+    return _extremizer(_pair(space, a, b)[2], tol)
 
 
 def min_norm_solution(space: SpaceDescriptor, a, b, tol: Tolerances = DEFAULT_TOL) -> Tuple[np.ndarray, float]:
@@ -433,7 +429,7 @@ def min_norm_solution(space: SpaceDescriptor, a, b, tol: Tolerances = DEFAULT_TO
     r is orthogonal to a, and ``<r,b> = <r,r>``, over the reals and the
     complexes alike.  Any other feasible x adds a part orthogonal to r.
     """
-    return _min_norm(*_pair(space, a, b), tol)
+    return _min_norm(_pair(space, a, b)[2], tol)
 
 
 def project_out(space: SpaceDescriptor, z, c) -> np.ndarray:

@@ -5,8 +5,9 @@ badly (if at all) the claimed inequality or optimality is violated, and
 returns a :class:`VerificationReport`.  Violations are recorded in the
 scaled form ``residual / (1 + magnitude)`` so one tolerance works across
 input scales.  Identical inputs and seed produce bitwise-identical reports.
-The bound, min-norm and deflated checks score one stream of feasible draws, which
-``verify_all`` splits by block over two threads; ``verify_deflated`` checks the lemma.
+Every check reads the answers ``_answers`` forms once per call.  The bound, min-norm and deflated checks
+score one stream of feasible draws, which ``verify_all`` splits by block over two threads; ``verify_deflated``
+checks the lemma.
 """
 
 from __future__ import annotations
@@ -88,6 +89,18 @@ def _require_trials(trials: int) -> int:
 
 def _skipped(check: str, tol: Tolerances, note: str) -> VerificationReport:
     return VerificationReport(check, 0, 0.0, tol.rel_eps, True, skipped=True, note=note)
+
+
+_Answers = namedtuple("_Answers", "bound_of bound extremizer x_star value")
+
+
+def _answers(pair, tol: Tolerances) -> _Answers:
+    """What the checks check, formed once per call as the pair functions form it: the bound function, and the
+    pair's bound ||r||^2, extremizer, and x* with its squared norm value, the vectors None on a dependent pair."""
+    g = pair[2]
+    bound, dependent = core._norm_r_sq(g), core._dependent(g, tol)
+    vectors = (None,) * 3 if dependent else (core._extremizer(g, tol), *core._min_norm(g, tol))
+    return _Answers(core._norm_r_sq, bound, *vectors)
 
 
 def _draw(rng: np.random.Generator, shape, real: bool, out=None) -> np.ndarray:
@@ -188,7 +201,8 @@ def verify_bound(space: SpaceDescriptor, a, b, trials: int, tol: Tolerances = DE
     is witnessed alongside dominance.  A feasible draw u is scored as
     |<u,b>|^2/||u||^2, without normalising it; only the witness is.
     """
-    return _verify_feasible(space, core._pair(space, a, b), trials, tol, seed, real, [_bound_check])[0]
+    pair, trials = core._pair(space, a, b), _require_trials(trials)
+    return _verify_feasible(space, pair, _answers(pair, tol), trials, tol, seed, real, [_bound_check])[0]
 
 
 def verify_min_norm(space: SpaceDescriptor, a, b, trials: int, tol: Tolerances = DEFAULT_TOL, seed: int = DEFAULT_SEED,
@@ -199,7 +213,9 @@ def verify_min_norm(space: SpaceDescriptor, a, b, trials: int, tol: Tolerances =
     component along x*'s direction: x* + w stays feasible, so none may have smaller squared norm beyond
     rounding slack.  Each competitor is scored from its block's product table; only the worst is formed.
     """
-    return _verify_feasible(space, core._pair(space, a, b), trials, tol, seed, real, [_min_norm_check])[0]
+    pair, trials = core._pair(space, a, b), _require_trials(trials)
+    core._norm_r_sq(pair[2], tol)  # DependentVectors on a dependent pair, which has no x*, as from min_norm_solution
+    return _verify_feasible(space, pair, _answers(pair, tol), trials, tol, seed, real, [_min_norm_check])[0]
 
 
 def _rank(state):
@@ -208,15 +224,15 @@ def _rank(state):
     return witness is not None, v != v, v if v == v else 0.0, -k
 
 
-def _verify_feasible(space, pair, trials, tol, seed, real, checks) -> List[VerificationReport]:
-    """The reports of checks on one stream of feasible draws, the same whichever checks read it.  A check gives
-    (score, start, report, cs): score(t, uc, rng), None if skipped, takes a block's table t and the columns uc
-    of t.uc for its directions cs to the block's scaled violations, met in raveled order, and a function of the
-    first worst's index to its witness; report(*worst) takes the worst of start and the blocks.  Block k draws
+def _verify_feasible(space, pair, answers, trials, tol, seed, real, checks) -> List[VerificationReport]:
+    """The reports of checks of the answers on one stream of feasible draws, the same whichever checks read it.  A
+    check gives (score, start, report, cs): score(t, uc, rng), None if skipped, takes a block's table t and the
+    columns uc of t.uc for its directions cs to the block's scaled violations, met in raveled order, and a function
+    of the first worst's index to its witness; report(*worst) takes the worst of start and the blocks.  Block k draws
     from _block_rng(seed, k) on lane k % _LANES, the caller or a worker in a copy of its context (np.errstate
     too): the first worst over the lanes is one lane's, the error raised the lowest block's once all stop."""
-    (aa, bb, g), trials = pair, _require_trials(trials)
-    made = [check(space, pair, trials, tol, real) for check in checks]
+    aa, _, g = pair
+    made = [check(space, pair, answers, trials, tol, real) for check in checks]
     # each distinct direction is stacked once, keyed on its bytes (the extremizer's are r_hat's unless planted):
     # a column of the product table has the same bits whatever the stack's width and its position in it
     stack = {c.tobytes(): c for c in (aa, *(c for *_, cs in made for c in cs))}
@@ -252,14 +268,12 @@ def _verify_feasible(space, pair, trials, tol, seed, real, checks) -> List[Verif
     return [report(*next(worst)) if score else report() for score, _, report, _ in made]
 
 
-def _bound_check(space, pair, trials, tol, real):
-    aa, bb, g = pair
-    bound = core._bound(g)
+def _bound_check(space, pair, answers, trials, tol, real):
+    (aa, bb, _), bound, x = pair, answers.bound, answers.extremizer
     if space.dim == 1 and trials > 0:
         skip = "no unit vector is orthogonal to a in dimension 1"
         return None, None, lambda: _skipped("bound_dominance", tol, skip), ()
     tolerance = tol.rel_eps * (1.0 + bound)
-    extremal = not core._dependent(g, tol)
 
     def score(t, ub, _):
         # |<x,b>|^2 at x = u/||u||, squared last: it fits where ||b||^2 does, |<u,b>|^2 may not
@@ -267,25 +281,25 @@ def _bound_check(space, pair, trials, tol, real):
         return np.maximum(attained - bound, 0.0), lambda i: _unit_row(space.weights, t, aa, i)
 
     start = (0.0, None)
-    if extremal:  # the extremizer, unit by construction, is scored as it is
-        x = core._extremizer(aa, bb, g, tol)
+    if x is not None:  # the extremizer, unit by construction, is scored as it is
         start = (np.maximum(np.square(np.abs(core._dot_rows(x, core._weigh(space.weights, bb)))) - bound, 0.0), x)
-    return score, start, lambda v, x: _report(
-        "bound_dominance", trials + extremal, v, tolerance, witness=x, bound=bound
+    return score, start, lambda v, y: _report(
+        "bound_dominance", trials + (x is not None), v, tolerance, witness=y, bound=bound
     ), (bb,)
 
 
-def _min_norm_check(space, pair, trials, tol, real):
-    aa, bb, g = pair
-    x, value = core._min_norm(aa, bb, g, tol)
+def _min_norm_check(space, pair, answers, trials, tol, real):
+    (aa, bb, g), x, value = pair, answers.x_star, answers.value
+    if x is None:
+        return None, None, lambda: _skipped("min_norm_optimality", tol, "dependent vectors"), ()
     w, na, nb = space.weights, g.norm_a_sq, g.norm_b_sq
     nx = float(core._norm_sq_rows(w, x))
     res_orth = abs(complex(core._inner_rows(w, x, aa))) / (1.0 + np.sqrt(nx * na))
     res_one = abs(complex(core._inner_rows(w, x, bb)) - 1.0) / (1.0 + np.sqrt(nx * nb))
     res_value = abs(nx - value) / (1.0 + value)
     # the steps ws are the draws, orthogonal to a, less their components along x*'s direction r_hat: orthogonal
-    # to a and to r, so to b.  r_hat comes from the slot's residual, so that a planted x* cannot steer its own
-    # competitors
+    # to a and to r, so to b.  r_hat comes from the pair's residual, not from the answers, so that a planted
+    # x* or extremizer cannot steer its own competitors
     r_hat = core._residual(g, 1.0 / np.sqrt(g.norm_r_sq))
     wr, wx = core._weigh(w, r_hat), core._weigh(w, x)
     nr, r_x = core._sq_norm_rows(w, r_hat), core._dot_rows(r_hat, wx)
@@ -342,17 +356,16 @@ def _deflated_report(trials: int, tol: Tolerances, worst, witness) -> Verificati
     return _report("deflated_schwarz", trials, worst, tol.rel_eps, witness=witness, note=note)
 
 
-def _deflated_check(space, pair, trials, tol, real):
+def _deflated_check(space, pair, answers, trials, tol, real):
     """The deflated check at the pair, c = a and d = b, on the unit directions of a and of b's component
     orthogonal to a, the extremizer dp (none for a dependent pair): no figure depends on their scale.  z is
     a feasible draw, orthogonal to c, so its sides come from ||z||^2 and <z,dp> in the table.  The equality
     case's y = mu*c' + beta*dp', c' and dp' projected against c once per call, is not formed: ||y||^2 comes
     from the 2x2 Gram of (c', dp') and <y,dp> from their products with dp."""
-    aa, bb, g = pair
-    if core._dependent(g, tol):
+    (aa, _, g), w = pair, space.weights
+    if answers.extremizer is None:
         return None, None, lambda: _skipped("deflated_schwarz", tol, "dependent vectors"), ()
-    w = space.weights
-    cdp = np.stack((aa / np.sqrt(g.norm_a_sq), core._extremizer(aa, bb, g, tol)))
+    cdp = np.stack((aa / np.sqrt(g.norm_a_sq), answers.extremizer))
     c, dp = cdp
     wc, wdp = core._weigh(w, c), core._weigh(w, dp)
     # each direction goes in with its computed squared norm, which is 1 only to rounding
@@ -394,20 +407,18 @@ def verify_deflated(space: SpaceDescriptor, trials: int, tol: Tolerances = DEFAU
     return _deflated_report(trials, tol, *worst[:2])
 
 
-def _verify_scale_covariance(space, pair, tol: Tolerances, real: bool) -> VerificationReport:
-    """bound(s*a, b) = bound(a, b) and bound(a, t*b) = |t|^2 bound(a, b)."""
-    aa, bb, g = pair
-    bound = core._bound(g)
+def _verify_scale_covariance(space, pair, answers, tol: Tolerances, real: bool) -> VerificationReport:
+    """bound(s*a, b) = bound(a, b) and bound(a, t*b) = |t|^2 bound(a, b), the answers' bound function at the pairs."""
+    (aa, bb, g), bound_of, bound = pair, answers.bound_of, answers.bound
     scalars = [2.0, -3.0, 0.5] + ([] if real else [1j, 1.0 + 2.0j])
-    worst, witness = 0.0, aa
-    # the bound ||b||^2 - |<a,b>|^2/||a||^2 rounds on the scale of ||b||^2,
-    # even when the bound itself is tiny
+    worst, witness = 0.0, aa.copy()  # a copy: aa may be the caller's own array
+    # the bound ||b||^2 - |<a,b>|^2/||a||^2 rounds on the scale of ||b||^2, even when the bound itself is tiny
     scale = 1.0 + bound + g.norm_b_sq
     for s in scalars:
         sa = s * aa
         try:
-            va = abs(core._bound(core._gram(space.weights, sa, bb)) - bound)
-            vb = abs(core._bound(core._gram(space.weights, aa, s * bb)) - abs(s) ** 2 * bound)
+            va = abs(bound_of(core._gram(space.weights, sa, bb)) - bound)
+            vb = abs(bound_of(core._gram(space.weights, aa, s * bb)) - abs(s) ** 2 * bound)
         except GramOverflow as exc:
             raise GramOverflow(f"scale covariance check, scale {s}: {exc}") from exc
         v = max(va, vb / (abs(s) ** 2)) / scale
@@ -416,19 +427,17 @@ def _verify_scale_covariance(space, pair, tol: Tolerances, real: bool) -> Verifi
     return _report("scale_covariance", len(scalars), worst, tol.rel_eps, witness=witness)
 
 
-def _verify_real_consistency(space, pair, tol: Tolerances) -> VerificationReport:
+def _verify_real_consistency(space, pair, answers, tol: Tolerances) -> VerificationReport:
     """On real inputs the extremizer must equal the explicit real formula
     (b_k ||a||^2 - a_k <a,b>) / (||a|| sqrt(det)) with the + sign, sqrt(det) taken
     as ||a|| ||r||, which does not cancel as sqrt(||a||^2 ||b||^2 - <a,b>^2) does."""
-    aa, bb, g = pair
-    if aa.imag.any() or bb.imag.any():
-        return _skipped("real_consistency", tol, "complex inputs")
-    if core._dependent(g, tol):
-        return _skipped("real_consistency", tol, "dependent vectors")
-    x = core._extremizer(aa, bb, g, tol)
+    (aa, bb, g), x = pair, answers.extremizer
+    complex_inputs = aa.imag.any() or bb.imag.any()
+    if complex_inputs or x is None:
+        return _skipped("real_consistency", tol, "complex inputs" if complex_inputs else "dependent vectors")
     explicit = (bb.real * g.norm_a_sq - aa.real * g.inner_ab.real) / (g.norm_a_sq * np.sqrt(g.norm_r_sq))
     worst = np.max(np.abs(x - explicit)) / (1.0 + np.max(np.abs(explicit)))
-    return _report("real_consistency", 1, worst, tol.rel_eps, witness=x)
+    return _report("real_consistency", 1, worst, tol.rel_eps, witness=x.copy())  # x may be bound_dominance's witness
 
 
 def verify_all(space: SpaceDescriptor, a, b, trials: int = DEFAULT_TRIALS, tol: Tolerances = DEFAULT_TOL,
@@ -440,9 +449,8 @@ def verify_all(space: SpaceDescriptor, a, b, trials: int = DEFAULT_TRIALS, tol: 
     the min-norm and deflated checks, complex inputs for the real-consistency
     check) come back as skipped entries, not errors.
     """
-    pair = core._pair(space, a, b)
-    checks = [_bound_check, _min_norm_check, _deflated_check]
-    if core._dependent(pair[2], tol):
-        checks[1] = lambda *_: (None, None, lambda: _skipped("min_norm_optimality", tol, "dependent vectors"), ())
-    reports = _verify_feasible(space, pair, trials, tol, seed, real, checks)
-    return reports + [_verify_scale_covariance(space, pair, tol, real), _verify_real_consistency(space, pair, tol)]
+    pair, trials = core._pair(space, a, b), _require_trials(trials)
+    answers, checks = _answers(pair, tol), [_bound_check, _min_norm_check, _deflated_check]
+    reports = _verify_feasible(space, pair, answers, trials, tol, seed, real, checks)
+    return reports + [_verify_scale_covariance(space, pair, answers, tol, real),
+                      _verify_real_consistency(space, pair, answers, tol)]

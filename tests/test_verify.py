@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 
@@ -7,6 +8,7 @@ import pytest
 from orthobound import (
     CHECK_ORDER,
     DegenerateSample,
+    DependentVectors,
     Tolerances,
     ZeroVector,
     inner,
@@ -264,6 +266,44 @@ def test_verify_all_dependent_pair_skips_min_norm():
     assert by_name["min_norm_optimality"].passed
 
 
+def test_a_dependent_pair_has_no_x_star_and_no_extremizer_trial():
+    # verify_all skips the min-norm check there, while verify_min_norm alone refuses the pair, as
+    # min_norm_solution does; the bound check runs the trials asked for, with no extremizer to score
+    s, a, b = make_dense(3), [1, 2, 3], [2, 4, 6]
+    with pytest.raises(DependentVectors):
+        verify_min_norm(s, a, b, trials=50)
+    with pytest.raises(DependentVectors):
+        min_norm_solution(s, a, b)
+    rep = verify_bound(s, a, b, trials=50)
+    assert rep.trials == 50 and rep.passed
+
+
+def test_verify_all_forms_each_answer_once():
+    # the extremizer, x* and r_hat are the only scaled copies of the residual r a call forms: each answer once,
+    # for every check to read, and r_hat once more, apart from the answers
+    import sys
+    import threading
+    from collections import Counter
+
+    names = {getattr(core, name).__code__: name for name in ("_extremizer", "_min_norm", "_residual")}
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            calls[names[frame.f_code]] += 1
+
+    s, a, b = _weighted_pair_16_real()
+    sys.setprofile(profile)
+    threading.setprofile(profile)
+    try:
+        reports = verify_all(s, a, b, real=True)
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+    assert not any(r.skipped for r in reports)
+    assert calls["_extremizer"] <= 1 and calls["_min_norm"] <= 1 and calls["_residual"] <= 3, calls
+
+
 def test_verify_all_real_consistency_runs_on_real_inputs():
     s = make_weighted([1.0, 2.0, 0.5, 1.5])
     rng = np.random.default_rng(13)
@@ -346,7 +386,7 @@ def test_verify_all_memory_stays_flat_in_trials():
         checks = [verify._bound_check, verify._min_norm_check, verify._deflated_check]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(verify, "_LANES", 1)
-            verify._verify_feasible(s, pair, n, TOL, 6, False, checks)
+            verify._verify_feasible(s, pair, verify._answers(pair, TOL), n, TOL, 6, False, checks)
 
     mib = 1 << 20
     peaks = [peak(one_lane, trials) for trials in (130, 4000)]
@@ -372,7 +412,7 @@ def test_min_norm_check_finds_planted_undercut(monkeypatch):
     x_star, _ = min_norm_solution(s, a, b)
     shifted = x_star + w0
     value = norm_sq(s, shifted)
-    monkeypatch.setattr(core, "_min_norm", lambda *args, **kw: (shifted.copy(), value))
+    _plant_answers(monkeypatch, s, [("min_norm", lambda min_norm, space: lambda *args: (shifted.copy(), value))])
 
     rep = verify_min_norm(s, a, b, trials=200, seed=5)
     assert not rep.passed
@@ -435,16 +475,31 @@ def test_sample_feasible_degenerate_space_raises():
 
 
 def test_report_writes_a_strided_witness():
-    # a sliced complex input reaches the scale-covariance report as its own
-    # strided view, since every real-mode scaled bound here is exact
+    # a sliced complex input is a strided view.  The scale-covariance report, where every real-mode scaled
+    # bound here is exact, holds a copy of it, and the view itself is written as that copy is
     a = np.array([3 + 4j, 7, 0, 7])[::2]
     reports = verify_all(make_dense(2), a, [0, 5 - 12j], trials=5, real=True)
     scale_covariance = reports[CHECK_ORDER.index("scale_covariance")]
-    assert scale_covariance.worst_violation == 0.0 and not scale_covariance.witness.flags.c_contiguous
+    assert scale_covariance.worst_violation == 0.0 and not np.shares_memory(scale_covariance.witness, a)
     assert scale_covariance.to_dict()["witness"] == [[3.0, 4.0], [0.0, 0.0]]
+    strided = dataclasses.replace(scale_covariance, witness=a)
+    assert not strided.witness.flags.c_contiguous and strided.to_dict() == scale_covariance.to_dict()
     for rep in reports:
         if rep.witness is not None:
             assert rep.to_dict()["witness"] == [[float(z.real), float(z.imag)] for z in rep.witness]
+
+
+def test_no_witness_shares_memory_with_the_inputs_or_another_witness():
+    # with no scaled pair off, the scale-covariance witness is a's value, and a is the caller's own complex128
+    # array.  Without trials, bound_dominance's witness is the extremizer, which real_consistency reads too
+    a, b = np.array([1, 0], complex), np.array([0, 1], complex)
+    for trials, witnessed in ((1000, 5), (0, 4)):
+        reports = verify_all(make_dense(2), a, b, trials=trials)
+        witnesses = [r.witness for r in reports if r.witness is not None]
+        assert len(witnesses) == witnessed
+        for i, witness in enumerate(witnesses):
+            assert not np.shares_memory(witness, a) and not np.shares_memory(witness, b)
+            assert not any(np.shares_memory(witness, other) for other in witnesses[i + 1:])
 
 
 def test_verify_all_validates_few_times(as_vector_calls):
@@ -726,7 +781,9 @@ FORMAT_10_LINES = {
 
 def _deflated_at(s, a, b, trials, seed, real=False):
     """The deflated check at the pair, alone on the feasible stream."""
-    return verify._verify_feasible(s, core._pair(s, a, b), trials, TOL, seed, real, [verify._deflated_check])[0]
+    pair = core._pair(s, a, b)
+    checks = [verify._deflated_check]
+    return verify._verify_feasible(s, pair, verify._answers(pair, TOL), trials, TOL, seed, real, checks)[0]
 
 
 @pytest.mark.parametrize("name", sorted(FORMAT_10_LINES))
@@ -755,7 +812,7 @@ def test_verify_all_scores_bound_and_min_norm_on_one_stream(monkeypatch, name):
     # the line of a correct answer reports x*'s residuals, whatever the draws; with
     # x* shifted 100 ||x*|| off the optimum a competitor sets it, so the draws show
     assert found[1] == line(verify_min_norm)
-    monkeypatch.setattr(core, "_min_norm", _feasible_not_minimal(100.0)(core._min_norm, s))
+    _plant_answers(monkeypatch, s, [("min_norm", _feasible_not_minimal(100.0))])
     found = lines()
     assert found[1] == line(verify_min_norm) and '"passed": false' in found[1]
 
@@ -816,7 +873,7 @@ def test_min_norm_lines_with_a_planted_undercut_are_pinned(monkeypatch, name):
     digests, failing = {}, set()
     for shift, seed in itertools.product((100.0, 10.0, 3.0), (5, 6, 7)):
         with monkeypatch.context() as patch:
-            patch.setattr(core, "_min_norm", _feasible_not_minimal(shift)(core._min_norm, s))
+            _plant_answers(patch, s, [("min_norm", _feasible_not_minimal(shift))])
             line = dumps_stable(verify_all(s, a, b, trials=300, seed=seed, real=real)[1].to_dict())
         assert '"check": "min_norm_optimality"' in line
         digests[shift, seed] = hashlib.sha256(line.encode()).hexdigest()
@@ -904,8 +961,9 @@ def test_deflated_check_at_the_instance_skips_a_dependent_pair(monkeypatch):
 
 
 # --- the harness's power: a planted-defect matrix ------------------------------
-# Each row plants a defect in one or two core kernels; verify_all runs on three
-# pairs at the default 1000 trials, and the test pins which checks fail.
+# Each row plants a defect in the answers the checks read, or in one or two core
+# kernels; verify_all runs on three pairs at the default 1000 trials, and the test
+# pins which checks fail.
 
 
 def _weighted_pair_16_real():
@@ -928,6 +986,34 @@ def _dependent_pair_3():
 
 
 STREAM_PAIRS = dict(POWER_PAIRS, **{"dependent-3-complex": (_dependent_pair_3, False)})
+
+
+# The answer functions as a plant takes them: the bound function of the Gram data g, and the vector answers of
+# (a, b, g, tol), a and b the pair's vectors as core holds them
+ANSWER_FNS = {
+    "bound": core._norm_r_sq,
+    "extremizer": lambda a, b, g, tol: core._extremizer(g, tol),
+    "min_norm": lambda a, b, g, tol: core._min_norm(g, tol),
+}
+
+
+def _plant_answers(monkeypatch, space, plants):
+    """Wrap verify._answers, the checks' one source of answers, so that the answers come from the answer
+    functions with those named in plants planted: plants holds (name, plant), plant(fn, space) the planted fn.
+    The planted bound function is also the one the scale-covariance check applies to its scaled pairs."""
+    fns = dict(ANSWER_FNS)
+    for name, plant in plants:
+        fns[name] = plant(fns[name], space)
+    answers = verify._answers
+
+    def planted(pair, tol):
+        found = answers(pair, tol)._replace(bound_of=fns["bound"], bound=fns["bound"](pair[2]))
+        if found.extremizer is None:  # a dependent pair has no vector answers
+            return found
+        x_star, value = fns["min_norm"](*pair, tol)
+        return found._replace(extremizer=fns["extremizer"](*pair, tol), x_star=x_star, value=value)
+
+    monkeypatch.setattr(verify, "_answers", planted)
 
 
 def _times(factor):
@@ -1021,31 +1107,31 @@ B, M, D, S, R = "bound_dominance", "min_norm_optimality", "deflated_schwarz", "s
 # directly and draws trials near them.  NOT_RUN: the defect changes nothing on a real pair.
 ESCAPE, NOT_RUN = "escape", None
 
-# row: (planted kernels, failing checks on each pair in POWER_PAIRS order)
+# row: (planted answer functions or core kernels, failing checks on each pair in POWER_PAIRS order)
 POWER_ROWS = {
-    "bound-x0.99": ([("_bound", _times(0.99))], ({B}, {B}, {B})),
+    "bound-x0.99": ([("bound", _times(0.99))], ({B}, {B}, {B})),
     # det = ||a||^2 ||r||^2 moves with ||r||^2
     "det-x0.99": ([("_gram", _norm_r_sq_times(0.99))], ({B, M}, {B, M}, {B, M})),
     "det-x1.01": ([("_gram", _norm_r_sq_times(1.01))], ({M}, {M}, {M})),
-    "min-norm-value-x1.01": ([("_min_norm", _min_norm_times(1.0, 1.01))], ({M}, {M}, {M})),
-    "min-norm-x-x1.001": ([("_min_norm", _min_norm_times(1.001, 1.0))], ({M}, {M}, {M})),
-    "extremizer-x1.001": ([("_extremizer", _times(1.001))], ({B}, {B, R}, {B})),
+    "min-norm-value-x1.01": ([("min_norm", _min_norm_times(1.0, 1.01))], ({M}, {M}, {M})),
+    "min-norm-x-x1.001": ([("min_norm", _min_norm_times(1.001, 1.0))], ({M}, {M}, {M})),
+    "extremizer-x1.001": ([("extremizer", _times(1.001))], ({B}, {B, R}, {B})),
     # the deflated check takes its r_hat from the extremizer, which here is not orthogonal to a
-    "extremizer-without-conj": ([("_extremizer", _without_conj)], ({B, D}, NOT_RUN, {B, D})),
-    "bound-x1.01": ([("_bound", _times(1.01))], (ESCAPE, ESCAPE, ESCAPE)),
-    "bound-x1.5": ([("_bound", _times(1.5))], (ESCAPE, ESCAPE, ESCAPE)),
-    "bound-plus-1e-6-norm-b-sq": ([("_bound", _plus_norm_b_sq)], (ESCAPE, ESCAPE, ESCAPE)),
+    "extremizer-without-conj": ([("extremizer", _without_conj)], ({B, D}, NOT_RUN, {B, D})),
+    "bound-x1.01": ([("bound", _times(1.01))], (ESCAPE, ESCAPE, ESCAPE)),
+    "bound-x1.5": ([("bound", _times(1.5))], (ESCAPE, ESCAPE, ESCAPE)),
+    "bound-plus-1e-6-norm-b-sq": ([("bound", _plus_norm_b_sq)], (ESCAPE, ESCAPE, ESCAPE)),
     # on a real pair, real_consistency compares x* with the explicit real formula
-    "extremizer-x(1-1e-3)": ([("_extremizer", _times(1.0 - 1e-3))], (ESCAPE, {R}, ESCAPE)),
+    "extremizer-x(1-1e-3)": ([("extremizer", _times(1.0 - 1e-3))], (ESCAPE, {R}, ESCAPE)),
     "consistent-10%-low": (
-        [("_bound", _times(0.9)), ("_extremizer", _attaining_nine_tenths)],
+        [("bound", _times(0.9)), ("extremizer", _attaining_nine_tenths)],
         (ESCAPE, {R}, ESCAPE),
     ),
     # feasible, not minimal: only competitors x + u with u orthogonal to a and b can
     # see it, and the feasible draws u are too long to undercut x by ||x*||^2
-    "min-norm-x-feasible-not-minimal": ([("_min_norm", _feasible_not_minimal(1.0))], (ESCAPE, ESCAPE, ESCAPE)),
+    "min-norm-x-feasible-not-minimal": ([("min_norm", _feasible_not_minimal(1.0))], (ESCAPE, ESCAPE, ESCAPE)),
     # benign: any unit-modulus multiple of x* is as extremal, but the real formula fixes its sign
-    "extremizer-x1j": ([("_extremizer", _times(1j))], (set(), {R}, set())),
+    "extremizer-x1j": ([("extremizer", _times(1j))], (set(), {R}, set())),
     # shared kernels: the bound check scores its draws with the same planted
     # kernels, so a consistent defect escapes it; the min-norm and deflated checks catch it.
     # Each defect goes into both kernels of its kind: the pair functions' (_inner_rows,
@@ -1064,7 +1150,7 @@ POWER_ROWS = {
         [("_project_rows", lambda project, space: _scaled_coefficient(project))],
         ({D}, {D}, {D}),
     ),
-    "bound-det-over-norm-a-1.98": ([("_bound", _non_homogeneous_bound)], ({S}, {S}, {S})),
+    "bound-det-over-norm-a-1.98": ([("bound", _non_homogeneous_bound)], ({S}, {S}, {S})),
 }
 
 
@@ -1098,8 +1184,13 @@ def test_planted_defect_matrix(monkeypatch, kill_count, row, pair, caught_by):
     # empty entries, so that no Gram data built before the defect was planted is reused
     monkeypatch.setattr(core, "_last_pair", ((), None))
     monkeypatch.setattr(core, "_last_long", None)
-    for name, plant in POWER_ROWS[row][0]:
-        monkeypatch.setattr(core, name, plant(getattr(core, name), s))
+    # a row plants the answers, through the one function that forms them, or core kernels
+    plants = POWER_ROWS[row][0]
+    if answer_plants := [(name, plant) for name, plant in plants if name in ANSWER_FNS]:
+        _plant_answers(monkeypatch, s, answer_plants)
+    for name, plant in plants:
+        if name not in ANSWER_FNS:
+            monkeypatch.setattr(core, name, plant(getattr(core, name), s))
     failing = {r.check_name for r in verify_all(s, a, b, real=real) if not r.passed}
     kill_count.append(failing)
     if caught_by is ESCAPE:
@@ -1136,7 +1227,7 @@ def _feasible_blocks(name, trials=1000, seed=7):
     make, real = {**POWER_PAIRS, **ROW_FORM_PAIRS}[name]
     s, a, b = make()
     pair = core._pair(s, a, b)
-    made = [check(s, pair, trials, TOL, real) for check in STREAM_CHECKS]
+    made = [check(s, pair, verify._answers(pair, TOL), trials, TOL, real) for check in STREAM_CHECKS]
     dirs = verify._directions(s.weights, pair[0], pair[2].norm_a_sq, [c for *_, cs in made for c in cs])
     blocks = []
     for k, n in enumerate(verify._block_rows(trials, s.dim)):
@@ -1160,7 +1251,7 @@ def _min_norm_reference(s, pair, scale=1.0):
     scale a power of two it runs on scale x* and scale u, with its 1 scaled by scale^2: the same undercuts,
     to the bit, but for those whose ||x* + ws||^2 overflows unscaled."""
     (aa, bb, g), w = pair, s.weights
-    x, _ = core._min_norm(aa, bb, g, TOL)
+    x, _ = core._min_norm(g, TOL)
     r_hat = core._residual(g, 1.0 / np.sqrt(g.norm_r_sq))
     r_dir = (r_hat, core._weigh(w, r_hat), core._sq_norm_rows(w, r_hat))
     a_dir = (aa, core._weigh(w, aa), g.norm_a_sq)
@@ -1199,7 +1290,7 @@ def _table_gaps(name):
         s, (aa, bb, g), real, made, dirs, blocks = _feasible_blocks(name)
     w, u_ = s.weights, np.finfo(float).eps / 2
     by_projection = _min_norm_reference(s, (aa, bb, g), 0.25)
-    cdp = np.stack((aa / np.sqrt(g.norm_a_sq), core._extremizer(aa, bb, g, TOL)))
+    cdp = np.stack((aa / np.sqrt(g.norm_a_sq), core._extremizer(g, TOL)))
     (c, dp), wb = cdp, core._weigh(w, bb)
     wc, wdp, (nc, ndp) = core._weigh(w, c), core._weigh(w, dp), core._sq_norm_rows(w, cdp)
     basis = core._project_rows(cdp, c, wc, nc)
@@ -1317,7 +1408,7 @@ def _assert_one_product_table_per_block(monkeypatch, name, checks, stacked):
     run_draw = verify._draw
     monkeypatch.setattr(verify, "_draw", draw)
     monkeypatch.setattr(verify, "_LANES", 1)
-    verify._verify_feasible(s, pair, 200, TOL, 5, real, list(checks))
+    verify._verify_feasible(s, pair, verify._answers(pair, TOL), 200, TOL, 5, real, list(checks))
 
     def block_shaped(shape):
         return len(shape) >= 2 and shape[0] in rows and int(np.prod(shape)) == shape[0] * s.dim
@@ -1339,7 +1430,7 @@ def test_stream_takes_one_product_table_per_block(monkeypatch, name):
 def test_stream_stacks_a_planted_extremizer_in_its_own_column(monkeypatch, name):
     # an extremizer whose bytes differ from r_hat's is multiplied on its own, so the deflated check reads the
     # planted answer's products and not r_hat's
-    monkeypatch.setattr(core, "_extremizer", _times(1.0 - 1e-3)(core._extremizer, None))
+    _plant_answers(monkeypatch, None, [("extremizer", _times(1.0 - 1e-3))])
     _assert_one_product_table_per_block(monkeypatch, name, STREAM_CHECKS, 4)
 
 
@@ -1352,7 +1443,8 @@ def test_product_columns_do_not_depend_on_the_stack(name, rows):
     make, real = POWER_PAIRS[name]
     s, a, b = make()
     pair = core._pair(s, a, b)
-    directions = [pair[0]] + [c for *_, cs in (check(s, pair, 1000, TOL, real) for check in STREAM_CHECKS) for c in cs]
+    made = (check(s, pair, verify._answers(pair, TOL), 1000, TOL, real) for check in STREAM_CHECKS)
+    directions = [pair[0]] + [c for *_, cs in made for c in cs]
     z = verify._draw(np.random.default_rng(rows), (rows, s.dim), real)[:, None]
     full = core._dot_rows(z, core._weigh(s.weights, np.stack(directions)))
     backwards = core._dot_rows(z, core._weigh(s.weights, np.stack(directions[::-1])))
