@@ -97,13 +97,13 @@ def _shaped(space: SpaceDescriptor, u, name: str) -> np.ndarray:
 # pair kernels handle vectors longer than this in pieces of at most this many
 # elements (256 KiB complex), so that no call allocates a full-length temporary
 _PIECE = 1 << 14
-# Lanes of verify's stream, the caller and _LANES - 1 workers, and of a long vector's pieces, the caller and
-# one worker unless _LANES is 1: perfbench's harness workload ran 117-121 ops/s on one lane and 160-164 on two
-# (2 vCPUs), though in-process timings put one lane ahead; pairs-large (dim 2^18) ran 87.7-88.7 ops/s on one
-# lane and 133.5-140.3 on two.
+# Lanes of every two-lane pass (_share): the caller and core's one worker thread, or the caller alone when _LANES is 1.
+# Its two users gain on 2 vCPUs: verify_all's blocks, where perfbench's harness workload ran 117-121 ops/s on one lane
+# and 160-164 on two, though in-process timings put one lane ahead, and a long vector's pieces, where pairs-large
+# (dim 2^18) ran 87.7-88.7 ops/s on one lane and 133.5-140.3 on two.
 _LANES = 2
-# the jobs queue of the one worker thread that shares a long vector's pieces with the caller: started by
-# the first long call, not at import, and started afresh in a forked child, which has no copy of the thread
+# the jobs queue of the one worker thread that runs the second lane of every two-lane pass: started by the first
+# pass, not at import, and started afresh in a forked child, which has no copy of the thread
 _worker = None
 _starting = threading.Lock()
 
@@ -131,45 +131,52 @@ def _jobs() -> queue.SimpleQueue:
         return _worker
 
 
-def _pieces(fn, size: int, start: int = 0) -> list:
-    """[fn(p) for the slices p of range(start, size) of _PIECE elements], in order.  The caller runs the first
-    piece (a fault there is raised before the worker is asked), then the caller and the worker, in a copy of the
-    caller's context (np.errstate too), take the next piece in turn until none is left or one fails.  A lane
-    runs each piece it takes, so every piece below a failed one runs, and the lowest piece's error is raised.
-    A job never waits on another, so callers share the worker; the caller waits for it before it returns or
-    raises, unless the worker has not started by then, and then never will."""
-    pieces = [slice(i, i + _PIECE) for i in range(start, size, _PIECE)]
-    results = [fn(pieces[0])] + [None] * (len(pieces) - 1)
-    claims, errors = itertools.count(1), []
+def _share(lane, size: int, start: int = 0) -> list:
+    """[item(i) for i in range(start, size)], each lane making its own item = lane(): the caller's lane and, unless
+    _LANES is 1 or one item is left, the worker's at once, in a copy of the caller's context (np.errstate too), each
+    taking the next item in turn until none is left or one has failed.  A lane runs each item it takes and records
+    its error, Ctrl-C's too, so every item below a failed one runs; the lowest item's error is raised once the
+    worker's item in flight is done.  A job never waits on another, so callers share the worker; the caller waits
+    for it, unless the worker has not started by then, and then never will."""
+    claims, errors, results = itertools.count(start), [], [None] * size
 
-    def lane():
-        while not errors:
-            i = next(claims)  # one C call, atomic under the GIL: no two lanes take the same piece
-            if i >= len(pieces):
-                return
-            try:
-                results[i] = fn(pieces[i])
-            except BaseException as exc:
-                errors.append((i, exc))
+    def run():
+        i = -1
+        try:  # nothing may escape into the worker's loop, which would end the thread
+            item = lane()
+            while not errors:
+                i = next(claims)  # one C call, atomic under the GIL: no two lanes take the same item
+                if i >= size:
+                    return
+                results[i] = item(i)
+        except BaseException as exc:
+            errors.append((i, exc))
 
-    if _LANES < 2 or len(pieces) < 3:  # the caller would take the second piece before the worker woke
-        lane()
+    if _LANES < 2 or size - start < 2:  # the caller would take the one item before the worker woke
+        run()
     else:
         context, gate = contextvars.copy_context(), threading.Lock()
 
         def job():
             if gate.acquire(blocking=False):  # else the caller has shut it out
                 try:
-                    context.run(lane)
+                    context.run(run)
                 finally:
                     gate.release()
 
         _jobs().put(job)
-        lane()
-        gate.acquire()  # waits while the worker runs, and shuts out a worker that has not started
+        run()
+        gate.acquire()  # waits while the worker runs, or shuts it out; no item is left, so a Ctrl-C here ends it
     if errors:
-        raise min(errors)[1]  # each piece runs once, so no two errors share an index
-    return results
+        raise min(errors, key=lambda error: error[0])[1]
+    return results[start:]
+
+
+def _pieces(fn, size: int, start: int = 0) -> list:
+    """[fn(p) for the slices p of range(start, size) of _PIECE elements], in order: the caller runs the first piece
+    alone (a fault there is raised before the worker is asked), and _share runs the rest."""
+    pieces = [slice(i, i + _PIECE) for i in range(start, size, _PIECE)]
+    return [fn(pieces[0])] + _share(lambda: lambda i: fn(pieces[i]), len(pieces), 1)
 
 
 def _piecewise(kernel, w: np.ndarray, *vs: np.ndarray):

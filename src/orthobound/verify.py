@@ -6,22 +6,20 @@ returns a :class:`VerificationReport`.  Violations are recorded in the
 scaled form ``residual / (1 + magnitude)`` so one tolerance works across
 input scales.  Identical inputs and seed produce bitwise-identical reports.
 Every check reads the answers ``_answers`` forms once per call.  The bound, min-norm and deflated checks
-score one stream of feasible draws, which ``verify_all`` splits by block over two threads; ``verify_deflated``
+score one stream of feasible draws, which ``verify_all`` shares by block with core's worker thread; ``verify_deflated``
 checks the lemma.
 """
 
 from __future__ import annotations
 
-import contextvars
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
 from . import core
-from .core import _LANES, DEFAULT_SEED, DEFAULT_TOL, DEFAULT_TRIALS, Tolerances
+from .core import DEFAULT_SEED, DEFAULT_TOL, DEFAULT_TRIALS, Tolerances
 from .errors import DegenerateSample, GramOverflow
 from .spaces import SpaceDescriptor
 
@@ -229,8 +227,8 @@ def _verify_feasible(space, pair, answers, trials, tol, seed, real, checks) -> L
     check gives (score, start, report, cs): score(t, uc, rng), None if skipped, takes a block's table t and the
     columns uc of t.uc for its directions cs to the block's scaled violations, met in raveled order, and a function
     of the first worst's index to its witness; report(*worst) takes the worst of start and the blocks.  Block k draws
-    from _block_rng(seed, k) on lane k % _LANES, the caller or a worker in a copy of its context (np.errstate
-    too): the first worst over the lanes is one lane's, the error raised the lowest block's once all stop."""
+    from _block_rng(seed, k) on whichever lane of core._share takes it: the first worst over the lanes is one
+    lane's, and the error raised the lowest block's."""
     aa, _, g = pair
     made = [check(space, pair, answers, trials, tol, real) for check in checks]
     # each distinct direction is stacked once, keyed on its bytes (the extremizer's are r_hat's unless planted):
@@ -241,30 +239,25 @@ def _verify_feasible(space, pair, answers, trials, tol, seed, real, checks) -> L
     rows = _block_rows(trials, space.dim) if scored else []
     dirs = _directions(space.weights, aa, g.norm_a_sq, stack[1:]) if rows else None
 
-    def lane(first):  # its first worst state per scoring check, and its error as (block, error)
-        z, states = np.empty((max(rows, default=0), space.dim), complex), [start for _, start, _ in scored]
-        for k in range(first, len(rows), _LANES):
-            try:
-                rng, n = _block_rng(seed, k), rows[k]
-                t = _usable_draws(space, rng, z[:n], real, dirs)
-                for j, (score, _, cols) in enumerate(scored):
-                    v, witness = score(t, t.uc[:, cols], rng)
-                    i = int(np.argmax(v))
-                    if _rank((v.flat[i], True, k)) > _rank(states[j]):  # a witness only for the lane's new worst
-                        states[j] = (v.flat[i], witness(i), k)
-            except Exception as exc:
-                return states, (k, exc)
-        return states, None
+    lanes = []  # each lane's first worst state per scoring check
 
-    if len(rows) > 1 and _LANES > 1:
-        with ThreadPoolExecutor(max_workers=_LANES - 1) as pool:
-            workers = [pool.submit(contextvars.copy_context().run, lane, i) for i in range(1, _LANES)]
-            outcomes = [lane(0)] + [worker.result() for worker in workers]
-    else:
-        outcomes = [lane(0)]
-    if errors := [error for _, error in outcomes if error]:
-        raise min(errors, key=lambda error: error[0])[1]
-    worst = iter(max(states, key=_rank)[:2] for states in zip(*(states for states, _ in outcomes)))
+    def lane():
+        z, states = np.empty((max(rows, default=0), space.dim), complex), [start for _, start, _ in scored]
+        lanes.append(states)
+
+        def block(k):
+            rng, n = _block_rng(seed, k), rows[k]
+            t = _usable_draws(space, rng, z[:n], real, dirs)
+            for j, (score, _, cols) in enumerate(scored):
+                v, witness = score(t, t.uc[:, cols], rng)
+                i = int(np.argmax(v))
+                if _rank((v.flat[i], True, k)) > _rank(states[j]):  # a witness only for the lane's new worst
+                    states[j] = (v.flat[i], witness(i), k)
+
+        return block
+
+    core._share(lane, len(rows))
+    worst = iter(max(states, key=_rank)[:2] for states in zip(*lanes))
     return [report(*next(worst)) if score else report() for score, _, report, _ in made]
 
 

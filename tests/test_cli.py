@@ -214,10 +214,12 @@ def test_verify_worker_keeps_the_floating_point_settings(tmp_path, capsys):
 
 def test_verify_worker_overflows_under_the_callers_settings(monkeypatch):
     # the premise of the test above: the lane worker runs in the caller's
-    # np.errstate.  With blocks of 50 rows, 100 trials run as block 0 on the
-    # calling thread and block 1 on the worker, where an overflow is planted
+    # np.errstate.  With blocks of 50 rows, 100 trials run as blocks 0 and 1;
+    # the caller's block 0 waits until the worker has taken block 1, where an
+    # overflow is planted
     import threading
 
+    from lanes import with_the_worker
     from orthobound import make_weighted, verify
 
     block_rng = verify._block_rng
@@ -228,12 +230,21 @@ def test_verify_worker_overflows_under_the_callers_settings(monkeypatch):
         return block_rng(seed, k)
 
     monkeypatch.setattr(verify, "_BLOCK_ELEMS", 3 * 50)
-    monkeypatch.setattr(verify, "_block_rng", overflowing)
     args = (make_weighted([1.0, 2.0, 0.5]), [1, 0, 1], [0, 1, 2])
+
+    def handshake():
+        planted, threads = with_the_worker(overflowing)
+        monkeypatch.setattr(verify, "_block_rng", planted)
+        return threads
+
+    threads = handshake()
     with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
         verify.verify_all(*args, trials=100, real=True)
+    assert len(set(threads)) == 2
+    threads = handshake()
     with np.errstate(over="ignore"):
         assert all(r.passed for r in verify.verify_all(*args, trials=100, real=True))
+    assert len(set(threads)) == 2
 
 
 def test_bad_mode(tmp_path, capsys):

@@ -37,6 +37,8 @@ from orthobound import (
     schwarz_gap,
     verify_all,
 )
+from orthobound.cli import dumps_stable
+from lanes import with_the_worker
 from oracles import (
     extremizer_whole,
     gram_whole,
@@ -897,22 +899,6 @@ def test_concurrent_callers_each_get_their_own_pairs_gram_data():
 
 # --- the two lanes of a long vector's pieces --------------------------------
 
-def _with_the_worker(kernel):
-    """kernel, wrapped so that the caller's second call waits (up to 10 s) until the worker has made one:
-    the caller runs a long vector's first piece alone, so the worker then takes the third piece."""
-    caller, joined, threads = threading.get_ident(), threading.Event(), []
-
-    def wrapped(*args):
-        threads.append(threading.get_ident())
-        if threads[-1] != caller:
-            joined.set()
-        elif threads.count(caller) == 2:
-            joined.wait(10)
-        return kernel(*args)
-
-    return wrapped, threads
-
-
 def test_long_pieces_raise_the_lowest_error_once_both_lanes_stop():
     # six pieces: the caller runs piece 0, then takes 1 while the worker takes 2; each lane runs every piece
     # it takes, stops at its first error, and the caller raises only once no piece of either lane is running
@@ -936,13 +922,13 @@ def test_long_pieces_raise_the_lowest_error_once_both_lanes_stop():
             finally:
                 running.discard(k)
 
-        wrapped, threads = _with_the_worker(piece)
+        wrapped, threads = with_the_worker(piece, wait_at=2)
         with pytest.raises(RuntimeError, match=f"piece {raised}$"):
             core._pieces(wrapped, size)
         assert not running and set(range(raised + 1)) <= set(ran), failing
         assert ran[2] != ran[0] == ran[1] == threading.get_ident(), failing
     # a fault in the first piece is raised before the worker is asked
-    wrapped, threads = _with_the_worker(piece)
+    wrapped, threads = with_the_worker(piece, wait_at=2)
     failing = {0, 2}
     with pytest.raises(RuntimeError, match="piece 0$"):
         core._pieces(wrapped, size)
@@ -956,7 +942,7 @@ def test_errstate_holds_in_the_worker_half_of_a_long_pair(monkeypatch):
     n = 4 * core._PIECE
     s, a, b = make_dense(n), np.ones(n, complex), np.ones(n, complex)
     a[2 * core._PIECE] = 1e200
-    kernel, threads = _with_the_worker(core._norm_sq_rows)
+    kernel, threads = with_the_worker(core._norm_sq_rows, wait_at=2)
     monkeypatch.setattr(core, "_norm_sq_rows", kernel)
     with np.errstate(over="ignore"):
         with pytest.raises(GramOverflow, match=r"\|\|a\|\|\^2=inf"):
@@ -967,22 +953,37 @@ def test_errstate_holds_in_the_worker_half_of_a_long_pair(monkeypatch):
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_a_forked_child_computes_a_long_bound():
-    # the parent's worker thread is not copied into a forked child, which starts its own
+    # the parent's worker thread is not copied into a forked child, which starts its own, for a long pair's
+    # pieces and for verify_all's blocks alike
     s, a, b = _long_pair(4 * core._PIECE, True)
     ostrowski_bound(s, a, b)
     assert core._worker is not None
     context = multiprocessing.get_context("fork")
-    reader, writer = context.Pipe(duplex=False)
+    sv, av, bv = _long_pair(1024, True)
+
+    def report_digest():  # at dim 1024, 1000 trials run as 16 blocks
+        lines = [dumps_stable(r.to_dict()) for r in verify_all(sv, av, bv, trials=1000)]
+        return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
     # (b, a) misses the held pair, so the child makes every pass; its own worker is the one other thread
-    child = context.Process(target=lambda: writer.send((ostrowski_bound(s, b, a), threading.active_count())))
-    child.start()
-    try:
-        child.join(timeout=60)
-        assert not child.is_alive() and child.exitcode == 0
-        assert reader.poll(0) and reader.recv() == (ostrowski_bound(s, b, a), 2)
-    finally:
-        child.kill()
-        child.join()
+    for run in (lambda: ostrowski_bound(s, b, a), report_digest):
+        reader, writer = context.Pipe(duplex=False)
+        child = context.Process(target=lambda: writer.send((run(), threading.active_count())))
+        child.start()
+        try:
+            child.join(timeout=60)
+            assert not child.is_alive() and child.exitcode == 0
+            assert reader.poll(0) and reader.recv() == (run(), 2)
+        finally:
+            child.kill()
+            child.join()
+
+
+def _thread_counts(code: str) -> str:
+    """What code prints, run in a fresh interpreter that imports orthobound from this tree."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
 
 
 def test_the_worker_starts_with_the_first_long_call():
@@ -994,7 +995,24 @@ def test_the_worker_starts_with_the_first_long_call():
         "    counts.append(threading.active_count())\n"
         "print(counts)"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "[1, 1, 1, 1, 2]\n"  # two pieces run on the caller alone
+    assert _thread_counts(code) == "[1, 1, 1, 1, 2]\n"  # two pieces run on the caller alone
+
+
+def test_one_worker_thread_serves_verify_all_and_long_pairs():
+    # the thread count after import, after a one-block verify_all (dim 16), after a 16-block one (dim 1024, 1000
+    # trials), which starts the worker, and after 20 more and a long pair's three pieces, which reuse it
+    code = (
+        "import threading, numpy as np, orthobound as ob\n"
+        "counts = [threading.active_count()]\n"
+        "ob.verify_all(ob.make_dense(16), np.arange(16.0), np.ones(16))\n"
+        "counts.append(threading.active_count())\n"
+        "s, a, b = ob.make_dense(1024), np.arange(1024.0), np.ones(1024)\n"
+        "ob.verify_all(s, a, b, trials=1000)\n"
+        "counts.append(threading.active_count())\n"
+        "for _ in range(20):\n"
+        "    ob.verify_all(s, a, b, trials=1000)\n"
+        "ob.ostrowski_bound(ob.make_dense(3 << 14), np.ones(3 << 14), np.arange(3 << 14))\n"
+        "counts.append(threading.active_count())\n"
+        "print(counts)"
+    )
+    assert _thread_counts(code) == "[1, 1, 2, 2]\n"

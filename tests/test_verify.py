@@ -1,6 +1,8 @@
 import dataclasses
 import functools
 import itertools
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from orthobound import (
     verify_min_norm,
 )
 from orthobound import core, verify
+from lanes import with_the_worker
 
 TOL = Tolerances()
 
@@ -239,8 +242,8 @@ def test_verify_deflated_zero_trials():
     ids=["bound", "min_norm", "deflated", "all"],
 )
 def test_negative_trials_are_refused(monkeypatch, check):
-    # refused before verify_all starts its worker, as Tolerances refuses its fields
-    monkeypatch.setattr(verify, "ThreadPoolExecutor", None)
+    # refused before verify_all asks for core's worker, as Tolerances refuses its fields
+    monkeypatch.setattr(core, "_jobs", None)
     with pytest.raises(ValueError, match="trials must be nonnegative, got -5"):
         check(-5)
 
@@ -385,7 +388,7 @@ def test_verify_all_memory_stays_flat_in_trials():
     def one_lane(n):
         checks = [verify._bound_check, verify._min_norm_check, verify._deflated_check]
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(verify, "_LANES", 1)
+            patch.setattr(core, "_LANES", 1)
             verify._verify_feasible(s, pair, verify._answers(pair, TOL), n, TOL, 6, False, checks)
 
     mib = 1 << 20
@@ -515,9 +518,8 @@ _BLOCK_RNG = verify._block_rng
 
 def _failing_blocks(monkeypatch, failing):
     """Plant an error in the generators of the blocks in failing; return the blocks run,
-    each mapped to whether the calling thread ran it."""
-    import threading
-
+    each mapped to whether the calling thread ran it.  The caller's first block, block 0,
+    waits until the worker has taken block 1."""
     ran = {}
 
     def planted(seed, k):
@@ -526,7 +528,7 @@ def _failing_blocks(monkeypatch, failing):
             raise RuntimeError(f"planted failure in block {k}")
         return _BLOCK_RNG(seed, k)
 
-    monkeypatch.setattr(verify, "_block_rng", planted)
+    monkeypatch.setattr(verify, "_block_rng", with_the_worker(planted)[0])
     return ran
 
 
@@ -543,14 +545,14 @@ def test_verify_all_bytes_equal_a_one_lane_run(monkeypatch, trials):
     ran = _failing_blocks(monkeypatch, set())
     two = lines()
     assert set(ran.values()) == {True, False}
-    monkeypatch.setattr(verify, "_LANES", 1)
+    monkeypatch.setattr(core, "_LANES", 1)
     assert lines() == two
 
 
 def test_witnesses_are_formed_only_for_a_lanes_new_worst(monkeypatch):
-    # at dim 1024, 1000 trials run as 16 blocks on two lanes.  A check's witness is formed only when a block's
-    # first worst outranks what its lane holds, which the start (the extremizer, x*'s residuals) mostly does
-    import threading
+    # at dim 1024, 1000 trials run as 16 blocks on two lanes, the worker taking block 1 at least.  A check's
+    # witness is formed only when a block's first worst outranks what its lane holds, which the start (the
+    # extremizer, x*'s residuals) mostly does
     from collections import Counter, defaultdict
 
     from orthobound.cli import dumps_stable
@@ -580,16 +582,17 @@ def test_witnesses_are_formed_only_for_a_lanes_new_worst(monkeypatch):
     with monkeypatch.context() as patch:
         for name in ("_bound_check", "_min_norm_check", "_deflated_check"):
             patch.setattr(verify, name, counted(getattr(verify, name)))
+        patch.setattr(verify, "_block_rng", with_the_worker(_BLOCK_RNG)[0])
         lines = [dumps_stable(r.to_dict()) for r in verify_all(s, a, b, trials=1000, seed=5)]
     assert len({thread for _, thread in worsts}) == 2 and sum(map(len, worsts.values())) == 3 * 16
     improvements = Counter()
     for (check, _), found in worsts.items():
         held = (*starts[check], -1)
-        for k, v in enumerate(found):  # a lane's blocks in order: k ranks them as their block numbers do
+        for k, v in enumerate(found):  # a lane takes its blocks in order: k ranks them as their block numbers do
             if verify._rank((v, True, k)) > verify._rank(held):
                 improvements[check], held = improvements[check] + 1, (v, True, k)
     assert all(formed[check] <= improvements[check] for check in starts) and sum(improvements.values()) < 16
-    monkeypatch.setattr(verify, "_LANES", 1)
+    monkeypatch.setattr(core, "_LANES", 1)
     assert [dumps_stable(r.to_dict()) for r in verify_all(s, a, b, trials=1000, seed=5)] == lines
 
 
@@ -620,34 +623,49 @@ def test_verify_all_golden_dim_1024():
 
 
 def test_verify_all_leaves_no_thread_behind():
-    import threading
-
-    before = threading.active_count()
+    # the one thread verify_all may start is core's worker, on a call with two blocks or more (dim 1024, 130
+    # trials run as 3); later calls, one-block (dim 16) or not, and one that raises, start no other
+    before = set(threading.enumerate())
+    s, a, b = _pair_1024()
+    verify_all(s, a, b, trials=130)
+    threads = set(threading.enumerate())
+    assert len(threads - before) <= 1
     verify_all(make_dense(16), np.arange(16.0), np.ones(16), trials=200, seed=3)
-    assert threading.active_count() == before
-    # the bound check raises on the main thread while the worker runs
+    verify_all(s, a, b, trials=1000)
+    # the bound check raises on the main thread
     with pytest.raises(ZeroVector):
         verify_all(make_dense(4), np.zeros(4), np.ones(4), trials=5)
-    assert threading.active_count() == before
+    assert set(threading.enumerate()) == threads
 
 
 def test_verify_all_joins_the_worker_when_the_main_checks_raise(monkeypatch):
-    import threading
-
-    # at dim 1024, 1000 trials run as blocks 0-15, the odd ones on the worker
-    ran = _failing_blocks(monkeypatch, {0})
-    before = threading.active_count()
+    # at dim 1024, 1000 trials run as blocks 0-15.  The caller's block 0 fails once the worker holds block 1;
+    # the caller raises only after the worker has done that block, and the worker takes no other
     s, a, b = _pair_1024()
+    verify_all(s, a, b, trials=130)  # core's worker is started, if no earlier call started it
+    before = set(threading.enumerate())
+    ran, failed, done = {}, threading.Event(), []
+
+    def planted(seed, k):
+        ran[k] = threading.current_thread() is threading.main_thread()
+        if ran[k]:
+            failed.set()
+            raise RuntimeError(f"planted failure in block {k}")
+        failed.wait(10)
+        time.sleep(0.1)
+        done.append(k)
+        return _BLOCK_RNG(seed, k)
+
+    monkeypatch.setattr(verify, "_block_rng", with_the_worker(planted)[0])
     with pytest.raises(RuntimeError, match="planted failure in block 0$"):
         verify_all(s, a, b, trials=1000)
-    assert threading.active_count() == before
-    # the caller's lane stopped at its error; the worker ran its blocks and was joined
-    assert ran == {k: k == 0 for k in [0] + list(range(1, 16, 2))}
+    assert done == [1] and ran == {0: True, 1: False}
+    assert set(threading.enumerate()) == before
 
 
 def test_import_of_the_cli_leaves_concurrent_futures_unloaded():
-    # orthobound.verify imports its executor, and concurrent.futures loads logging;
-    # orthobound.verify itself loads only when a verify name is first used
+    # orthobound.verify loads only when a verify name is first used; neither it nor core's worker, which
+    # verify_all's two blocks (dim 1024, 128 trials) share, loads concurrent.futures or the logging it imports
     import os
     import subprocess
     import sys
@@ -655,24 +673,81 @@ def test_import_of_the_cli_leaves_concurrent_futures_unloaded():
 
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, orthobound.cli; print([m in sys.modules for m in ('concurrent.futures', 'orthobound.verify')])"
+    code = (
+        "import sys, numpy as np, orthobound.cli\n"
+        "print([m in sys.modules for m in ('concurrent.futures', 'orthobound.verify')])\n"
+        "from orthobound import make_dense, verify\n"
+        "verify.verify_all(make_dense(1024), np.arange(1024.0), np.ones(1024), trials=128)\n"
+        "print([m in sys.modules for m in ('concurrent.futures', 'logging')])"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "[False, False]\n"
+    assert out.stdout == "[False, False]\n[False, False]\n"
 
 
 def test_verify_all_reraises_a_worker_error(monkeypatch):
-    # at dim 1024, 260 trials run as blocks 0-4: 0, 2 and 4 on the calling thread, 1 and 3 on the worker
+    # at dim 1024, 260 trials run as blocks 0-4; the caller's block 0 waits until the worker has taken block 1
     s, a, b = _pair_1024()
     ran = _failing_blocks(monkeypatch, {1})
     with pytest.raises(RuntimeError, match="planted failure in block 1$"):
         verify_all(s, a, b, trials=260)
-    # raised after the caller's lane ran all its blocks; the worker stopped at its error
-    assert ran == {0: True, 1: False, 2: True, 4: True}
+    # both lanes stopped: the worker at its error, the caller after the block it held
+    assert ran == {0: True, 1: False}
     # when both lanes raise, the lowest block's error is raised, as one lane would raise it
     for failing, first in (({3, 4}, 3), ({0, 1}, 0), ({1, 2}, 1)):
         _failing_blocks(monkeypatch, failing)
         with pytest.raises(RuntimeError, match=f"planted failure in block {first}$"):
             verify_all(s, a, b, trials=260)
+
+
+def _the_worker_takes_a_long_pairs_piece(monkeypatch, threads):
+    # a long vector's three pieces: the caller runs piece 0 and holds piece 1 until the worker has taken piece 2,
+    # on the threads, the caller and the worker, that ran verify_all's blocks
+    kernel, ran = with_the_worker(core._norm_sq_rows, wait_at=2)
+    monkeypatch.setattr(core, "_norm_sq_rows", kernel)
+    n = 3 * core._PIECE
+    assert norm_sq(make_dense(n), np.ones(n)) == n
+    assert set(ran) == set(threads) and len(set(threads)) == 2
+
+
+def test_ctrl_c_stops_both_lanes_once_the_workers_block_is_done(monkeypatch):
+    # at dim 1024, 1000 trials run as blocks 0-15.  Ctrl-C in the caller's block 0, while the worker holds
+    # block 1: the worker starts no other block, none starts after verify_all has raised, and the worker
+    # lives on to take a piece of the next long pair
+    started, interrupted = [], threading.Event()
+
+    def planted(seed, k):
+        started.append((k, interrupted.is_set()))
+        if threading.current_thread() is threading.main_thread():
+            interrupted.set()
+            raise KeyboardInterrupt
+        interrupted.wait(10)  # in flight while the caller is interrupted
+        return _BLOCK_RNG(seed, k)
+
+    wrapped, threads = with_the_worker(planted)
+    monkeypatch.setattr(verify, "_block_rng", wrapped)
+    with pytest.raises(KeyboardInterrupt):
+        verify_all(*_pair_1024(), trials=1000)
+    raised = list(started)
+    time.sleep(0.2)
+    assert sorted(started) == [(0, False), (1, False)] and started == raised
+    _the_worker_takes_a_long_pairs_piece(monkeypatch, threads)
+
+
+def test_a_base_exception_on_the_worker_is_raised_and_the_worker_lives_on(monkeypatch):
+    class Planted(BaseException):
+        pass
+
+    def planted(seed, k):
+        if threading.current_thread() is not threading.main_thread():
+            raise Planted(k)
+        return _BLOCK_RNG(seed, k)
+
+    wrapped, threads = with_the_worker(planted)
+    monkeypatch.setattr(verify, "_block_rng", wrapped)
+    with pytest.raises(Planted) as raised:
+        verify_all(*_pair_1024(), trials=1000)
+    assert raised.value.args == (1,)
+    _the_worker_takes_a_long_pairs_piece(monkeypatch, threads)
 
 
 def test_verify_all_dim1_skips_the_bound_check():
@@ -1407,7 +1482,7 @@ def _assert_one_product_table_per_block(monkeypatch, name, checks, stacked):
         monkeypatch.setattr(np, ufunc, Counted(ufunc, getattr(np, ufunc)))
     run_draw = verify._draw
     monkeypatch.setattr(verify, "_draw", draw)
-    monkeypatch.setattr(verify, "_LANES", 1)
+    monkeypatch.setattr(core, "_LANES", 1)
     verify._verify_feasible(s, pair, verify._answers(pair, TOL), 200, TOL, 5, real, list(checks))
 
     def block_shaped(shape):
