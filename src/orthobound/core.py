@@ -242,31 +242,45 @@ def _overflow(na: float, nb: float) -> GramOverflow:
     return GramOverflow(f"the Gram data of the pair overflows float64 (||a||^2={na:.3e}, ||b||^2={nb:.3e})")
 
 
-def _gram(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> _Pair:
-    """Gram data and residual of vectors of the space's dimension.  Raises GramOverflow
-    when ||a||^2, ||b||^2 or coef is not finite."""
+def _gram_sums(w: np.ndarray, a: np.ndarray, b: np.ndarray, *copies: np.ndarray) -> tuple:
+    """(||a||^2, ||b||^2, <a,b>) over one piece, <a,b> nan unless both norms are finite (inf * 0 warns); given
+    copies, a and b are written into them first, and the copies are summed while they are in cache."""
+    for c, v in zip(copies, (a, b)):
+        np.copyto(c, v)
+    a, b = copies or (a, b)
+    na, nb = _norm_sq_rows(w, a), _norm_sq_rows(w, b)
+    return na, nb, _inner_rows(w, a, b) if math.isfinite(na + nb) else math.nan
+
+
+def _gram(w: np.ndarray, a: np.ndarray, b: np.ndarray, copies=()) -> _Pair:
+    """Gram data and residual; GramOverflow when ||a||^2, ||b||^2 or coef is not finite.  Past _PIECE elements, two
+    passes over the pieces: the three sums, which also fill copies (empty arrays, then read-only) if given, then r."""
     if w.size <= _PIECE:  # both norms in one reduction, with the bits of two
         na, nb = _norm_sq_rows(w, np.array((a, b))).tolist()
-    else:
-        na, nb = (float(_piecewise(_norm_sq_rows, w, v)) for v in (a, b))
-    iab = coef = math.nan  # <a,b> is skipped when a NaN or Inf entry gives a non-finite norm (inf * 0 warns)
+    else:  # the piece sums are added in piece order, as _piecewise adds them
+        nas, nbs, iabs = zip(*_pieces(lambda p: _gram_sums(w[p], a[p], b[p], *(c[p] for c in copies)), w.size))
+        for c in copies:  # filled: from here on they are held, and read-only
+            c.flags.writeable = False
+        na, nb, a, b = float(np.add.reduce(nas)), float(np.add.reduce(nbs)), *(copies or (a, b))
+    iab = coef = math.nan  # <a,b> is skipped when a NaN or Inf entry gives a non-finite norm
     if math.isfinite(na + nb):
-        # a short pair skips _piecewise's call: through it, pairs-small ran 2-5% fewer ops/s
-        iab = complex(_inner_rows(w, a, b) if w.size <= _PIECE else _piecewise(_inner_rows, w, a, b))
+        iab = complex(_inner_rows(w, a, b) if w.size <= _PIECE else np.add.reduce(iabs))
         coef = iab.conjugate() / na if na else 0j
     if not cmath.isfinite(coef):
         raise _overflow(na, nb)
-    if w.size <= _PIECE:
-        r = b - coef * a
-    else:  # piece by piece into r, with no other temporary
-        r = np.empty_like(b)
-        _pieces(lambda p: np.subtract(b[p], np.multiply(coef, a[p], out=r[p]), out=r[p]), b.size)
     # Pythagoras, ||b||^2 - |<a,b>|^2/||a||^2, while it keeps half of ||b||^2 (<a,b> is not squared: its
     # square may underflow where the answer fits); below that it cancels, and r's own squares are summed
     nr = nb - abs(iab) * abs(coef)
-    if nr < 0.5 * nb:
-        nr = float(_piecewise(_norm_sq_rows, w, r))
-    return _Pair(na, nb, iab, nr, r)
+    cancels = nr < 0.5 * nb
+    if w.size <= _PIECE:
+        r = b - coef * a
+        return _Pair(na, nb, iab, float(_norm_sq_rows(w, r)) if cancels else nr, r)
+    r = np.empty_like(b)  # piece by piece, with no other temporary; squares summed as written if Pythagoras cancels
+    def residual(p):
+        rp = np.subtract(b[p], np.multiply(coef, a[p], out=r[p]), out=r[p])
+        return _norm_sq_rows(w[p], rp) if cancels else None
+    sums = _pieces(residual, b.size)
+    return _Pair(na, nb, iab, float(np.add.reduce(sums)) if cancels else nr, r)
 
 
 # the Gram data of the last pair of at most _PIECE elements, keyed on the bytes of (weights, a, b),
@@ -289,15 +303,6 @@ def _same_bytes(vs, helds) -> bool:
     return same(slice(0, _PIECE)) and all(_pieces(same, vs[0].size, _PIECE))
 
 
-def _held_copies(*vs) -> list:
-    """Read-only contiguous copies of long vectors, written a piece at a time on both lanes."""
-    copies = [np.empty_like(v, order="C") for v in vs]
-    _pieces(lambda p: [np.copyto(c[p], v[p]) for c, v in zip(copies, vs)], vs[0].size)
-    for c in copies:
-        c.flags.writeable = False
-    return copies
-
-
 def _pair(space: SpaceDescriptor, a, b, names: str = "ab") -> Tuple[np.ndarray, np.ndarray, _Pair]:
     """Check a and b and build their Gram data, or reuse the last call's on the same bytes.
     A NaN or Inf entry shows as a non-finite norm, so the entries are checked (as_vector
@@ -315,8 +320,8 @@ def _pair(space: SpaceDescriptor, a, b, names: str = "ab") -> Tuple[np.ndarray, 
         held = _last_long
         if not (held and held[0] is w and _same_bytes((aa, bb), held[1:3])):
             held = _last_long = None  # the old copies are freed before the new ones are made
-            aa, bb = _held_copies(aa, bb)
-            held = _last_long = w, aa, bb, _gram(w, aa, bb)
+            copies = [np.empty_like(v, order="C") for v in (aa, bb)]
+            held = _last_long = (w, *copies, _gram(w, aa, bb, copies))
         return held[1:]
     except (DimensionMismatch, GramOverflow) as exc:
         fault = exc  # raised after the checks, so that their error does not chain to it

@@ -758,9 +758,9 @@ def gram_calls(monkeypatch):
     calls = []
     build = core._gram
 
-    def counting(w, a, b):
+    def counting(w, a, b, copies=()):
         calls.append(a.size)
-        return build(w, a, b)
+        return build(w, a, b, copies)
 
     monkeypatch.setattr(core, "_gram", counting)
     return calls
@@ -847,20 +847,27 @@ def test_errors_are_not_stored(gram_calls):
 
 def test_near_dependent_long_pair_sums_its_residuals_squares_once(gram_calls, monkeypatch):
     # ||r||^2 < ||b||^2 / 2, so _gram sums r's squares as well as a's and b's: the three pair
-    # calls together make one pass of _norm_sq_rows over each of a, b and r, in pieces
-    n = core._PIECE + 1
+    # calls together square each piece of a, b and r once (a's and b's in the held copies)
+    n = 3 * core._PIECE + 1
     rng = np.random.default_rng(29)
     s = make_weighted(rng.uniform(0.5, 2.0, n))
     a, q = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2))
     b = (2 - 1j) * a + 0.01 * q
-    pieces, squares = core._norm_sq_rows, []
-    monkeypatch.setattr(core, "_norm_sq_rows", lambda w, u: squares.append(u.shape[-1]) or pieces(w, u))
+    kernel, squared = core._norm_sq_rows, []
+    monkeypatch.setattr(core, "_norm_sq_rows", lambda w, u: squared.append(_address(u)) or kernel(w, u))
     bound = ostrowski_bound(s, a, b)
     extremizer(s, a, b)
     min_norm_solution(s, a, b)
     assert bound < 0.5 * gram2(s, a, b).norm_b_sq
     assert gram_calls == [n]
-    assert squares == [core._PIECE, 1] * 3
+    _, held_a, held_b, g = core._last_long
+    starts = range(0, n, core._PIECE)
+    assert sorted(squared) == sorted(_address(v[i:i + core._PIECE]) for v in (held_a, held_b, g.r) for i in starts)
+
+
+def _address(v: np.ndarray) -> tuple:
+    """Where v's data starts, and its length."""
+    return v.__array_interface__["data"][0], v.size
 
 
 def test_concurrent_callers_each_get_their_own_pairs_gram_data():
@@ -942,12 +949,60 @@ def test_errstate_holds_in_the_worker_half_of_a_long_pair(monkeypatch):
     n = 4 * core._PIECE
     s, a, b = make_dense(n), np.ones(n, complex), np.ones(n, complex)
     a[2 * core._PIECE] = 1e200
-    kernel, threads = with_the_worker(core._norm_sq_rows, wait_at=2)
-    monkeypatch.setattr(core, "_norm_sq_rows", kernel)
+    kernel, threads = with_the_worker(core._gram_sums, wait_at=2)
+    monkeypatch.setattr(core, "_gram_sums", kernel)
     with np.errstate(over="ignore"):
         with pytest.raises(GramOverflow, match=r"\|\|a\|\|\^2=inf"):
             ostrowski_bound(s, a, b)
     assert threads[2] != threads[0]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, piece, value", [("a", 2, np.nan), ("b", 3, complex(0, np.inf))], ids=["nan-a", "inf-b"])
+def test_a_non_finite_entry_in_the_workers_piece_is_named(monkeypatch, name, piece, value):
+    # four pieces: the caller runs piece 0 and holds piece 1 until the worker has taken pieces 2 and 3; the faulty
+    # piece's norm is not finite, so its <a,b> is skipped (inf * 0 would warn) and no warning is raised
+    n = 4 * core._PIECE
+    s, pair = make_dense(n), {"a": np.ones(n, complex), "b": np.arange(n, dtype=complex)}
+    pair[name][piece * core._PIECE + 7] = value
+    kernel, threads = with_the_worker(core._gram_sums, wait_at=2, worker_calls=2)
+    monkeypatch.setattr(core, "_gram_sums", kernel)
+    with pytest.raises(NonFiniteInput, match=f"^{name} contains NaN or Inf$"):
+        ostrowski_bound(s, pair["a"], pair["b"])
+    caller = threading.get_ident()
+    assert threads[:2] == [caller] * 2 and threads[2] == threads[3] != caller and len(threads) == 4
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_total_that_overflows_from_pieces_that_fit_is_gram_overflow(monkeypatch):
+    # a = 1e152: each piece's ||a||^2 (1.6e308) fits, and the worker sums the third, but their sum does not fit
+    n = 4 * core._PIECE
+    s, a, b = make_dense(n), np.full(n, 1e152, complex), np.ones(n, complex)
+    kernel, threads = with_the_worker(core._gram_sums, wait_at=2)
+    monkeypatch.setattr(core, "_gram_sums", kernel)
+    with np.errstate(over="ignore"):
+        with pytest.raises(GramOverflow, match=r"\|\|a\|\|\^2=inf"):
+            ostrowski_bound(s, a, b)
+    assert threads[2] != threads[0]
+
+
+@pytest.mark.parametrize("near", [False, True], ids=["independent", "near-dependent"])
+def test_a_long_pair_is_read_in_two_passes(monkeypatch, near):
+    # from empty entries, a miss makes one pass for the copies of a and b and the three sums, and one that forms r
+    # (summing its squares on a near-dependent pair); a hit makes one for the byte compare and one to scale r
+    monkeypatch.setattr(core, "_last_long", None)
+    n = 4 * core._PIECE
+    rng = np.random.default_rng(34)
+    s = make_weighted(rng.uniform(0.5, 2.0, n))
+    a, q = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2))
+    b = (2 - 1j) * a + 0.01 * q if near else q
+    pieces, passes = core._pieces, []
+    monkeypatch.setattr(core, "_pieces", lambda fn, size, start=0: passes.append(start) or pieces(fn, size, start))
+    bound = ostrowski_bound(s, a, b)
+    assert len(passes) == 2
+    extremizer(s, a, b)
+    assert len(passes) == 4
+    assert (bound < 0.5 * gram2(s, a, b).norm_b_sq) == near
 
 
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
